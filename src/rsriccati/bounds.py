@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cone import is_spd, loewner_leq, spectral, symmetrize
-from .errors import DomainError, NumericalError, UsageError
+from .errors import DomainError, NumericalError, UsageError, check_finite
 from .statespace import StateSpaceModel, is_reachable, observability_matrix
 
 # Coordinate-descent step below which the bound search stops refining.
@@ -63,6 +63,9 @@ def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
         raise UsageError(
             f"need exactly n={model.n} desired poles, got {poles.shape}"
         )
+    coeffs = np.poly(poles)  # real exactly when the poles pair up under conjugation
+    if np.iscomplexobj(coeffs):
+        raise UsageError(f"complex poles must come in conjugate pairs, got {poles}")
     # top-to-bottom stack [C; CA; ...; C A^{n-1}] (the transposed dual
     # reachability matrix), unlike the newest-first block convention
     obs = np.flipud(observability_matrix(model, model.n, "C"))
@@ -72,7 +75,6 @@ def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
             f"pair (C, A) is not observable: observability matrix singular "
             f"values span [{sv[-1]:.3e}, {sv[0]:.3e}]"
         )
-    coeffs = np.real(np.poly(poles))
     phi = np.zeros_like(model.A)
     for c in coeffs:
         phi = phi @ model.A + c * np.eye(model.n)
@@ -105,6 +107,7 @@ def lyapunov_sigma(model: StateSpaceModel, G, rho: float) -> np.ndarray:
     Positive definiteness of the solution follows from reachability of
     (A, B).
     """
+    check_finite("rho", rho)
     G = np.asarray(G, dtype=float).reshape(model.n, model.p)
     F = model.A - G @ model.C
     r = spectral_radius(F)
@@ -326,7 +329,6 @@ def check_initial_condition(
     model: StateSpaceModel, theta: float, P0, bound: ObserverBound
 ) -> AdmissibilityReport:
     """Check the trajectory-positivity preconditions against an ObserverBound."""
-    P0 = symmetrize(P0)
     return AdmissibilityReport(
         p0_positive=is_spd(P0),
         p0_below_sigma=loewner_leq(P0, bound.Sigma_rho, tol=1e-9),

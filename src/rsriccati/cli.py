@@ -97,17 +97,25 @@ def _initial_variance_arg(model: ssp.StateSpaceModel, spec: str) -> np.ndarray:
     return P0
 
 
+def _grid_numbers(spec: str, parts: list[str], kinds) -> list:
+    try:
+        return [kind(text) for kind, text in zip(kinds, parts)]
+    except ValueError as exc:
+        raise UsageError(f"bad number in grid spec {spec!r}: {exc}") from exc
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     """Parse "lo:hi:count" as a uniform grid or "a,b,c" as explicit values."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError(f"grid spec must be lo:hi:count, got {spec!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = _grid_numbers(spec, parts, (float, float, int))
         if count < 1:
             raise UsageError(f"grid count must be >= 1, got {count}")
         return np.linspace(lo, hi, count)
-    return np.asarray([float(v) for v in spec.split(",")], dtype=float)
+    values = spec.split(",")
+    return np.asarray(_grid_numbers(spec, values, [float] * len(values)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +301,8 @@ def _cmd_bound_search(args) -> int:
             raise UsageError(
                 f"gain grid spec must be span:points, got {args.gain_grid!r}"
             )
-        gain_grid = bnd.default_gain_grid(
-            model, points=int(parts[1]), span=float(parts[0])
-        )
+        span, points = _grid_numbers(args.gain_grid, parts, (float, int))
+        gain_grid = bnd.default_gain_grid(model, points=points, span=span)
     best = bnd.bound_search(model, rho_grid=rho_grid, gain_grid=gain_grid,
                             refine=not args.no_refine)
     if args.json:

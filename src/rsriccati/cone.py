@@ -5,7 +5,8 @@ matrix square roots, logarithms, the affine-invariant (Riemann) and
 Thompson distances, the Loewner partial order, and the contraction
 coefficient bound for Riccati-type maps P -> M [P^-1 + Omega]^-1 M^T + W.
 Dimensions are small (n up to a few tens), so there is no reason to use
-anything fancier than dense symmetric eigensolvers.
+anything fancier than dense symmetric eigensolvers. `require_spd` is the
+one positive-definiteness decision: relative to scale and failed by NaN.
 
 All functions are pure; none mutate their arguments.
 """
@@ -16,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UsageError
+from .errors import ConeExitError, DomainError, NumericalError, UsageError
 
-# Absolute tolerance on the smallest eigenvalue for "positive definite".
-SPD_TOL = 1e-10
+# Positive definite means lam_min > SPD_RTOL * |lam_max|, whatever the scale.
+SPD_RTOL = 1e-12
 
 # Relative asymmetry above which an input is considered a caller bug
 # rather than roundoff.
@@ -57,6 +58,9 @@ class SpectralDecomposition(NamedTuple):
         U, lam = self.eigenvectors, self.eigenvalues
         return (U * lam) @ U.T
 
+    def inverse(self) -> np.ndarray:
+        return (self.eigenvectors / self.eigenvalues) @ self.eigenvectors.T
+
 
 def spectral(P) -> SpectralDecomposition:
     """Eigendecomposition P = U diag(lam) U^T with eigenvalues sorted decreasing."""
@@ -72,60 +76,57 @@ def spectral(P) -> SpectralDecomposition:
     return SpectralDecomposition(lam[order], U[:, order])
 
 
-def _require_spd(P, tol: float, what: str) -> SpectralDecomposition:
+def require_spd(P, what: str) -> SpectralDecomposition:
+    """P's decomposition, or ConeExitError unless lam_min > SPD_RTOL * |lam_max|."""
     dec = spectral(P)
-    lam_min = dec.eigenvalues[-1]
-    if lam_min <= tol:
-        raise DomainError(
-            f"{what} must be positive definite: smallest eigenvalue "
-            f"{lam_min:.6e} <= tol {tol:.1e}"
+    lam_min, lam_max = dec.eigenvalues[-1], dec.eigenvalues[0]  # NaN sorts first
+    if not lam_min > SPD_RTOL * abs(lam_max):
+        raise ConeExitError(
+            f"{what}: smallest eigenvalue {lam_min:.6e} <= {SPD_RTOL:.0e} x largest {lam_max:.6e}",
+            lambda_min=float(lam_min),
         )
     return dec
 
 
-def spd_sqrt(P, tol: float = SPD_TOL) -> np.ndarray:
+def spd_sqrt(P) -> np.ndarray:
     """Symmetric positive definite square root of an SPD matrix."""
-    lam, U = _require_spd(P, tol, "spd_sqrt input")
+    lam, U = require_spd(P, "spd_sqrt input must be positive definite")
     return (U * np.sqrt(lam)) @ U.T
 
 
-def spd_log(P, tol: float = SPD_TOL) -> np.ndarray:
+def spd_log(P) -> np.ndarray:
     """Matrix logarithm of an SPD matrix (symmetric, not necessarily definite)."""
-    lam, U = _require_spd(P, tol, "spd_log input")
+    lam, U = require_spd(P, "spd_log input must be positive definite")
     return (U * np.log(lam)) @ U.T
 
 
-def spd_inv(P, tol: float = SPD_TOL) -> np.ndarray:
+def spd_inv(P) -> np.ndarray:
     """Inverse of an SPD matrix through its eigendecomposition."""
-    lam, U = _require_spd(P, tol, "spd_inv input")
-    return (U / lam) @ U.T
+    return require_spd(P, "spd_inv input must be positive definite").inverse()
 
 
-def _relative_log_spectrum(P, Q, tol: float) -> np.ndarray:
-    """log of the eigenvalues of P^-1 Q, computed via P^-1/2 Q P^-1/2."""
-    lam_p, U = _require_spd(P, tol, "distance argument P")
+def relative_log_spectrum(P, Q) -> np.ndarray:
+    """log of the eigenvalues of P^-1 Q via P^-1/2 Q P^-1/2; P may be its decomposition."""
+    if not isinstance(P, SpectralDecomposition):
+        P = require_spd(P, "distance argument P must be positive definite")
+    lam_p, U = P
     Q = symmetrize(Q)
     if Q.shape != U.shape:
         raise UsageError(f"dimension mismatch: {U.shape[0]} vs {Q.shape[0]}")
     P_inv_sqrt = (U / np.sqrt(lam_p)) @ U.T
     middle = symmetrize(P_inv_sqrt @ Q @ P_inv_sqrt, rtol=np.inf)
-    s = spectral(middle).eigenvalues
-    if s[-1] <= tol:
-        raise DomainError(
-            f"distance argument Q must be positive definite: smallest "
-            f"eigenvalue of P^-1/2 Q P^-1/2 is {s[-1]:.6e}"
-        )
-    return np.log(s)
+    what = "distance argument Q must be positive definite: P^-1/2 Q P^-1/2"
+    return np.log(require_spd(middle, what).eigenvalues)
 
 
-def riemann_distance(P, Q, tol: float = SPD_TOL) -> float:
+def riemann_distance(P, Q) -> float:
     """Affine-invariant distance ||log(P^-1/2 Q P^-1/2)||_F between SPD matrices."""
-    return float(np.linalg.norm(_relative_log_spectrum(P, Q, tol)))
+    return float(np.linalg.norm(relative_log_spectrum(P, Q)))
 
 
-def thompson_distance(P, Q, tol: float = SPD_TOL) -> float:
+def thompson_distance(P, Q) -> float:
     """Thompson (spectral) metric: largest |log eigenvalue| of P^-1 Q."""
-    log_s = _relative_log_spectrum(P, Q, tol)
+    log_s = relative_log_spectrum(P, Q)
     # max over both orderings of the arguments; the spectra are reciprocal,
     # so this is the largest magnitude of the log spectrum.
     return float(max(log_s[0], -log_s[-1]))
@@ -137,8 +138,8 @@ def translation_coefficient(P, Q, S) -> float:
     alpha is the larger of the top eigenvalues of P and Q, beta the
     smallest eigenvalue of the nonnegative definite translation S.
     """
-    lam_p = _require_spd(P, SPD_TOL, "translation argument P").eigenvalues
-    lam_q = _require_spd(Q, SPD_TOL, "translation argument Q").eigenvalues
+    lam_p = require_spd(P, "translation argument P must be positive definite").eigenvalues
+    lam_q = require_spd(Q, "translation argument Q must be positive definite").eigenvalues
     lam_s = spectral(S).eigenvalues
     if lam_s[-1] < -1e-12:
         raise DomainError(
@@ -158,18 +159,21 @@ def contraction_bound(M, Omega, W) -> float:
     """
     M = np.asarray(M, dtype=float)
     Omega_inv = spd_inv(Omega)
-    lam_w = _require_spd(W, SPD_TOL, "contraction_bound W").eigenvalues
+    lam_w = require_spd(W, "contraction_bound W must be positive definite").eigenvalues
     top = spectral(M @ Omega_inv @ M.T).eigenvalues[0]
     top = max(top, 0.0)
     return top / (lam_w[-1] + top)
 
 
-def is_spd(P, tol: float = SPD_TOL) -> bool:
-    """True iff the smallest eigenvalue of (symmetrized) P exceeds tol."""
-    return bool(spectral(P).eigenvalues[-1] > tol)
+def is_spd(P) -> bool:
+    """True iff (symmetrized) P passes the `require_spd` gate."""
+    try:
+        return bool(require_spd(P, "is_spd argument"))  # a decomposition is truthy
+    except ConeExitError:
+        return False
 
 
-def loewner_leq(P, Q, tol: float = SPD_TOL) -> bool:
+def loewner_leq(P, Q, tol: float = 1e-10) -> bool:
     """Loewner order check P <= Q: smallest eigenvalue of Q - P >= -tol."""
     P = symmetrize(P)
     Q = symmetrize(Q)

@@ -6,6 +6,8 @@ positive definite is not), and numerical trouble inside an otherwise
 valid computation.
 """
 
+import math
+
 
 class UsageError(ValueError):
     """Malformed input: bad dimensions, unparseable documents, bad flags."""
@@ -43,3 +45,9 @@ class IterationLimitError(NumericalError):
         super().__init__(message)
         self.iterations = iterations
         self.last_distance = last_distance
+
+
+def check_finite(name: str, value, nonnegative: bool = False) -> None:
+    """DomainError unless a scalar parameter is finite (and >= 0 if asked); NaN fails."""
+    if not math.isfinite(value) or (nonnegative and value < 0.0):
+        raise DomainError(f"{name} must be finite{' and >= 0' if nonnegative else ''}, got {value}")

@@ -15,9 +15,9 @@ brackets). Fixed points are found by straight iteration of the map
 iteration, measured in the affine-invariant metric, so the iteration
 count carries meaning and no subspace ARE solver is used).
 
-Every inner inversion goes through a symmetric eigendecomposition with
-an explicit smallest-eigenvalue gate: leaving the cone is a semantic
-event, never papered over with pseudo-inverses.
+Every inversion goes through the positivity gate `cone.require_spd`:
+leaving the cone is a semantic event, never papered over. Each step
+factorizes its iterate once and maps it through the shared `_step`.
 """
 
 from __future__ import annotations
@@ -28,24 +28,35 @@ from typing import Optional
 
 import numpy as np
 
-from .cone import riemann_distance, spectral, symmetrize
-from .errors import ConeExitError, DomainError, IterationLimitError, UsageError
-from .statespace import BlockModel, StateSpaceModel
-
-# Smallest eigenvalue a matrix may have and still be inverted here.
-INNER_TOL = 1e-12
+from .bounds import lyapunov_sigma, place_observer_gain
+from .cone import relative_log_spectrum, require_spd, spectral, symmetrize
+from .errors import ConeExitError, DomainError, IterationLimitError, UsageError, check_finite
+from .statespace import BlockModel, StateSpaceModel, theta_N
 
 
-def _gated_inv(M: np.ndarray, what: str, **context) -> np.ndarray:
-    """Invert a symmetric matrix, raising ConeExitError if not positive definite."""
-    lam, U = spectral(M)
-    if lam[-1] <= INNER_TOL:
-        raise ConeExitError(
-            f"{what}: smallest eigenvalue {lam[-1]:.6e} <= {INNER_TOL:.0e}",
-            lambda_min=float(lam[-1]),
-            **context,
-        )
-    return (U / lam) @ U.T
+def _validity(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
+    """Factor of V^-1 = P^-1 - theta D^T D, gated."""
+    V_inv = P_inv - theta * (model.D.T @ model.D)
+    return require_spd(V_inv, "validity violated: P^-1 - theta D^T D")
+
+
+def _step(model: StateSpaceModel, theta: float, P_inv: np.ndarray) -> np.ndarray:
+    """The risk-sensitive update from P^-1: the one place the map is evaluated."""
+    inner = P_inv + model.C.T @ model.C - theta * (model.D.T @ model.D)
+    middle = require_spd(inner, "map leaves the cone: P^-1 + C^T C - theta D^T D").inverse()
+    return symmetrize(model.A @ middle @ model.A.T + model.B @ model.B.T, rtol=np.inf)
+
+
+def _kalman_form(model: StateSpaceModel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, R_nu) = (A V C^T R_nu^-1, C V C^T + I)."""
+    R_nu = symmetrize(model.C @ V @ model.C.T + np.eye(model.p), rtol=np.inf)
+    return model.A @ V @ model.C.T @ np.linalg.inv(R_nu), R_nu
+
+
+def _gain(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
+    """(K, R_nu, V) from P^-1: the Kalman form at the validity matrix V."""
+    V = _validity(model, theta, P_inv).inverse()
+    return (*_kalman_form(model, V), V)
 
 
 def riccati_map(model: StateSpaceModel, P) -> np.ndarray:
@@ -55,10 +66,7 @@ def riccati_map(model: StateSpaceModel, P) -> np.ndarray:
 
 def kalman_gain(model: StateSpaceModel, P) -> tuple[np.ndarray, np.ndarray]:
     """Kalman gain and innovation variance (K, R_nu) at error variance P."""
-    P = symmetrize(P)
-    R_nu = symmetrize(model.C @ P @ model.C.T + np.eye(model.p), rtol=np.inf)
-    K = model.A @ P @ model.C.T @ np.linalg.inv(R_nu)
-    return K, R_nu
+    return _kalman_form(model, symmetrize(P))
 
 
 def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
@@ -67,10 +75,9 @@ def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
     Raises ConeExitError when the bracketed matrix is not positive
     definite (the map leaves the cone).
     """
-    P_inv = _gated_inv(symmetrize(P), "riccati map argument P not positive definite")
-    inner = P_inv + model.C.T @ model.C - theta * (model.D.T @ model.D)
-    middle = _gated_inv(inner, "map leaves the cone: P^-1 + C^T C - theta D^T D")
-    return symmetrize(model.A @ middle @ model.A.T + model.B @ model.B.T, rtol=np.inf)
+    check_finite("theta", theta, nonnegative=True)
+    P_inv = require_spd(P, "riccati map argument P not positive definite").inverse()
+    return _step(model, theta, P_inv)
 
 
 def rs_gain(
@@ -81,14 +88,9 @@ def rs_gain(
     V = (P^-1 - theta D^T D)^-1 must be positive definite for the filter
     to exist; otherwise a "validity violated" ConeExitError is raised.
     """
-    P_inv = _gated_inv(symmetrize(P), "gain argument P not positive definite")
-    V = _gated_inv(
-        P_inv - theta * (model.D.T @ model.D),
-        "validity violated: P^-1 - theta D^T D",
-    )
-    R_nu = symmetrize(model.C @ V @ model.C.T + np.eye(model.p), rtol=np.inf)
-    K = model.A @ V @ model.C.T @ np.linalg.inv(R_nu)
-    return K, R_nu, V
+    check_finite("theta", theta, nonnegative=True)
+    P_inv = require_spd(P, "gain argument P not positive definite").inverse()
+    return _gain(model, theta, P_inv)
 
 
 def rs_riccati_gain_form(model: StateSpaceModel, theta: float, P) -> np.ndarray:
@@ -108,13 +110,8 @@ def rs_riccati_observer_form(model: StateSpaceModel, theta: float, P, G) -> np.n
     G and the optimal gain.
     """
     G = np.asarray(G, dtype=float)
-    P_inv = _gated_inv(symmetrize(P), "observer form argument P not positive definite")
-    V = _gated_inv(
-        P_inv - theta * (model.D.T @ model.D),
-        "validity violated: P^-1 - theta D^T D",
-    )
+    _, R_nu, V = rs_gain(model, theta, P)
     F = model.A - G @ model.C
-    R_nu = model.C @ V @ model.C.T + np.eye(model.p)
     mismatch = F @ V @ model.C.T - G
     value = (
         F @ V @ F.T + G @ G.T + model.B @ model.B.T
@@ -129,8 +126,8 @@ def block_riccati_map(block: BlockModel, P) -> np.ndarray:
     Coincides with the N-fold composition of the one-step map at the
     same risk parameter.
     """
-    P_inv = _gated_inv(symmetrize(P), "block map argument P not positive definite")
-    middle = _gated_inv(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega")
+    P_inv = require_spd(P, "block map argument P not positive definite").inverse()
+    middle = require_spd(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega").inverse()
     return symmetrize(block.alpha @ middle @ block.alpha.T + block.W, rtol=np.inf)
 
 
@@ -154,20 +151,6 @@ class RiccatiStep:
         return self.status == "ok"
 
 
-def _step_record(model: StateSpaceModel, theta: float, t: int, P: np.ndarray) -> RiccatiStep:
-    lam_P, U = spectral(P)
-    if lam_P[-1] <= INNER_TOL:
-        return RiccatiStep(t=t, P=P, status="cone_exit", lambda_P=lam_P, lambda_V=None)
-    P_inv = (U / lam_P) @ U.T
-    lam_inner = spectral(P_inv - theta * (model.D.T @ model.D)).eigenvalues
-    if np.min(np.abs(lam_inner)) > INNER_TOL:
-        lam_V = np.sort(1.0 / lam_inner)[::-1]
-    else:
-        lam_V = None
-    status = "ok" if lam_inner[-1] > INNER_TOL else "v_violation"
-    return RiccatiStep(t=t, P=P, status=status, lambda_P=lam_P, lambda_V=lam_V)
-
-
 def iterate_trajectory(
     model: StateSpaceModel, theta: float, P0, T: int
 ) -> list[RiccatiStep]:
@@ -176,16 +159,24 @@ def iterate_trajectory(
     Violations are data, not exceptions: the trajectory stops early
     after recording a step whose status flags the event.
     """
+    check_finite("theta", theta, nonnegative=True)
     if T < 0:
         raise DomainError(f"horizon T must be >= 0, got {T}")
     P = symmetrize(P0)
     steps = []
     for t in range(T + 1):
-        step = _step_record(model, theta, t, P)
-        steps.append(step)
-        if step.status != "ok" or t == T:
-            break
-        P = rs_riccati_map(model, theta, P)
+        try:
+            P_dec = require_spd(P, "trajectory iterate not positive definite")
+        except ConeExitError:
+            return steps + [RiccatiStep(t, P, "cone_exit", spectral(P).eigenvalues, None)]
+        P_inv = P_dec.inverse()
+        try:
+            lam_V = 1.0 / _validity(model, theta, P_inv).eigenvalues[::-1]
+        except ConeExitError:
+            return steps + [RiccatiStep(t, P, "v_violation", P_dec.eigenvalues, None)]
+        steps.append(RiccatiStep(t, P, "ok", P_dec.eigenvalues, lam_V))
+        if t < T:
+            P = _step(model, theta, P_inv)
     return steps
 
 
@@ -254,33 +245,29 @@ def fixed_point(
     fixed point raise ConeExitError carrying the last valid iterate;
     hitting max_iter raises IterationLimitError.
     """
-    n = model.n
-    P = symmetrize(P0) if P0 is not None else np.eye(n)
+    check_finite("theta", theta, nonnegative=True)
+    P = symmetrize(P0) if P0 is not None else np.eye(model.n)
+    P_dec = require_spd(P, "fixed-point start P0 not positive definite")
     last_distance = math.inf
     for it in range(1, max_iter + 1):
         try:
-            P_next = rs_riccati_map(model, theta, P)
-            _gated_inv(P_next, "iterate left the cone")
+            P_next = _step(model, theta, P_dec.inverse())
+            next_dec = require_spd(P_next, "iterate left the cone")
         except ConeExitError as exc:
             raise ConeExitError(
-                f"risk-sensitive iteration broke down at step {it} "
-                f"(theta={theta:.6e}): {exc}",
-                lambda_min=exc.lambda_min,
-                step=it,
-                last_valid=P,
+                f"risk-sensitive iteration broke down at step {it} (theta={theta:.6e}): {exc}",
+                lambda_min=exc.lambda_min, step=it, last_valid=P,
             ) from exc
-        last_distance = riemann_distance(P_next, P)
-        P = P_next
+        last_distance = float(np.linalg.norm(relative_log_spectrum(next_dec, P)))
+        P, P_dec = P_next, next_dec
         if last_distance < tol:
             try:
-                K, R_nu, _ = rs_gain(model, theta, P)
+                K, R_nu, _ = _gain(model, theta, P_dec.inverse())
             except ConeExitError as exc:
                 raise ConeExitError(
                     f"fixed point reached at theta={theta:.6e} but its "
                     f"validity matrix is not positive definite",
-                    lambda_min=exc.lambda_min,
-                    step=it,
-                    last_valid=P,
+                    lambda_min=exc.lambda_min, step=it, last_valid=P,
                 ) from exc
             report = verify_are(model, theta, P)
             return FixedPointResult(
@@ -328,8 +315,6 @@ def initial_variance(model: StateSpaceModel, policy: str) -> np.ndarray:
         scale = float(np.trace(model.B @ model.B.T)) / model.n
         return scale * np.eye(model.n)
     if policy == "sigma-bound":
-        from .bounds import lyapunov_sigma, place_observer_gain
-
         G = place_observer_gain(model, [0.0] * model.n)
         return lyapunov_sigma(model, G, 2.0)
     raise DomainError(
@@ -354,10 +339,20 @@ def breakdown_search(
     quantity whose divergence marks breakdown). Non-convergence within
     max_iter counts as failure, which is conservative near breakdown
     where the contraction constant approaches one. theta_hi defaults to
-    theta_N at block length n.
+    theta_N at block length n; bisection stops at width tol or adjacent floats.
     """
-    from .statespace import theta_N as _theta_N
-
+    if theta_hi is None:
+        theta_hi = theta_N(model, model.n)
+        if math.isinf(theta_hi):
+            theta_hi = 1e3 * theta_lo
+    for theta in (theta_lo, theta_hi):
+        check_finite("theta", theta, nonnegative=True)
+    if not tol >= 0.0:
+        raise UsageError(f"bisection tol must be >= 0, got {tol}")
+    if not theta_hi > theta_lo:
+        raise UsageError(
+            f"need theta_lo < theta_hi, got [{theta_lo}, {theta_hi}]"
+        )
     P0 = initial_variance(model, policy)
 
     def solvable(theta: float) -> bool:
@@ -367,14 +362,6 @@ def breakdown_search(
             return False
         return True
 
-    if theta_hi is None:
-        theta_hi = _theta_N(model, model.n)
-        if math.isinf(theta_hi):
-            theta_hi = 1e3 * theta_lo
-    if not theta_hi > theta_lo:
-        raise UsageError(
-            f"need theta_lo < theta_hi, got [{theta_lo}, {theta_hi}]"
-        )
     evaluations = 2
     if not solvable(theta_lo):
         raise UsageError(
@@ -390,8 +377,7 @@ def breakdown_search(
             evaluations=evaluations,
         )
     lo, hi = theta_lo, theta_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         evaluations += 1
         if solvable(mid):
             lo = mid

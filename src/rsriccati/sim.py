@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cone import spd_sqrt, symmetrize
-from .errors import DomainError
-from .riccati import rs_gain, rs_riccati_map
+from .cone import require_spd, spd_sqrt, symmetrize
+from .errors import ConeExitError, DomainError, check_finite
+from .riccati import _gain, _step
 from .statespace import StateSpaceModel
 
 
@@ -55,8 +55,7 @@ def simulate(
         raise DomainError(f"horizon T must be >= 1, got {T}")
     n, m, p = model.n, model.m, model.p
     x0_mean = np.zeros(n) if x0_mean is None else np.asarray(x0_mean, dtype=float).ravel()
-    P0 = np.eye(n) if P0 is None else symmetrize(P0)
-    root = spd_sqrt(P0)
+    root = spd_sqrt(np.eye(n) if P0 is None else P0)
 
     ss_x0, ss_u, ss_v = np.random.SeedSequence(seed).spawn(3)
     gen_x0 = np.random.Generator(np.random.PCG64(ss_x0))
@@ -131,6 +130,7 @@ def run_filter(
     agree exactly. On a validity violation the run aborts in-band:
     estimates computed so far are returned with violation_step set.
     """
+    check_finite("theta", theta, nonnegative=True)
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     if observations.shape[0] == 0:
         raise DomainError("observations must be nonempty")
@@ -141,18 +141,18 @@ def run_filter(
     P = symmetrize(P0)
     P_sequence = [P]
     violation = None
-    steps = 0
     for t in range(T):
         try:
-            K, _, _ = rs_gain(model, theta, P)
-        except DomainError:
+            P_inv = require_spd(P, "gain argument P not positive definite").inverse()
+            K, _, _ = _gain(model, theta, P_inv)
+        except ConeExitError:
             violation = t
             break
         innovations[t] = observations[t] - model.C @ estimates[t]
         estimates[t + 1] = model.A @ estimates[t] + K @ innovations[t]
-        P = rs_riccati_map(model, theta, P)
+        P = _step(model, theta, P_inv)
         P_sequence.append(P)
-        steps = t + 1
+    steps = T if violation is None else violation
     return FilterRun(
         estimates=estimates[: steps + 1],
         innovations=innovations[:steps],

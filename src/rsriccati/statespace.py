@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cone import spectral, symmetrize
-from .errors import DomainError, UsageError
+from .cone import require_spd, spectral, symmetrize
+from .errors import ConeExitError, DomainError, UsageError, check_finite
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-10
@@ -272,8 +272,7 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
     Requires theta < theta_N (the whitened input covariance Q must stay
     positive definite).
     """
-    if theta < 0.0:
-        raise DomainError(f"risk parameter theta must be >= 0, got {theta}")
+    check_finite("theta", theta, nonnegative=True)
     R = reachability_matrix(model, N)
     O = observability_matrix(model, N, "C")
     O_R = observability_matrix(model, N, "D")
@@ -290,15 +289,8 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
 
     # Whitened block input covariance; positive definiteness is exactly
     # the theta < theta_N condition.
-    Q_inner = psi - theta * (L.T @ L)
-    dec = spectral(Q_inner)
-    if dec.eigenvalues[-1] <= 1e-12:
-        raise DomainError(
-            f"Q_N^theta not positive definite at theta={theta:.6e} "
-            f"(smallest eigenvalue {dec.eigenvalues[-1]:.6e}); "
-            f"requires theta < theta_N"
-        )
-    Q = (dec.eigenvectors / dec.eigenvalues) @ dec.eigenvectors.T
+    what = f"Q_N^theta not positive definite at theta={theta:.6e} (requires theta < theta_N)"
+    Q = require_spd(psi - theta * (L.T @ L), what).inverse()
 
     X = L @ H.T @ phi_inv               # lower LDU coupling block
     J = O_R - X @ O
@@ -373,8 +365,12 @@ class Thresholds:
     tau_is_capped: bool
 
 
-def _omega_lambda_min(model: StateSpaceModel, N: int, theta: float) -> float:
-    return spectral(build_block_model(model, N, theta).Omega).eigenvalues[-1]
+def _omega_positive(model: StateSpaceModel, N: int, theta: float) -> bool:
+    # Exact sign test; a theta whose Q_N^theta fails the gate sits at theta_N.
+    try:
+        return bool(spectral(build_block_model(model, N, theta).Omega).eigenvalues[-1] > 0.0)
+    except ConeExitError:
+        return False
 
 
 def tau_N(model: StateSpaceModel, N: int, tol: float = 1e-6) -> Thresholds:
@@ -387,26 +383,22 @@ def tau_N(model: StateSpaceModel, N: int, tol: float = 1e-6) -> Thresholds:
     width at exit is at most tol.
     """
     th_N = theta_N(model, N)
-    lam0 = spectral(build_block_model(model, N, 0.0).Omega).eigenvalues
-    if lam0[-1] <= 0.0:
-        raise DomainError(
-            f"pair (C, A) not observable at block length N={N}: "
-            f"smallest eigenvalue of Omega_N(0) is {lam0[-1]:.6e}"
-        )
+    what = f"pair (C, A) not observable at block length N={N}: Omega_N(0) is singular"
+    lam0 = require_spd(build_block_model(model, N, 0.0).Omega, what).eigenvalues
     if math.isinf(th_N):
         hi = 1e3 / lam0[0]
         cap = hi
     else:
         hi = (1.0 - 1e-9) * th_N
         cap = th_N
-    if _omega_lambda_min(model, N, hi) > 0.0:
+    if _omega_positive(model, N, hi):
         return Thresholds(N=N, theta_N=th_N, tau_N=cap, tau_is_capped=True)
     lo = 0.0
     for _ in range(200):
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if _omega_lambda_min(model, N, mid) > 0.0:
+        if _omega_positive(model, N, mid):
             lo = mid
         else:
             hi = mid

@@ -61,6 +61,14 @@ def test_place_arbitrary_poles(example_model):
     assert np.allclose(got, [-0.2, 0.3], atol=1e-6)
 
 
+def test_place_requires_conjugate_pairs(example_model):
+    with pytest.raises(UsageError, match="conjugat"):
+        place_observer_gain(example_model, [0.5j, 0.1])
+    G = place_observer_gain(example_model, [0.5j, -0.5j])
+    got = np.linalg.eigvals(example_model.A - G @ example_model.C)
+    assert np.allclose(np.sort_complex(got), [-0.5j, 0.5j], atol=1e-9)
+
+
 def test_place_rejects_multi_output():
     model = StateSpaceModel(A=np.eye(2), B=np.eye(2), C=np.eye(2), D=np.eye(2))
     with pytest.raises(UsageError, match="single output"):
@@ -149,6 +157,15 @@ def test_beta_rejects_rho_below_one(example_model, example_bound):
     G, _, _ = example_bound
     with pytest.raises(DomainError):
         beta_rho(example_model, G, 1.0)
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf])
+def test_rho_domain_at_entry(example_model, example_bound, rho):
+    G, _, _ = example_bound
+    with pytest.raises(DomainError, match="rho must be finite"):
+        beta_rho(example_model, G, rho)
+    with pytest.raises(DomainError, match="rho must be finite"):
+        lyapunov_sigma(example_model, G, rho)
 
 
 def test_beta_scalar_large_rho_limit():

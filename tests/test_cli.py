@@ -246,6 +246,13 @@ def test_unknown_flag_exits_two(capsys, model_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,spec", [("--gain-grid", "3:x"), ("--rho-grid", "1,2,x")])
+def test_bad_grid_number(capsys, model_file, flag, spec):
+    code, _, err = run_cli(capsys, "bound-search", model_file, flag, spec)
+    assert code == 2
+    assert "input error" in err
+
+
 def test_bad_grid_spec(capsys, model_file):
     code, _, err = run_cli(capsys, "bound-search", model_file,
                            "--rho-grid", "1:2:3:4")

@@ -71,6 +71,19 @@ def test_spd_sqrt_rejects_indefinite():
         spd_sqrt(np.diag([1.0, -1.0]))
 
 
+def test_spd_sqrt_rejects_nan():
+    with pytest.raises(DomainError, match="eigenvalue"):
+        spd_sqrt(np.full((2, 2), np.nan))
+
+
+def test_distances_are_scale_free():
+    # the gate is relative to the spectrum, so tiny and huge matrices pass
+    for c in (1e-12, 1.0, 1e12):
+        P = c * np.diag([2.0, 0.5])
+        assert abs(riemann_distance(P, c * np.eye(2)) - np.sqrt(2.0) * np.log(2.0)) < 1e-12
+        assert riemann_distance(P, P) < 1e-12
+
+
 def test_spd_log_identity_and_diagonal():
     assert np.allclose(spd_log(np.eye(2)), np.zeros((2, 2)))
     assert np.allclose(spd_log(np.diag([np.e, np.e**2])), np.diag([1.0, 2.0]))

@@ -94,6 +94,27 @@ def test_rs_map_cone_exit_carries_lambda():
     assert exc.value.lambda_min < 0
 
 
+def test_rs_map_rejects_nan_argument():
+    model = load_model(SCALAR % "1")
+    with pytest.raises(ConeExitError, match="not positive definite"):
+        rs_riccati_map(model, 0.0, np.full((1, 1), np.nan))
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, -1.0])
+def test_risk_parameter_domain_at_entry(example_model, theta):
+    P = np.eye(2)
+    calls = [
+        lambda: rs_riccati_map(example_model, theta, P),
+        lambda: rs_gain(example_model, theta, P),
+        lambda: fixed_point(example_model, theta, P),
+        lambda: iterate_trajectory(example_model, theta, P, 3),
+        lambda: breakdown_search(example_model, theta, 2e-3),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="theta must be finite and >= 0"):
+            call()
+
+
 def test_rs_map_first_lemma4_step(example_model, example_bound):
     _, Sigma2, beta2 = example_bound
     P1 = rs_riccati_map(example_model, beta2, Sigma2)
@@ -320,6 +341,32 @@ def test_fixed_point_iteration_limit():
     assert exc.value.last_distance > 0
 
 
+def test_fixed_point_rejects_nan_start():
+    model = load_model(SCALAR % "1")
+    with pytest.raises(DomainError, match="not positive definite"):
+        fixed_point(model, 0.0, np.full((1, 1), np.nan))
+
+
+def test_fixed_point_converges_at_large_scale():
+    # P* is about 1e16 I; the whitened step spectrum is 2e-16 I at step 1
+    model = load_model('{"A": [[1e8,0],[0,1e8]], "B": [[1,0],[0,1]], "C": [[1,0],[0,1]]}')
+    res = fixed_point(model, 0.0)
+    assert np.allclose(res.P_star, 1e16 * np.eye(2), rtol=1e-12)
+    assert res.are_residual <= 1e-8 * np.linalg.norm(res.P_star)
+
+
+def test_fixed_point_converges_at_small_scale():
+    # scalar closed form per axis: p = a^2 p / (1 + p) + b^2 with p ~ 1e-14
+    model = load_model(
+        '{"A": [[0.5,0],[0,0.5]], "B": [[1e-7,0],[0,1e-7]], "C": [[1,0],[0,1]]}'
+    )
+    res = fixed_point(model, 0.0)
+    b2 = 1e-14
+    c = 0.75 - b2  # positive root of p^2 + c p - b^2 = 0, without cancellation
+    p_star = 2.0 * b2 / (c + np.sqrt(c * c + 4.0 * b2))
+    assert np.allclose(res.P_star, p_star * np.eye(2), rtol=1e-8, atol=0.0)
+
+
 def test_fixed_point_breakdown_above_threshold(example_model):
     # well above the breakdown value the iteration cannot deliver a
     # valid fixed point
@@ -378,6 +425,23 @@ def test_breakdown_flags_no_breakdown_in_range():
     res = breakdown_search(model, 0.1, 0.5, policy="identity-scaled", tol=1e-4)
     assert not res.found
     assert res.theta == 0.5
+
+
+def test_breakdown_terminates_at_zero_tol():
+    # with tol = 0 the bisection runs until lo and hi are adjacent floats
+    model = load_model(SCALAR % "0.9")
+    res = breakdown_search(model, 0.1, 0.9, policy="identity-scaled", tol=0.0)
+    lo, hi = res.bracket
+    assert res.found
+    assert lo < hi and np.nextafter(lo, np.inf) >= hi
+    assert abs(res.theta - 1.0 / (0.9**2 + 1.0)) < 2e-3
+
+
+@pytest.mark.parametrize("tol", [-1e-6, np.nan])
+def test_breakdown_rejects_bad_tol(tol):
+    model = load_model(SCALAR % "0.9")
+    with pytest.raises(UsageError, match="tol"):
+        breakdown_search(model, 0.1, 0.9, policy="identity-scaled", tol=tol)
 
 
 def test_breakdown_rejects_unsolvable_lower_end(example_model):

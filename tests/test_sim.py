@@ -127,6 +127,13 @@ def test_filter_rejects_empty_observations(example_model):
         run_filter(example_model, 0.0, np.eye(2), np.zeros(2), np.zeros((0, 1)))
 
 
+@pytest.mark.parametrize("theta", [np.nan, -1.0])
+def test_filter_rejects_bad_theta(example_model, theta):
+    # a NaN or negative risk parameter is an input error, not an in-band violation
+    with pytest.raises(DomainError, match="theta must be finite and >= 0"):
+        run_filter(example_model, theta, np.eye(2), np.zeros(2), np.zeros((3, 1)))
+
+
 def test_innovation_whiteness_at_fixed_point():
     # at the risk-neutral fixed point the innovations are white; the
     # lag-1 sample autocorrelation over 1e5 steps stays within 3/sqrt(T)
