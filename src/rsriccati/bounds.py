@@ -12,9 +12,9 @@ an upper bound on admissible initial variances, and the risk bound
 
 Starting the Riccati iteration at any 0 < P0 <= Sigma_rho with
 theta <= beta_rho keeps the whole trajectory below Sigma_rho and the
-validity matrix positive definite. The pair (G, rho) is free; the grid
-search here maximizes beta_rho over it, since moving all observer poles
-to zero is a good first guess but not always the maximizer.
+validity matrix positive definite. The pair (G, rho) is free; a grid pass
+and a pattern-search polish maximize beta_rho over it, since moving all
+observer poles to zero is a good first guess but not always the maximizer.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import is_spd, loewner_leq, spectral, symmetrize
+from .cone import is_spd, loewner_leq
 from .errors import DomainError, NumericalError, UsageError, check_finite
 from .statespace import StateSpaceModel, is_reachable, observability_matrix
 
-# Coordinate-descent step below which the bound search stops refining.
+# Pattern-search step below which the bound search stops refining.
 REFINE_STEP_TOL = 1e-6
+# Entries of the Kronecker stacks one grid chunk may build (n^4 per candidate).
+_STACK_ENTRIES = 1 << 17
 
 
 def spectral_radius(F) -> float:
@@ -83,67 +85,88 @@ def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
     return phi @ np.linalg.solve(obs, e_n)
 
 
-def _sym_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            basis.append(E)
-    return basis
+def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve in which a singular system gives NaN instead of failing its stack."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve_each(M[i:i + 1], rhs[i:i + 1]) for i in range(len(M))])
 
 
-def _vech(M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    return np.concatenate([M[i, i:] for i in range(n)])
+def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
+    """Stacked Sigma_rho and beta_rho for every candidate pair (G[i], rho[i, j]).
 
-
-def lyapunov_sigma(model: StateSpaceModel, G, rho: float) -> np.ndarray:
-    """Unique solution of Sigma = rho^2 F Sigma F^T + B B^T + G G^T, F = A - GC.
-
-    Solved exactly as a dense linear system over the n(n+1)/2 symmetric
-    unknowns (the dimensions here never justify anything iterative).
-    Positive definiteness of the solution follows from reachability of
-    (A, B).
+    G has shape (b, n, p) and rho shape (b, m). Each Lyapunov equation is
+    solved in Kronecker form, (I - rho^2 F (x) F) vec Sigma = vec(BB^T + GG^T),
+    and must meet the residual contract
+    ||Sigma - rho^2 F Sigma F^T - BB^T - GG^T|| <= 1e-10 max(1, ||Sigma||).
+    Returns (beta, Sigma, radius, residual) with shapes (b, m), (b, m, n, n),
+    (b,) and (b, m); radius is spectral_radius(A - G[i] C), and a
+    non-finite F raises NumericalError for the whole stack. beta is NaN (no
+    value) where rho <= 1, rho * radius >= 1 or the solve fails. Sigma is
+    NaN where the solve fails, residual where it is singular or not run.
     """
+    n = model.n
+    F = model.A - G @ model.C
+    try:
+        radius = np.abs(np.linalg.eigvals(F)).max(axis=-1, initial=0.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed on a {n}x{n} matrix") from exc
+    beta, residual = np.full(rho.shape, np.nan), np.full(rho.shape, np.nan)
+    Sigma = np.full(rho.shape + (n, n), np.nan)
+    i, j = np.nonzero(rho * radius[:, None] < 1.0)
+    Fi, r2 = F[i], rho[i, j, None, None] ** 2
+    Q = model.B @ model.B.T + G[i] @ G[i].swapaxes(1, 2)
+    M = np.einsum("bik,bjl->bijkl", Fi, Fi).reshape(-1, n * n, n * n)
+    M *= -r2
+    M += np.eye(n * n)  # I - rho^2 F (x) F, in place: one n^4 stack in memory
+    X = _solve_each(M, Q.reshape(-1, n * n, 1)).reshape(-1, n, n)
+    S = 0.5 * (X + X.swapaxes(1, 2))
+    res = np.linalg.norm(S - r2 * (Fi @ S @ Fi.swapaxes(1, 2)) - Q, axis=(1, 2))
+    residual[i, j] = res
+    ok = res <= 1e-10 * np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
+    i, j, S = i[ok], j[ok], S[ok]
+    Sigma[i, j] = S
+    lam_1 = np.linalg.eigvalsh(model.D @ S @ model.D.T)[:, -1]
+    rho_ok = rho[i, j]
+    beta[i, j] = np.where(rho_ok > 1.0, (rho_ok**2 - 1.0) / (rho_ok**2 * lam_1), np.nan)
+    return beta, Sigma, radius, residual
+
+
+def _bound_one(model: StateSpaceModel, G, rho: float):
+    """The stacked kernel at batch size one: (G, radius, Sigma_rho, beta_rho) or an error."""
     check_finite("rho", rho)
     G = np.asarray(G, dtype=float).reshape(model.n, model.p)
-    F = model.A - G @ model.C
-    r = spectral_radius(F)
+    beta, Sigma, (r,), residual = _beta_batch(model, G[None], np.array([[rho]], dtype=float))
     if rho * r >= 1.0:
         raise DomainError(
             f"rho * spectral_radius(A - GC) = {rho * r:.6f} >= 1; "
             f"the Lyapunov bound requires rho < 1/r = {1.0 / r if r > 0 else np.inf:.6f}"
         )
-    rhs = model.B @ model.B.T + G @ G.T
-    n = model.n
-    basis = _sym_basis(n)
-    cols = [_vech(E - rho**2 * (F @ E @ F.T)) for E in basis]
-    A_lin = np.column_stack(cols)
-    try:
-        x = np.linalg.solve(A_lin, _vech(rhs))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular Lyapunov system at rho={rho}, spectral radius {r:.6f}"
-        ) from exc
-    Sigma = sum(xi * E for xi, E in zip(x, basis))
-    Sigma = symmetrize(Sigma, rtol=np.inf)
-    residual = np.linalg.norm(Sigma - rho**2 * (F @ Sigma @ F.T) - rhs)
-    if residual > 1e-10 * max(1.0, np.linalg.norm(Sigma)):
-        raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance at rho={rho}"
-        )
-    return Sigma
+    if np.isnan(residual[0, 0]):
+        raise NumericalError(f"singular Lyapunov system at rho={rho}, spectral radius {r:.6f}")
+    if np.isnan(Sigma[0, 0, 0, 0]):
+        raise NumericalError(f"Lyapunov residual {residual[0, 0]:.3e} exceeds tolerance "
+                             f"at rho={rho}")
+    return G, r, Sigma[0, 0], float(beta[0, 0])
+
+
+def lyapunov_sigma(model: StateSpaceModel, G, rho: float) -> np.ndarray:
+    """Unique solution of Sigma = rho^2 F Sigma F^T + B B^T + G G^T, F = A - GC.
+
+    Solved exactly as the dense n^2 x n^2 Kronecker system (the dimensions
+    here never justify anything iterative), and held to a residual of
+    1e-10 max(1, ||Sigma||). Positive definiteness of the solution follows
+    from reachability of (A, B).
+    """
+    return _bound_one(model, G, rho)[2]
 
 
 def beta_rho(model: StateSpaceModel, G, rho: float) -> float:
     """Risk bound (rho^2 - 1)/(rho^2 lam_1(D Sigma_rho D^T)); positive for rho > 1."""
-    if rho <= 1.0:
-        raise DomainError(f"the risk bound needs rho > 1, got rho={rho}")
-    Sigma = lyapunov_sigma(model, G, rho)
-    lam_1 = spectral(model.D @ Sigma @ model.D.T).eigenvalues[0]
-    return (rho**2 - 1.0) / (rho**2 * lam_1)
+    return observer_bound(model, G, rho).beta_rho
 
 
 @dataclass(frozen=True)
@@ -159,18 +182,18 @@ class ObserverBound:
 
 def observer_bound(model: StateSpaceModel, G, rho: float) -> ObserverBound:
     """Assemble the full bound record for one candidate pair."""
-    G = np.asarray(G, dtype=float).reshape(model.n, model.p)
     if rho <= 1.0:
         raise DomainError(f"the risk bound needs rho > 1, got rho={rho}")
-    Sigma = lyapunov_sigma(model, G, rho)
-    lam_1 = spectral(model.D @ Sigma @ model.D.T).eigenvalues[0]
-    return ObserverBound(
-        G=G,
-        rho=rho,
-        spectral_radius_F=spectral_radius(model.A - G @ model.C),
-        Sigma_rho=Sigma,
-        beta_rho=(rho**2 - 1.0) / (rho**2 * lam_1),
-    )
+    G, r, Sigma, beta = _bound_one(model, G, rho)
+    return ObserverBound(G=G, rho=rho, spectral_radius_F=r, Sigma_rho=Sigma, beta_rho=beta)
+
+
+def _grid(name: str, values) -> np.ndarray:
+    """A grid as a flat float array; UsageError unless nonempty and finite."""
+    grid = np.asarray(values, dtype=float).ravel()
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise UsageError(f"the {name} must be nonempty and finite, got {grid}")
+    return grid
 
 
 def default_rho_grid() -> np.ndarray:
@@ -183,6 +206,8 @@ def default_gain_grid(model: StateSpaceModel, points: int = 41, span: float = 3.
     Falls back to +-10 ||A|| per coordinate when single-output
     placement is unavailable.
     """
+    if points < 1 or not np.isfinite(span):
+        raise UsageError(f"gain grids need points >= 1 and a finite span, got {points}, {span}")
     k = model.n * model.p
     try:
         g0 = place_observer_gain(model, [0.0] * model.n).ravel()
@@ -192,37 +217,35 @@ def default_gain_grid(model: StateSpaceModel, points: int = 41, span: float = 3.
     return [np.linspace(-h, h, points) for h in half]
 
 
-def _beta_or_none(model: StateSpaceModel, g_flat: np.ndarray, rho: float):
-    G = g_flat.reshape(model.n, model.p)
-    F = model.A - G @ model.C
-    if rho * spectral_radius(F) >= 1.0 or rho <= 1.0:
-        return None
-    try:
-        return beta_rho(model, G, rho)
-    except (DomainError, NumericalError):
-        return None
-
-
 def best_rho_for_gain(
     model: StateSpaceModel, G, rho_grid: Optional[Sequence[float]] = None
 ) -> ObserverBound:
-    """Maximize beta_rho over rho for a fixed gain (1-D scan of the rho grid)."""
-    rhos = np.asarray(rho_grid if rho_grid is not None else default_rho_grid(), dtype=float)
+    """Maximize beta_rho over rho for a fixed gain (one stacked scan of the rho grid).
+
+    The first maximizer in grid order wins; a feasible rho whose solve
+    fails raises its error, as beta_rho would.
+    """
+    rhos = _grid("rho grid", rho_grid if rho_grid is not None else default_rho_grid())
     G = np.asarray(G, dtype=float).reshape(model.n, model.p)
-    r = spectral_radius(model.A - G @ model.C)
-    best = None
-    for rho in rhos:
-        if rho <= 1.0 or rho * r >= 1.0:
-            continue
-        beta = beta_rho(model, G, rho)
-        if best is None or beta > best[0]:
-            best = (beta, float(rho))
-    if best is None:
+    (beta,), (Sigma,), (r,), _ = _beta_batch(model, G[None], rhos[None])
+    failed = (rhos > 1.0) & (rhos * r < 1.0) & np.isnan(beta)
+    if failed.any():
+        _bound_one(model, G, rhos[np.argmax(failed)])
+    if np.all(np.isnan(beta)):
         raise DomainError(
             f"no rho in the grid satisfies 1 < rho < 1/spectral_radius = "
             f"{1.0 / r if r > 0 else np.inf:.4f}"
         )
-    return observer_bound(model, G, best[1])
+    j = int(np.nanargmax(beta))
+    return ObserverBound(G=G, rho=float(rhos[j]), spectral_radius_F=float(r),
+                         Sigma_rho=Sigma[j], beta_rho=float(beta[j]))
+
+
+def _pick(beta: np.ndarray, points: np.ndarray):
+    """(point, beta) of the best beta; within 1e-12, the lexicographically smallest point."""
+    near = np.flatnonzero(beta >= np.nanmax(beta) - 1e-12)
+    j = near[np.lexsort(points[near].T[::-1])[0]]
+    return points[j], beta[j]
 
 
 def bound_search(
@@ -231,82 +254,69 @@ def bound_search(
     gain_grid: Optional[Sequence[np.ndarray]] = None,
     refine: bool = True,
 ) -> ObserverBound:
-    """Maximize beta_rho over a (G, rho) grid, then polish by coordinate descent.
+    """Maximize beta_rho over a (G, rho) grid, then polish by Hooke-Jeeves pattern search.
 
     Candidates violating rho * spectral_radius(A - GC) < 1 are
     infeasible. Ties within 1e-12 go to the lexicographically smallest
-    (rho, G entries), so the search is deterministic. The optional
-    refinement walks each coordinate with step halving down to 1e-6.
+    (rho, G entries), so the search is deterministic. The grid is
+    evaluated in stacked chunks of bounded size. The optional refinement
+    evaluates all 2(k+1) axis neighbours of the point (rho, G) at once,
+    moves to the best strict improvement, then tries the pattern move
+    x + (x - x_prev); when no neighbour improves it halves every step,
+    down to REFINE_STEP_TOL (Hooke & Jeeves, J. ACM 8, 1961).
     """
     if not is_reachable(model):
         raise DomainError("the Lyapunov bound requires a reachable pair (A, B)")
-    rhos = np.asarray(rho_grid if rho_grid is not None else default_rho_grid(), dtype=float)
+    rhos = _grid("rho grid", rho_grid if rho_grid is not None else default_rho_grid())
     grids = list(gain_grid) if gain_grid is not None else default_gain_grid(model)
-    k = model.n * model.p
+    n, p, k = model.n, model.p, model.n * model.p
     if len(grids) != k:
         raise UsageError(
             f"need one gain grid per gain entry ({k}), got {len(grids)}"
         )
-    if rhos.size == 0 or any(np.asarray(g).size == 0 for g in grids):
-        raise UsageError("grids must be nonempty")
+    grids = [_grid(f"gain grid {i}", g) for i, g in enumerate(grids)]
 
-    mesh = np.meshgrid(*[np.asarray(g, dtype=float) for g in grids], indexing="ij")
-    gain_candidates = np.stack([m.ravel() for m in mesh], axis=1)
-
-    best_beta = -np.inf
-    best_key = None
-    best = None
-    counts = {"radius": 0, "evaluated": 0}
-    for g_flat in gain_candidates:
-        F = model.A - g_flat.reshape(model.n, model.p) @ model.C
-        r = spectral_radius(F)
-        for rho in rhos:
-            if rho <= 1.0 or rho * r >= 1.0:
-                counts["radius"] += 1
-                continue
-            counts["evaluated"] += 1
-            try:
-                beta = beta_rho(model, g_flat.reshape(model.n, model.p), rho)
-            except (DomainError, NumericalError):
-                continue
-            key = (float(rho), *map(float, g_flat))
-            if beta > best_beta + 1e-12 or (
-                abs(beta - best_beta) <= 1e-12 and (best_key is None or key < best_key)
-            ):
-                best_beta = beta
-                best_key = key
-                best = (g_flat.copy(), float(rho))
-    if best is None:
+    # Grid pass: keep only the candidates within the tie window of the best so far.
+    shape = tuple(g.size for g in grids)
+    total, chunk = int(np.prod(shape)), max(1, _STACK_ENTRIES // (rhos.size * n**4))
+    points, betas, feasible = np.empty((0, k + 1)), np.empty(0), 0
+    for start in range(0, total, chunk):
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        gains = np.column_stack([g[i] for g, i in zip(grids, idx)])
+        beta, _, radius, _ = _beta_batch(model, gains.reshape(-1, n, p),
+                                         np.broadcast_to(rhos, (len(gains), rhos.size)))
+        feasible += np.count_nonzero((rhos > 1.0) & (rhos * radius[:, None] < 1.0))
+        gi, rj = np.nonzero(~np.isnan(beta))
+        points = np.vstack([points, np.column_stack([rhos[rj], gains[gi]])])
+        betas = np.concatenate([betas, beta[gi, rj]])
+        near = betas >= np.max(betas, initial=-np.inf) - 1e-12
+        points, betas = points[near], betas[near]
+    if betas.size == 0:
         raise DomainError(
-            f"no feasible (G, rho) candidate: {counts['radius']} grid points "
-            f"failed rho * spectral_radius < 1 and all "
-            f"{counts['evaluated']} remaining evaluations failed"
+            f"no feasible (G, rho) candidate: {rhos.size * total - feasible} grid "
+            f"points failed rho * spectral_radius < 1 and all "
+            f"{feasible} remaining evaluations failed"
         )
+    x, fx = _pick(betas, points)
 
-    g_best, rho_best = best
     if refine:
         steps = np.array(
-            [float(np.ptp(g)) / max(len(g) - 1, 1) or 1.0 for g in grids]
-            + [float(np.ptp(rhos)) / max(rhos.size - 1, 1) or 0.05]
+            [float(np.ptp(rhos)) / max(rhos.size - 1, 1) or 0.05]
+            + [float(np.ptp(g)) / max(g.size - 1, 1) or 1.0 for g in grids]
         )
-        x = np.concatenate([g_best, [rho_best]])
-        fx = best_beta
+        prev = None
         while np.max(steps) > REFINE_STEP_TOL:
-            improved = False
-            for i in range(k + 1):
-                for sign in (1.0, -1.0):
-                    trial = x.copy()
-                    trial[i] += sign * steps[i]
-                    beta = _beta_or_none(model, trial[:k], trial[k])
-                    if beta is not None and beta > fx:
-                        x, fx = trial, beta
-                        improved = True
-            if not improved:
+            base = x if prev is None else x + (x - prev)
+            trial = base + np.vstack([0.0 * steps, np.diag(steps), -np.diag(steps)])
+            beta = _beta_batch(model, trial[:, 1:].reshape(-1, n, p), trial[:, :1])[0][:, 0]
+            if np.any(beta > fx):
+                prev, (x, fx) = x, _pick(np.where(beta > fx, beta, np.nan), trial)
+            elif prev is not None:
+                prev = None
+            else:
                 steps *= 0.5
-        g_best, rho_best = x[:k], float(x[k])
 
-    return observer_bound(model, g_best.reshape(model.n, model.p), rho_best)
-
+    return observer_bound(model, x[1:].reshape(n, p), float(x[0]))
 
 @dataclass(frozen=True)
 class AdmissibilityReport:

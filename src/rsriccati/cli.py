@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain-grid", default=None,
                    help="'span:points' per gain coordinate")
     p.add_argument("--no-refine", action="store_true",
-                   help="skip the coordinate-descent polish")
+                   help="skip the Hooke-Jeeves pattern-search polish")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_bound_search)
 

@@ -4,6 +4,7 @@ from helpers import random_model, random_spd
 
 from rsriccati import (
     DomainError,
+    NumericalError,
     StateSpaceModel,
     UsageError,
     best_rho_for_gain,
@@ -21,6 +22,7 @@ from rsriccati import (
     spectral,
     spectral_radius,
 )
+from rsriccati.bounds import _beta_batch
 
 
 def test_spectral_radius_cases(example_model):
@@ -243,6 +245,165 @@ def test_bound_search_deterministic(example_model):
     assert a.rho == b.rho
     assert np.array_equal(a.G, b.G)
     assert a.beta_rho == b.beta_rho
+
+
+# The optimum the earlier coordinate-descent polish reached on the default grids.
+COORDINATE_DESCENT_BETA = 4.82620602e-4
+
+
+def test_bound_search_polish_beats_grid_and_coordinate_descent(example_model):
+    grid_best = bound_search(example_model, refine=False)
+    best = bound_search(example_model)
+    assert best.beta_rho >= grid_best.beta_rho
+    assert best.beta_rho >= COORDINATE_DESCENT_BETA * (1.0 - 1e-9)
+    assert best.beta_rho == beta_rho(example_model, best.G, best.rho)
+
+
+def test_bound_search_refine_terminates_on_singleton_grid(example_model, example_bound):
+    # a singleton grid has no spacing: the polish starts from the fallback steps
+    G, _, beta2 = example_bound
+    got = bound_search(example_model, rho_grid=[2.0],
+                       gain_grid=[np.array([G[0, 0]]), np.array([G[1, 0]])])
+    assert got.beta_rho >= beta2
+
+
+def test_bound_search_refine_terminates_when_neighbours_infeasible(example_model):
+    # From (rho, G) = (1.6, G0) with spectral_radius(A - G0 C) = 0.5, every
+    # first-round neighbour is infeasible: rho = 1.0 has no bound, rho = 2.2
+    # reaches rho * r > 1, and gain steps of 1000 leave the stable region.
+    G0 = place_observer_gain(example_model, [0.5, 0.0]).ravel()
+    grids = dict(rho_grid=[1.0, 1.6], gain_grid=[[g - 1000.0, g] for g in G0])
+    grid = bound_search(example_model, refine=False, **grids)
+    assert grid.rho == 1.6 and np.array_equal(grid.G.ravel(), G0)
+    steps = np.diag([0.6, 1000.0, 1000.0])
+    trial = np.concatenate([np.r_[1.6, G0] + steps, np.r_[1.6, G0] - steps])
+    beta, _, _, _ = _beta_batch(example_model, trial[:, 1:, None], trial[:, :1])
+    assert np.isnan(beta).all()
+    got = bound_search(example_model, **grids)
+    assert got.beta_rho >= grid.beta_rho
+
+
+@pytest.mark.parametrize("grids", [
+    dict(rho_grid=[1.1, np.nan]),
+    dict(rho_grid=[1.1, np.inf]),
+    dict(gain_grid=[np.array([0.0, np.nan]), np.array([0.0])]),
+    dict(gain_grid=[np.array([]), np.array([0.0])]),
+])
+def test_bound_search_rejects_empty_or_non_finite_grid(example_model, grids):
+    with pytest.raises(UsageError):
+        bound_search(example_model, **grids)
+
+
+def test_grid_helpers_reject_bad_specs(example_model, example_bound):
+    G, _, _ = example_bound
+    with pytest.raises(UsageError):
+        best_rho_for_gain(example_model, G, [1.1, np.nan])
+    with pytest.raises(UsageError):
+        best_rho_for_gain(example_model, G, [])
+    for points, span in ((0, 3.0), (-1, 3.0), (5, np.nan), (5, np.inf)):
+        with pytest.raises(UsageError):
+            default_gain_grid(example_model, points=points, span=span)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernel
+
+
+def _series_sigma(F, Q, rho):
+    term, total = Q.copy(), Q.copy()
+    while np.linalg.norm(term) > 1e-16 * np.linalg.norm(total):
+        term = rho**2 * (F @ term @ F.T)
+        total += term
+    return total
+
+
+def _random_batch(rng):
+    """Models with n in 2..3 and p in 1..2; rho feasible, radius-infeasible or <= 1."""
+    n, p = rng.integers(2, 4), rng.integers(1, 3)
+    model = random_model(rng, n=n, m=2, p=p, radius=0.6)
+    b, m = rng.integers(1, 5), rng.integers(1, 5)
+    G = rng.standard_normal((b, n, p)) * rng.choice([0.1, 0.5, 2.0], size=(b, 1, 1))
+    r = np.array([spectral_radius(model.A - g @ model.C) for g in G])
+    kind = rng.integers(0, 3, size=(b, m))
+    rho = np.where(kind == 0, rng.uniform(0.2, 1.0, (b, m)),
+                   np.where(kind == 1, rng.uniform(1.0, 3.0, (b, m)) / r[:, None],
+                            1.0 + rng.uniform(0.0, 1.0, (b, m)) * (0.95 / r[:, None] - 1.0)))
+    return model, G, rho, r
+
+
+def test_beta_batch_matches_series_oracle_and_scalar_path():
+    rng = np.random.default_rng(59)
+    feasible = infeasible = 0
+    for _ in range(200):
+        model, G, rho, r = _random_batch(rng)
+        beta, Sigma, radius, _ = _beta_batch(model, G, rho)
+        assert np.allclose(radius, r, rtol=1e-12, atol=0.0)
+        for i, j in np.ndindex(rho.shape):
+            if not (1.0 < rho[i, j] and rho[i, j] * r[i] < 1.0):
+                assert np.isnan(beta[i, j])
+                infeasible += 1
+                continue
+            feasible += 1
+            F = model.A - G[i] @ model.C
+            ref = _series_sigma(F, model.B @ model.B.T + G[i] @ G[i].T, rho[i, j])
+            assert np.linalg.norm(Sigma[i, j] - ref) <= 1e-9 * np.linalg.norm(ref)
+            lam_1 = np.linalg.eigvalsh(model.D @ ref @ model.D.T)[-1]
+            ref_beta = (rho[i, j] ** 2 - 1.0) / (rho[i, j] ** 2 * lam_1)
+            assert abs(beta[i, j] - ref_beta) <= 1e-9 * ref_beta
+            assert beta_rho(model, G[i], rho[i, j]) == beta[i, j]
+            assert np.array_equal(lyapunov_sigma(model, G[i], rho[i, j]), Sigma[i, j])
+    assert feasible > 200 and infeasible > 200
+
+
+def test_beta_batch_matches_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        model, G, rho, r = _random_batch(rng)
+        beta, Sigma, _, _ = _beta_batch(model, G, rho)
+        for i, j in zip(*np.nonzero(~np.isnan(beta))):
+            F = model.A - G[i] @ model.C
+            ref = scipy_linalg.solve_discrete_lyapunov(
+                rho[i, j] * F, model.B @ model.B.T + G[i] @ G[i].T)
+            assert np.linalg.norm(Sigma[i, j] - ref) <= 1e-9 * np.linalg.norm(ref)
+            lam_1 = np.linalg.eigvalsh(model.D @ ref @ model.D.T)[-1]
+            ref_beta = (rho[i, j] ** 2 - 1.0) / (rho[i, j] ** 2 * lam_1)
+            assert abs(beta[i, j] - ref_beta) <= 1e-9 * ref_beta
+
+
+def test_singular_candidate_does_not_fail_its_batch():
+    # 1 - rho^2 f^2 rounds to exactly 0 although rho * f < 1
+    f, rho = 0.49857673861949003, 2.0057092971663733
+    model = load_model(f'{{"A": [[{f!r}]], "B": [[1]], "C": [[1]], "D": [[1]]}}')
+    G = np.zeros((1, 1, 1))
+    beta, Sigma, _, _ = _beta_batch(model, G, np.array([[1.5, rho, 1.2]]))
+    assert np.isnan(beta[0, 1]) and np.isnan(Sigma[0, 1]).all()
+    assert beta[0, 0] == beta_rho(model, G[0], 1.5)
+    assert beta[0, 2] == beta_rho(model, G[0], 1.2)
+    with pytest.raises(NumericalError, match="singular"):
+        lyapunov_sigma(model, G[0], rho)
+
+
+def test_lyapunov_sigma_meets_contract_on_high_gain_loop():
+    # A model-scan model (seed 166, n = 2) at its zero-pole gain
+    # G ~ [-4177.26, 3776.48]; the symmetric-basis solve missed the
+    # 1e-10 residual contract here by a residual of 4.5e-3.
+    model = StateSpaceModel(
+        A=np.array([[0.5749175371762055, -0.25237195172096855],
+                    [-0.12624856130125428, 0.6636997900303878]]),
+        B=np.array([[-1.1385086258745853, -1.1677124681831397],
+                    [-1.181150072951938, 0.36322542011747416]]),
+        C=np.array([[0.16772781327154904, 0.18585592478956778]]),
+        D=np.eye(2),
+    )
+    G = place_observer_gain(model, [0.0, 0.0])
+    assert np.allclose(G.ravel(), [-4177.26, 3776.48], rtol=1e-5)
+    Sigma = lyapunov_sigma(model, G, 1.05)
+    F = model.A - G @ model.C
+    residual = np.linalg.norm(
+        Sigma - 1.05**2 * (F @ Sigma @ F.T) - model.B @ model.B.T - G @ G.T
+    )
+    assert residual <= 1e-10 * max(1.0, np.linalg.norm(Sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -257,3 +257,11 @@ def test_bad_grid_spec(capsys, model_file):
     code, _, err = run_cli(capsys, "bound-search", model_file,
                            "--rho-grid", "1:2:3:4")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,spec", [("--gain-grid", "3:-1"), ("--gain-grid", "nan:5"),
+                                       ("--rho-grid", "nan:2:3"), ("--rho-grid", "1.1,nan")])
+def test_grid_without_finite_points_exits_two(capsys, model_file, flag, spec):
+    code, _, err = run_cli(capsys, "bound-search", model_file, flag, spec)
+    assert code == 2
+    assert "input error" in err
