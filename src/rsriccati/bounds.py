@@ -30,6 +30,9 @@ from .statespace import StateSpaceModel, is_reachable, observability_matrix
 
 # Pattern-search step below which the bound search stops refining.
 REFINE_STEP_TOL = 1e-6
+# Pattern-search rounds after which it stops anyway: where beta_rho's
+# supremum lies at rho -> infinity the steps never shrink.
+REFINE_MAX_ROUNDS = 2000
 # Entries of the Kronecker stacks one grid chunk may build (n^4 per candidate).
 _STACK_ENTRIES = 1 << 17
 
@@ -263,7 +266,8 @@ def bound_search(
     evaluates all 2(k+1) axis neighbours of the point (rho, G) at once,
     moves to the best strict improvement, then tries the pattern move
     x + (x - x_prev); when no neighbour improves it halves every step,
-    down to REFINE_STEP_TOL (Hooke & Jeeves, J. ACM 8, 1961).
+    down to REFINE_STEP_TOL, for at most REFINE_MAX_ROUNDS rounds
+    (Hooke & Jeeves, J. ACM 8, 1961).
     """
     if not is_reachable(model):
         raise DomainError("the Lyapunov bound requires a reachable pair (A, B)")
@@ -305,7 +309,9 @@ def bound_search(
             + [float(np.ptp(g)) / max(g.size - 1, 1) or 1.0 for g in grids]
         )
         prev = None
-        while np.max(steps) > REFINE_STEP_TOL:
+        for _ in range(REFINE_MAX_ROUNDS):
+            if np.max(steps) <= REFINE_STEP_TOL:
+                break
             base = x if prev is None else x + (x - prev)
             trial = base + np.vstack([0.0 * steps, np.diag(steps), -np.diag(steps)])
             beta = _beta_batch(model, trial[:, 1:].reshape(-1, n, p), trial[:, :1])[0][:, 0]

@@ -424,13 +424,13 @@ def _cmd_paper_example(args) -> int:
 
     # Fixed-point sweep for the breakdown onset (theta in [0, 0.95e-3]).
     fp_sweep = np.linspace(0.0, 0.95e-3, args.sweep_points)
+    fp_results = ric.fixed_point_sweep(model, fp_sweep, np.eye(model.n))
     with open(out_dir / "fixed_point_sweep.csv", "w", newline="") as fh:
         cols = (["theta"]
                 + [f"lambda_P_{i+1}" for i in range(model.n)]
                 + [f"lambda_V_{i+1}" for i in range(model.n)])
         fh.write(",".join(cols) + "\n")
-        for th in fp_sweep:
-            res = ric.fixed_point(model, float(th), np.eye(model.n))
+        for th, res in zip(fp_sweep, fp_results):
             _, _, V = ric.rs_gain(model, float(th), res.P_star)
             lp = spectral(res.P_star).eigenvalues
             lv = spectral(V).eigenvalues

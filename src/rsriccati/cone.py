@@ -7,6 +7,8 @@ coefficient bound for Riccati-type maps P -> M [P^-1 + Omega]^-1 M^T + W.
 Dimensions are small (n up to a few tens), so there is no reason to use
 anything fancier than dense symmetric eigensolvers. `require_spd` is the
 one positive-definiteness decision: relative to scale and failed by NaN.
+Its stacked form `_require_spd_stack` applies the same rule to a stack
+of matrices for the fixed-point kernel.
 
 All functions are pure; none mutate their arguments.
 """
@@ -76,16 +78,51 @@ def spectral(P) -> SpectralDecomposition:
     return SpectralDecomposition(lam[order], U[:, order])
 
 
+def _positive(lam_min, lam_max):
+    """The positivity rule lam_min > SPD_RTOL * |lam_max|, on scalars or stacks; NaN fails."""
+    return lam_min > SPD_RTOL * abs(lam_max)
+
+
+def _cone_exit(what: str, lam_min, lam_max) -> ConeExitError:
+    return ConeExitError(
+        f"{what}: smallest eigenvalue {lam_min:.6e} <= {SPD_RTOL:.0e} x largest {lam_max:.6e}",
+        lambda_min=float(lam_min),
+    )
+
+
 def require_spd(P, what: str) -> SpectralDecomposition:
     """P's decomposition, or ConeExitError unless lam_min > SPD_RTOL * |lam_max|."""
     dec = spectral(P)
     lam_min, lam_max = dec.eigenvalues[-1], dec.eigenvalues[0]  # NaN sorts first
-    if not lam_min > SPD_RTOL * abs(lam_max):
-        raise ConeExitError(
-            f"{what}: smallest eigenvalue {lam_min:.6e} <= {SPD_RTOL:.0e} x largest {lam_max:.6e}",
-            lambda_min=float(lam_min),
-        )
+    if not _positive(lam_min, lam_max):
+        raise _cone_exit(what, lam_min, lam_max)
     return dec
+
+
+def _require_spd_stack(X: np.ndarray, what: str):
+    """`require_spd` over a stack X of shape (b, n, n), without raising.
+
+    Returns (lam, U, errors): the eigenvalues (decreasing) and eigenvectors of
+    each symmetrized entry, and the error `require_spd` would raise for each
+    entry that fails, keyed by its index. A stacked solve that fails is redone
+    one entry at a time, so only the failing entry gets `spectral`'s error.
+    """
+    X = 0.5 * (X + X.swapaxes(1, 2))
+    errors = {}
+    try:
+        lam, U = np.linalg.eigh(X)
+        lam, U = lam[:, ::-1], U[:, :, ::-1]
+    except np.linalg.LinAlgError:
+        lam, U = np.full(X.shape[:2], np.nan), np.full(X.shape, np.nan)
+        for i, X_i in enumerate(X):
+            try:
+                lam[i], U[i] = spectral(X_i)
+            except NumericalError as exc:
+                errors[i] = exc
+    lam_min, lam_max = lam.min(axis=1), lam.max(axis=1)  # NaN-propagating
+    for i in np.flatnonzero(~_positive(lam_min, lam_max)).tolist():
+        errors.setdefault(i, _cone_exit(what, lam_min[i], lam_max[i]))
+    return lam, U, errors
 
 
 def spd_sqrt(P) -> np.ndarray:

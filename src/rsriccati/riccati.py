@@ -15,9 +15,15 @@ brackets). Fixed points are found by straight iteration of the map
 iteration, measured in the affine-invariant metric, so the iteration
 count carries meaning and no subspace ARE solver is used).
 
-Every inversion goes through the positivity gate `cone.require_spd`:
-leaving the cone is a semantic event, never papered over. Each step
-factorizes its iterate once and maps it through the shared `_step`.
+`fixed_point_sweep` runs that iteration for a list of theta as one
+stacked kernel, and `fixed_point` is the kernel at batch size one. Each
+theta stops at its own step, so its result and its iteration count (the
+canonical one) are the same at any batch size.
+
+Every inversion goes through the positivity gate `cone.require_spd`, or
+its stacked form in the fixed-point kernel: leaving the cone is a
+semantic event, never papered over. Each step factorizes its iterate
+once; outside the kernel it maps it through the shared `_step`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import lyapunov_sigma, place_observer_gain
-from .cone import relative_log_spectrum, require_spd, spectral, symmetrize
+from .cone import SpectralDecomposition, _require_spd_stack, require_spd, spectral, symmetrize
 from .errors import ConeExitError, DomainError, IterationLimitError, UsageError, check_finite
 from .statespace import BlockModel, StateSpaceModel, theta_N
 
@@ -225,6 +231,132 @@ def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
     )
 
 
+def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
+                   max_iter: int) -> list:
+    """The straight iteration for every theta at once, from one start P0.
+
+    Raises only when P0 (default: identity) fails the gate. Each step runs
+    three stacked gates: on the inner matrix, on P_next and on the whitened
+    P_next^-1/2 P P_next^-1/2, whose log spectrum gives the step distance.
+    A theta stops at its own step once that distance is below tol. Returns,
+    per theta, (iterations, distance, P, decomposition of P) or the error
+    `fixed_point` raises for it; the finish is left to the caller.
+    """
+    b, n = len(thetas), model.n
+    P0 = symmetrize(P0) if P0 is not None else np.eye(n)
+    P0_dec = require_spd(P0, "fixed-point start P0 not positive definite")
+    CtC, DtD, BBt = model.C.T @ model.C, model.D.T @ model.D, model.B @ model.B.T
+    out = [None] * b
+    live = np.arange(b)  # input index of each running entry
+    th = thetas[:, None, None]
+    P = np.broadcast_to(P0, (b, n, n))
+    lam = np.broadcast_to(P0_dec.eigenvalues, (b, n))
+    U = np.broadcast_to(P0_dec.eigenvectors, (b, n, n))
+    distance = np.full(b, math.inf)
+
+    def stop(errors, arrays, broke_down=True):
+        """Record the entries that failed a gate; return every array without them."""
+        for i, exc in errors.items():
+            if broke_down and isinstance(exc, ConeExitError):
+                err = ConeExitError(
+                    f"risk-sensitive iteration broke down at step {it} "
+                    f"(theta={thetas[live[i]]:.6e}): {exc}",
+                    lambda_min=exc.lambda_min, step=it, last_valid=P[i],
+                )
+                err.__cause__, exc = exc, err
+            out[live[i]] = exc
+        keep = np.setdiff1d(np.arange(len(live)), list(errors))
+        return [a[keep] for a in arrays]
+
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
+        lam_m, U_m, errors = _require_spd_stack(
+            P_inv + CtC - th * DtD, "map leaves the cone: P^-1 + C^T C - theta D^T D")
+        if errors:
+            live, th, P, lam_m, U_m = stop(errors, [live, th, P, lam_m, U_m])
+        P_next = model.A @ ((U_m / lam_m[:, None, :]) @ U_m.swapaxes(1, 2)) @ model.A.T + BBt
+        P_next = 0.5 * (P_next + P_next.swapaxes(1, 2))
+        lam, U, errors = _require_spd_stack(P_next, "iterate left the cone")
+        if errors:
+            live, th, P, P_next, lam, U = stop(errors, [live, th, P, P_next, lam, U])
+        whiten = (U / np.sqrt(lam)[:, None, :]) @ U.swapaxes(1, 2)
+        lam_w, _, errors = _require_spd_stack(
+            whiten @ P @ whiten,
+            "distance argument Q must be positive definite: P^-1/2 Q P^-1/2")
+        if errors:
+            live, th, P_next, lam, U, lam_w = stop(errors, [live, th, P_next, lam, U, lam_w], False)
+        log_w = np.log(lam_w)[:, None, :]  # ||log lam_w||, summed as np.linalg.norm sums a vector
+        distance = np.sqrt(log_w @ log_w.swapaxes(1, 2))[:, 0, 0]
+        P = P_next
+        done = distance < tol
+        for i in np.flatnonzero(done).tolist():
+            out[live[i]] = (it, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
+        if done.any():
+            live, th, P, lam, U, distance = (
+                a[~done] for a in (live, th, P, lam, U, distance))
+    for i, j in enumerate(live.tolist()):
+        out[j] = IterationLimitError(
+            f"no fixed point within {max_iter} iterations at theta={thetas[j]:.6e}: "
+            f"last step distance {distance[i]:.3e}",
+            iterations=max_iter,
+            last_distance=float(distance[i]),
+        )
+    return out
+
+
+def _finish(model: StateSpaceModel, theta: float, it: int, distance: float,
+            P: np.ndarray, P_dec) -> FixedPointResult:
+    """Validity gate, gain and ARE report at a converged iterate."""
+    try:
+        K, R_nu, _ = _gain(model, theta, P_dec.inverse())
+    except ConeExitError as exc:
+        raise ConeExitError(
+            f"fixed point reached at theta={theta:.6e} but its "
+            f"validity matrix is not positive definite",
+            lambda_min=exc.lambda_min, step=it, last_valid=P,
+        ) from exc
+    report = verify_are(model, theta, P)
+    return FixedPointResult(
+        P_star=P,
+        iterations=it,
+        final_step_distance=distance,
+        K=K,
+        R_nu=R_nu,
+        closed_loop_eigenvalues=report.closed_loop_eigenvalues,
+        closed_loop_spectral_radius=report.closed_loop_spectral_radius,
+        are_residual=report.residual,
+    )
+
+
+def fixed_point_sweep(
+    model: StateSpaceModel,
+    thetas,
+    P0=None,
+    tol: float = 1e-12,
+    max_iter: int = 10000,
+) -> list[FixedPointResult]:
+    """`fixed_point` at every theta of a list, as one stacked iteration.
+
+    Every theta iterates from the same P0 and stops at its own step, so
+    its result, iteration count included, does not depend on the other
+    thetas. A NaN or negative theta anywhere raises DomainError before
+    any iteration; otherwise the error of the first theta (in input
+    order) that fails is raised, exactly as `fixed_point` raises it.
+    """
+    thetas = list(thetas)
+    for theta in thetas:
+        check_finite("theta", theta, nonnegative=True)
+    thetas = np.array(thetas, dtype=float)
+    results = []
+    for theta, outcome in zip(thetas, _iterate_stack(model, thetas, P0, tol, max_iter)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(_finish(model, float(theta), *outcome))
+    return results
+
+
 def fixed_point(
     model: StateSpaceModel,
     theta: float = 0.0,
@@ -243,49 +375,10 @@ def fixed_point(
     chosen start, reported in-band by `iterate_trajectory`; it does not
     decide existence of the fixed point.) Cone exit or an invalid
     fixed point raise ConeExitError carrying the last valid iterate;
-    hitting max_iter raises IterationLimitError.
+    hitting max_iter raises IterationLimitError. This is
+    `fixed_point_sweep` at batch size one.
     """
-    check_finite("theta", theta, nonnegative=True)
-    P = symmetrize(P0) if P0 is not None else np.eye(model.n)
-    P_dec = require_spd(P, "fixed-point start P0 not positive definite")
-    last_distance = math.inf
-    for it in range(1, max_iter + 1):
-        try:
-            P_next = _step(model, theta, P_dec.inverse())
-            next_dec = require_spd(P_next, "iterate left the cone")
-        except ConeExitError as exc:
-            raise ConeExitError(
-                f"risk-sensitive iteration broke down at step {it} (theta={theta:.6e}): {exc}",
-                lambda_min=exc.lambda_min, step=it, last_valid=P,
-            ) from exc
-        last_distance = float(np.linalg.norm(relative_log_spectrum(next_dec, P)))
-        P, P_dec = P_next, next_dec
-        if last_distance < tol:
-            try:
-                K, R_nu, _ = _gain(model, theta, P_dec.inverse())
-            except ConeExitError as exc:
-                raise ConeExitError(
-                    f"fixed point reached at theta={theta:.6e} but its "
-                    f"validity matrix is not positive definite",
-                    lambda_min=exc.lambda_min, step=it, last_valid=P,
-                ) from exc
-            report = verify_are(model, theta, P)
-            return FixedPointResult(
-                P_star=P,
-                iterations=it,
-                final_step_distance=last_distance,
-                K=K,
-                R_nu=R_nu,
-                closed_loop_eigenvalues=report.closed_loop_eigenvalues,
-                closed_loop_spectral_radius=report.closed_loop_spectral_radius,
-                are_residual=report.residual,
-            )
-    raise IterationLimitError(
-        f"no fixed point within {max_iter} iterations at theta={theta:.6e}: "
-        f"last step distance {last_distance:.3e}",
-        iterations=max_iter,
-        last_distance=last_distance,
-    )
+    return fixed_point_sweep(model, [theta], P0, tol, max_iter)[0]
 
 
 @dataclass(frozen=True)

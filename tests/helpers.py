@@ -37,3 +37,19 @@ def safe_theta(model, P, fraction=0.25):
     lam_min_Pinv = 1.0 / np.max(np.linalg.eigvalsh(P))
     lam_max_DtD = np.max(np.linalg.eigvalsh(model.D.T @ model.D))
     return fraction * lam_min_Pinv / lam_max_DtD
+
+
+def fixed_point_oracle(model, theta, P0, tol=1e-12, max_iter=100_000):
+    """P* by plain straight iteration: np.linalg.inv, no positivity gate.
+
+    Stops once an iterate moves by at most tol relative to its norm.
+    """
+    A, B, C, D = model.A, model.B, model.C, model.D
+    P = np.asarray(P0, dtype=float)
+    for _ in range(max_iter):
+        P_next = A @ np.linalg.inv(np.linalg.inv(P) + C.T @ C - theta * D.T @ D) @ A.T + B @ B.T
+        P_next = 0.5 * (P_next + P_next.T)
+        if np.linalg.norm(P_next - P) <= tol * np.linalg.norm(P_next):
+            return P_next
+        P = P_next
+    raise AssertionError(f"oracle did not converge within {max_iter} iterations at theta={theta}")

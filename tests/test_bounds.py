@@ -22,7 +22,7 @@ from rsriccati import (
     spectral,
     spectral_radius,
 )
-from rsriccati.bounds import _beta_batch
+from rsriccati.bounds import REFINE_MAX_ROUNDS, _beta_batch
 
 
 def test_spectral_radius_cases(example_model):
@@ -280,6 +280,25 @@ def test_bound_search_refine_terminates_when_neighbours_infeasible(example_model
     beta, _, _, _ = _beta_batch(example_model, trial[:, 1:, None], trial[:, :1])
     assert np.isnan(beta).all()
     got = bound_search(example_model, **grids)
+    assert got.beta_rho >= grid.beta_rho
+
+
+@pytest.mark.parametrize("A", [0.5, 0.9, 1.5])
+def test_bound_search_polish_stops_within_round_budget_on_scalar_models(monkeypatch, A):
+    # beta_rho's supremum lies at rho -> infinity with G -> A/C, so the
+    # pattern search would climb rho forever without its round budget.
+    model = load_model(f'{{"A": [[{A}]], "B": [[1]], "C": [[1]], "D": [[1]]}}')
+    grid = bound_search(model, refine=False)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _beta_batch(*args)
+
+    monkeypatch.setattr("rsriccati.bounds._beta_batch", counted)
+    got = bound_search(model)
+    # one grid chunk, at most REFINE_MAX_ROUNDS polish rounds, one final record
+    assert len(calls) <= REFINE_MAX_ROUNDS + 2
     assert got.beta_rho >= grid.beta_rho
 
 

@@ -226,6 +226,14 @@ def test_paper_example_quick_and_deterministic(capsys, tmp_path):
     assert len(sweep) == 13
 
 
+def test_paper_example_single_sweep_point(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "paper-example", "--out-dir", str(tmp_path),
+                         "--sweep-points", "1", "--skip-search")
+    assert code == 0
+    rows = (tmp_path / "fixed_point_sweep.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,")
+
+
 def test_paper_example_unwritable_dir(capsys, tmp_path):
     if os.geteuid() == 0:
         pytest.skip("directory permissions are not enforced for root")

@@ -3,7 +3,9 @@ import pytest
 from helpers import random_nnd, random_spd
 
 from rsriccati import (
+    ConeExitError,
     DomainError,
+    NumericalError,
     UsageError,
     contraction_bound,
     is_spd,
@@ -17,6 +19,7 @@ from rsriccati import (
     thompson_distance,
     translation_coefficient,
 )
+from rsriccati.cone import _require_spd_stack, require_spd
 
 
 def test_symmetrize_folds_roundoff():
@@ -244,3 +247,39 @@ def test_spd_inv_matches_inverse():
     rng = np.random.default_rng(43)
     P = random_spd(rng, 4, 0.2, 5.0)
     assert np.linalg.norm(spd_inv(P) @ P - np.eye(4)) < 1e-10
+
+
+def test_stacked_gate_fails_only_the_nan_entry():
+    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), np.diag([3.0, 2.0])])
+    lam, U, errors = _require_spd_stack(stack, "stacked gate")
+    assert list(errors) == [1]
+    with pytest.raises(ConeExitError) as want:
+        require_spd(stack[1], "stacked gate")
+    assert str(errors[1]) == str(want.value)
+    for i in (0, 2):
+        dec = spectral(stack[i])
+        assert np.array_equal(lam[i], dec.eigenvalues)
+        assert np.array_equal(U[i], dec.eigenvectors)
+
+
+def test_stacked_gate_uses_the_relative_rule():
+    stack = np.stack([np.diag([1.0, 2e-12]), np.diag([1.0, 5e-13]), np.diag([1e-30, 5e-42])])
+    _, _, errors = _require_spd_stack(stack, "stacked gate")
+    assert list(errors) == [1]
+    assert errors[1].lambda_min == 5e-13
+
+
+def test_stacked_gate_fails_only_the_entry_whose_eigensolve_fails(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def eigh_failing_on_sevens(X):
+        if np.any(X == 7.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(X)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_sevens)
+    stack = np.stack([np.eye(2), 7.0 * np.eye(2), np.diag([3.0, 2.0])])
+    lam, U, errors = _require_spd_stack(stack, "stacked gate")
+    assert list(errors) == [1] and isinstance(errors[1], NumericalError)
+    assert np.isnan(lam[1]).all()
+    assert np.array_equal(lam[[0, 2]], [[1.0, 1.0], [3.0, 2.0]])

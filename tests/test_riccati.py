@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from helpers import random_model, random_spd, safe_theta
+from helpers import fixed_point_oracle, random_model, random_spd, safe_theta
 
 from rsriccati import (
     ConeExitError,
     DomainError,
     IterationLimitError,
+    NumericalError,
     UsageError,
     block_riccati_map,
     breakdown_search,
     build_block_model,
     contraction_bound,
     fixed_point,
+    fixed_point_sweep,
     initial_variance,
     iterate_trajectory,
     kalman_gain,
@@ -26,6 +28,7 @@ from rsriccati import (
     spectral,
     verify_are,
 )
+from rsriccati.riccati import _iterate_stack
 
 SCALAR = '{"A": [[%s]], "B": [[1]], "C": [[1]], "D": [[1]]}'
 
@@ -392,6 +395,128 @@ def test_verify_are_risk_neutral_reduction():
     F = model.A - K @ model.C
     manual = np.linalg.norm(P - (F @ P @ F.T + model.B @ model.B.T + K @ K.T))
     assert abs(verify_are(model, 0.0, P).residual - manual) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fixed-point sweep
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.P_star, want.P_star)
+    assert got.iterations == want.iterations
+    assert got.final_step_distance == want.final_step_distance
+    assert np.array_equal(got.K, want.K)
+    assert np.array_equal(got.R_nu, want.R_nu)
+    assert np.array_equal(got.closed_loop_eigenvalues, want.closed_loop_eigenvalues)
+    assert got.closed_loop_spectral_radius == want.closed_loop_spectral_radius
+    assert got.are_residual == want.are_residual
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    for field in ("lambda_min", "step", "iterations", "last_distance"):
+        assert repr(getattr(got, field, None)) == repr(getattr(want, field, None))
+    assert np.array_equal(getattr(got, "last_valid", None), getattr(want, "last_valid", None))
+
+
+def raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
+    raise AssertionError("no error raised")
+
+
+def check_sweep(model, thetas, P0):
+    results = fixed_point_sweep(model, thetas, P0)
+    assert len(results) == len(thetas)
+    for theta, got in zip(thetas, results):
+        assert_same_result(got, fixed_point(model, theta, P0))
+        want = fixed_point_oracle(model, theta, P0)
+        assert np.linalg.norm(got.P_star - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_fixed_point_sweep_on_paper_grid(example_model):
+    check_sweep(example_model, np.linspace(0.0, 0.95e-3, 200), np.eye(2))
+
+
+def test_fixed_point_sweep_on_random_model():
+    rng = np.random.default_rng(0)
+    model = random_model(rng, n=4, m=4, p=2)
+    P0 = random_spd(rng, 4)
+    theta_max = safe_theta(model, fixed_point(model, 0.0, P0).P_star, 0.5)
+    check_sweep(model, rng.uniform(0.0, theta_max, 50), P0)
+
+
+def test_fixed_point_sweep_raises_the_first_breakdown(example_model):
+    thetas = np.linspace(0.0, 1.5e-3, 40)
+    want = None
+    for theta in thetas:
+        try:
+            fixed_point(example_model, theta, np.eye(2))
+        except ConeExitError as exc:
+            want = exc
+            break
+    assert want is not None and want.step is not None
+    assert_same_error(raised(fixed_point_sweep, example_model, thetas, np.eye(2)), want)
+
+
+def test_fixed_point_sweep_iteration_limit(example_model):
+    got = raised(fixed_point_sweep, example_model, [1e-4, 2e-4], np.eye(2), max_iter=3)
+    assert isinstance(got, IterationLimitError) and got.iterations == 3
+    assert_same_error(got, raised(fixed_point, example_model, 1e-4, np.eye(2), max_iter=3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-4])
+def test_fixed_point_sweep_checks_every_theta_before_iterating(example_model, bad):
+    # 1.5e-3 breaks down during the iteration; the bad theta is reported first
+    with pytest.raises(DomainError, match="theta must be finite") as info:
+        fixed_point_sweep(example_model, [1.5e-3, 0.0, bad], np.eye(2))
+    assert not isinstance(info.value, ConeExitError)
+
+
+def test_fixed_point_sweep_rejects_nan_start_before_step_one(example_model):
+    with pytest.raises(ConeExitError, match="P0 not positive definite") as info:
+        fixed_point_sweep(example_model, [0.0, 1e-4], np.full((2, 2), np.nan))
+    assert info.value.step is None
+
+
+def test_fixed_point_sweep_empty(example_model):
+    assert fixed_point_sweep(example_model, []) == []
+
+
+# D^T D = 4 I, so theta = 1e308 overflows the inner matrix to inf and its spectrum to NaN.
+OVERFLOW_JSON = '{"A": [[0.1,1],[0,1.2]], "B": [[1,0],[0,1]], "C": [[1,-1]], "D": [[2,0],[0,2]]}'
+
+
+def check_only_entry_one_fails(model, thetas, error_type):
+    outcomes = _iterate_stack(model, np.array(thetas), np.eye(2), 1e-12, 10000)
+    assert isinstance(outcomes[1], error_type)
+    assert_same_error(outcomes[1], raised(fixed_point, model, thetas[1], np.eye(2)))
+    for theta, (iterations, distance, P, _) in zip(thetas[::2], outcomes[::2]):
+        want = fixed_point(model, theta, np.eye(2))
+        assert (iterations, distance) == (want.iterations, want.final_step_distance)
+        assert np.array_equal(P, want.P_star)
+    assert_same_error(raised(fixed_point_sweep, model, thetas, np.eye(2)), outcomes[1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fixed_point_stack_fails_only_the_nan_entry():
+    check_only_entry_one_fails(load_model(OVERFLOW_JSON), [0.0, 1e308, 2e-4], ConeExitError)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_fixed_point_stack_fails_only_the_entry_whose_eigensolve_fails(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def eigh_failing_on_non_finite(X):
+        if not np.isfinite(X).all():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(X)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_non_finite)
+    check_only_entry_one_fails(load_model(OVERFLOW_JSON), [0.0, 1e308, 2e-4], NumericalError)
 
 
 # ---------------------------------------------------------------------------
