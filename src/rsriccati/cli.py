@@ -136,14 +136,15 @@ def _analysis_payload(model: ssp.StateSpaceModel, N: int, theta: float) -> dict:
         "tau_N": thresholds.tau_N,
         "tau_is_capped": thresholds.tau_is_capped,
     }
-    try:
-        block = ssp.build_block_model(model, N, theta)
-        omega_ok = spectral(block.Omega).eigenvalues[-1] > 0.0
-        payload["contraction_coefficient"] = (
-            contraction_bound(block.alpha, block.Omega, block.W) if omega_ok else None
-        )
-    except DomainError:
-        payload["contraction_coefficient"] = None
+    payload["contraction_coefficient"] = None
+    if theta < thresholds.tau_N:  # exactly where Omega_N(theta) is positive definite
+        try:
+            block = ssp.build_block_model(model, N, theta)
+            payload["contraction_coefficient"] = contraction_bound(
+                block.alpha, block.Omega, block.W
+            )
+        except DomainError:
+            pass
     try:
         G0 = bnd.place_observer_gain(model, [0.0] * model.n)
         best = bnd.best_rho_for_gain(model, G0)
@@ -375,9 +376,7 @@ def _cmd_paper_example(args) -> int:
     # the reciprocal. The threshold here follows the defining formula.
     th2 = ssp.theta_N(model, 2)
     block0 = ssp.build_block_model(model, 2, 0.0)
-    psi = np.eye(4) + block0.H.T @ block0.H
-    core = block0.L @ np.linalg.solve(psi, block0.L.T)
-    lam1 = spectral(core).eigenvalues[0]
+    lam1 = spectral(ssp._penalty_core(block0.H, block0.L)).eigenvalues[0]
     record("theta_2_core_eigenvalue", lam1, _relerr(lam1, 1.0) < 1e-10)
     record("theta_2", th2, abs(th2 - 1.0 / lam1) < 1e-12)
     summary["theta_2_note"] = (

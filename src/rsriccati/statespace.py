@@ -11,8 +11,8 @@ Riccati map. The thresholds computed here:
   theta_N  -- largest risk parameter keeping the whitened block input
               covariance positive definite,
   tau_N    -- first risk parameter at which the observability Gramian
-              Omega_N(theta) becomes singular (found by bisection;
-              Omega is monotone decreasing in theta).
+              Omega_N(theta) becomes singular, in closed form by a
+              Schur complement (one eigensolve; see tau_N).
 
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import require_spd, spectral, symmetrize
-from .errors import ConeExitError, DomainError, UsageError, check_finite
+from .errors import DomainError, UsageError, check_finite
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-10
@@ -245,6 +245,12 @@ class BlockModel:
     G_R: np.ndarray
 
 
+def _penalty_core(H: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """M = L (I + H^T H)^{-1} L^T, the theta-free part of S = -I/theta + M."""
+    psi = np.eye(H.shape[1]) + H.T @ H
+    return symmetrize(L @ np.linalg.solve(psi, L.T), rtol=np.inf)
+
+
 def theta_N(model: StateSpaceModel, N: int) -> float:
     """Positivity threshold of the whitened block input covariance.
 
@@ -252,10 +258,7 @@ def theta_N(model: StateSpaceModel, N: int) -> float:
     L (I + H^T H)^{-1} L^T; +inf when that eigenvalue vanishes (no
     feedthrough from the process noise to the penalty output).
     """
-    H = impulse_toeplitz(model, N, "C")
-    L = impulse_toeplitz(model, N, "D")
-    psi = np.eye(H.shape[1]) + H.T @ H
-    core = symmetrize(L @ np.linalg.solve(psi, L.T), rtol=np.inf)
+    core = _penalty_core(impulse_toeplitz(model, N, "C"), impulse_toeplitz(model, N, "D"))
     lam_1 = spectral(core).eigenvalues[0]
     if lam_1 < 1e-14:
         return math.inf
@@ -354,9 +357,10 @@ def ldu_factors(block: BlockModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class Thresholds:
     """A-priori risk-parameter thresholds at block length N.
 
-    tau_N <= theta_N always; tau_is_capped records that the
-    observability Gramian stayed positive definite over the whole
-    search bracket, so tau_N reports the cap rather than a singularity.
+    tau_N <= theta_N always. The closed form is capped at theta_N, or at
+    the heuristic 1e3 / lam_1(Omega_N(0)) when theta_N is infinite;
+    tau_is_capped records that it reached the cap, so tau_N reports the
+    cap rather than a singularity.
     """
 
     N: int
@@ -365,43 +369,27 @@ class Thresholds:
     tau_is_capped: bool
 
 
-def _omega_positive(model: StateSpaceModel, N: int, theta: float) -> bool:
-    # Exact sign test; a theta whose Q_N^theta fails the gate sits at theta_N.
-    try:
-        return bool(spectral(build_block_model(model, N, theta).Omega).eigenvalues[-1] > 0.0)
-    except ConeExitError:
-        return False
-
-
-def tau_N(model: StateSpaceModel, N: int, tol: float = 1e-6) -> Thresholds:
+def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     """First risk parameter at which Omega_N(theta) becomes singular.
 
-    Bisection of the smallest eigenvalue of Omega_N(theta) over
-    [0, theta_N); valid because the Gramian is monotone decreasing in
-    theta. When theta_N is infinite the bracket is capped at the
-    documented heuristic 1e3 / lam_1(Omega_N(0)). The relative bracket
-    width at exit is at most tol.
+    For theta < theta_N, Omega_N(theta) = Omega_N(0) - J^T (I/theta - M)^{-1} J
+    with M = L (I + H^T H)^{-1} L^T, so by a Schur complement it is
+    positive definite exactly when 1/theta > lam_1(M + J Omega_N(0)^{-1} J^T).
+    tau_N is the reciprocal of that eigenvalue (+inf when it vanishes),
+    capped as described on Thresholds; it never exceeds theta_N because
+    J Omega_N(0)^{-1} J^T is positive semidefinite.
     """
     th_N = theta_N(model, N)
+    block = build_block_model(model, N, 0.0)
     what = f"pair (C, A) not observable at block length N={N}: Omega_N(0) is singular"
-    lam0 = require_spd(build_block_model(model, N, 0.0).Omega, what).eigenvalues
-    if math.isinf(th_N):
-        hi = 1e3 / lam0[0]
-        cap = hi
-    else:
-        hi = (1.0 - 1e-9) * th_N
-        cap = th_N
-    if _omega_positive(model, N, hi):
-        return Thresholds(N=N, theta_N=th_N, tau_N=cap, tau_is_capped=True)
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _omega_positive(model, N, mid):
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    capped = tau >= (1.0 - 10.0 * tol) * cap
-    return Thresholds(N=N, theta_N=th_N, tau_N=tau, tau_is_capped=capped)
+    omega0 = require_spd(block.Omega, what)
+    # Y Y^T = J Omega_N(0)^{-1} J^T with Y = J R^{-1}, where Z = QR and
+    # Omega_N(0) = Z^T Z for Z = phi^{-1/2} O, phi = I + H H^T. Working on Z
+    # loses eps * sqrt(cond(Omega_N(0))), not eps * cond(Omega_N(0)).
+    phi_factor = np.linalg.cholesky(np.eye(block.H.shape[0]) + block.H @ block.H.T)
+    R = np.linalg.qr(np.linalg.solve(phi_factor, block.O), mode="r")
+    Y = np.linalg.solve(R.T, block.J.T).T
+    lam_1 = spectral(_penalty_core(block.H, block.L) + Y @ Y.T).eigenvalues[0]
+    tau = 1.0 / lam_1 if lam_1 > 0.0 else math.inf
+    cap = th_N if math.isfinite(th_N) else 1e3 / omega0.eigenvalues[0]
+    return Thresholds(N=N, theta_N=th_N, tau_N=min(tau, cap), tau_is_capped=bool(tau >= cap))

@@ -5,6 +5,7 @@ import stat
 import numpy as np
 import pytest
 
+from rsriccati import tau_N
 from rsriccati.cli import main
 from conftest import EXAMPLE_JSON
 
@@ -60,6 +61,36 @@ def test_analyze_json_payload(capsys, model_file):
     assert payload["model"]["n"] == 2
     assert payload["conditions_hold"] is True
     assert abs(payload["tau_N"] - 0.715e-3) < 0.02 * 0.715e-3
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_analyze_contraction_report_switches_at_tau(capsys, model_file, example_model, side):
+    # the coefficient is reported exactly where theta < tau_N holds
+    theta = (1.0 + side * 1e-6) * float(tau_N(example_model, 2).tau_N)
+    _, out, _ = run_cli(capsys, "analyze", model_file, "--block-n", "2", "--json",
+                        "--theta", repr(theta))
+    payload = json.loads(out)
+    coefficient = payload["contraction_coefficient"]
+    if side < 0:
+        assert payload["conditions"]["theta_below_tau_N"] is True
+        assert coefficient is not None and 0.0 <= coefficient < 1.0
+    else:
+        assert payload["conditions"]["theta_below_tau_N"] is False
+        assert coefficient is None
+
+
+def test_analyze_reports_no_coefficient_beyond_capped_tau(capsys, tmp_path):
+    # at N = 1 theta_N is infinite and Omega_1(theta) = (1e4 - theta) I
+    # stays positive definite far past the heuristic cap 1e3 / 1e4; the
+    # report follows theta < tau_N, not Omega's sign
+    path = tmp_path / "capped.json"
+    path.write_text('{"A": [[0.5,0],[0,0.3]], "B": [[1,0],[0,1]], "C": [[100,0],[0,100]]}')
+    _, out, _ = run_cli(capsys, "analyze", str(path), "--block-n", "1", "--json",
+                        "--theta", "0.2")
+    payload = json.loads(out)
+    assert payload["tau_is_capped"] is True
+    assert payload["conditions"]["theta_below_tau_N"] is False
+    assert payload["contraction_coefficient"] is None
 
 
 def test_analyze_multi_output_model_without_bound(capsys, tmp_path):

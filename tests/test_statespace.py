@@ -331,3 +331,59 @@ def test_tau_rejects_unobservable_pair():
     )
     with pytest.raises(DomainError, match="not observable"):
         tau_N(model, 2)
+
+
+def _assert_tau_brackets_singularity(model, N):
+    # Omega_N(theta) is positive definite just below tau_N and, unless
+    # theta_N comes first, not positive definite just above it
+    thr = tau_N(model, N)
+    assert thr.tau_N <= thr.theta_N
+    below = build_block_model(model, N, (1.0 - 1e-6) * thr.tau_N).Omega
+    assert np.linalg.eigvalsh(below)[0] > 0.0
+    if (1.0 + 1e-6) * thr.tau_N < thr.theta_N:
+        above = build_block_model(model, N, (1.0 + 1e-6) * thr.tau_N).Omega
+        assert np.linalg.eigvalsh(above)[0] <= 0.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 10, 40])
+def test_tau_brackets_singularity_on_example(example_model, N):
+    _assert_tau_brackets_singularity(example_model, N)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_tau_brackets_singularity_on_random_models(n):
+    rng = np.random.default_rng(700 + n)
+    for _ in range(8):
+        model = random_model(rng, n)
+        for N in (n, 4 * n):
+            _assert_tau_brackets_singularity(model, N)
+
+
+def _condition_transform(rng, n, cond):
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * np.logspace(0.0, np.log10(cond), n)) @ V.T
+
+
+@pytest.mark.parametrize("kind, size, rtol", [
+    ("cond", 1.0, 1e-9), ("cond", 1e2, 1e-9), ("cond", 1e3, 1e-8),
+    ("scale", 1e-6, 1e-9), ("scale", 1e6, 1e-9),
+])
+def test_thresholds_invariant_under_state_coordinates(example_model, kind, size, rtol):
+    # x -> T x maps (A, B, C, D) to (T A T^-1, T B, C T^-1, D T^-1); theta_N
+    # and tau_N depend only on the input-output maps and must not move.
+    # Forming the moved model alone shifts theta_N by up to 6e-10 at
+    # cond(T) = 1e3, hence the looser tolerance there.
+    rng = np.random.default_rng(17)
+    models = [(example_model, 2)] + [
+        (random_model(rng, n), N) for n in (2, 3, 4) for N in (n, 2 * n)
+    ]
+    for model, N in models:
+        n = model.n
+        T = _condition_transform(rng, n, size) if kind == "cond" else size * np.eye(n)
+        T_inv = np.linalg.inv(T)
+        moved = StateSpaceModel(A=T @ model.A @ T_inv, B=T @ model.B,
+                                C=model.C @ T_inv, D=model.D @ T_inv)
+        before, after = tau_N(model, N), tau_N(moved, N)
+        assert abs(after.theta_N - before.theta_N) <= rtol * before.theta_N
+        assert abs(after.tau_N - before.tau_N) <= rtol * before.tau_N
