@@ -120,7 +120,7 @@ def _require_spd_stack(X: np.ndarray, what: str):
             except NumericalError as exc:
                 errors[i] = exc
     lam_min, lam_max = lam.min(axis=1), lam.max(axis=1)  # NaN-propagating
-    for i in np.flatnonzero(~_positive(lam_min, lam_max)).tolist():
+    for i in (~_positive(lam_min, lam_max)).nonzero()[0].tolist():
         errors.setdefault(i, _cone_exit(what, lam_min[i], lam_max[i]))
     return lam, U, errors
 
@@ -197,7 +197,8 @@ def contraction_bound(M, Omega, W) -> float:
     M = np.asarray(M, dtype=float)
     Omega_inv = spd_inv(Omega)
     lam_w = require_spd(W, "contraction_bound W must be positive definite").eigenvalues
-    top = spectral(M @ Omega_inv @ M.T).eigenvalues[0]
+    # symmetric by construction: fold its roundoff away rather than reject it as input
+    top = spectral(symmetrize(M @ Omega_inv @ M.T, rtol=np.inf)).eigenvalues[0]
     top = max(top, 0.0)
     return top / (lam_w[-1] + top)
 

@@ -21,9 +21,11 @@ theta stops at its own step, so its result and its iteration count (the
 canonical one) are the same at any batch size.
 
 Every inversion goes through the positivity gate `cone.require_spd`, or
-its stacked form in the fixed-point kernel: leaving the cone is a
-semantic event, never papered over. Each step factorizes its iterate
-once; outside the kernel it maps it through the shared `_step`.
+its stacked form: leaving the cone is a semantic event, never papered
+over. The map is evaluated only in the stacked `_map_step`, which also
+gates P_next and so hands the next step its factorization; the kernel,
+`rs_riccati_map` and the loop behind `iterate_trajectory` and
+`sim.run_filter` all step through it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import lyapunov_sigma, place_observer_gain
-from .cone import SpectralDecomposition, _require_spd_stack, require_spd, spectral, symmetrize
+from .cone import SpectralDecomposition, _require_spd_stack, require_spd, symmetrize
 from .errors import ConeExitError, DomainError, IterationLimitError, UsageError, check_finite
 from .statespace import BlockModel, StateSpaceModel, theta_N
 
@@ -46,11 +48,21 @@ def _validity(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
     return require_spd(V_inv, "validity violated: P^-1 - theta D^T D")
 
 
-def _step(model: StateSpaceModel, theta: float, P_inv: np.ndarray) -> np.ndarray:
-    """The risk-sensitive update from P^-1: the one place the map is evaluated."""
-    inner = P_inv + model.C.T @ model.C - theta * (model.D.T @ model.D)
-    middle = require_spd(inner, "map leaves the cone: P^-1 + C^T C - theta D^T D").inverse()
-    return symmetrize(model.A @ middle @ model.A.T + model.B @ model.B.T, rtol=np.inf)
+def _map_step(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
+    """The risk-sensitive update of a stack: the one place the map is evaluated.
+
+    Gates P^-1 + C^T C - theta D^T D, forms P_next and gates it. Returns P_next,
+    its decomposition and the error of each entry that failed a gate, keyed by
+    index. An entry whose inner matrix failed was never formed: its P_next is NaN.
+    """
+    inner = P_inv + model.C.T @ model.C - thetas[:, None, None] * (model.D.T @ model.D)
+    lam, U, errors = _require_spd_stack(inner, "map leaves the cone: P^-1 + C^T C - theta D^T D")
+    if errors:
+        lam[list(errors)] = np.nan  # never divide by an eigenvalue that failed the gate
+    P_next = model.A @ ((U / lam[:, None, :]) @ U.swapaxes(1, 2)) @ model.A.T + model.B @ model.B.T
+    P_next = 0.5 * (P_next + P_next.swapaxes(1, 2))
+    lam, U, left = _require_spd_stack(P_next, "iterate left the cone")
+    return P_next, lam, U, {**left, **errors}
 
 
 def _kalman_form(model: StateSpaceModel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +95,10 @@ def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
     """
     check_finite("theta", theta, nonnegative=True)
     P_inv = require_spd(P, "riccati map argument P not positive definite").inverse()
-    return _step(model, theta, P_inv)
+    P_next, _, _, errors = _map_step(model, np.array([theta], dtype=float), P_inv[None])
+    if np.isnan(P_next).all():  # the inner matrix failed its gate
+        raise errors[0]
+    return P_next[0]
 
 
 def rs_gain(
@@ -102,10 +117,12 @@ def rs_gain(
 def rs_riccati_gain_form(model: StateSpaceModel, theta: float, P) -> np.ndarray:
     """Gain form (A-KC) V (A-KC)^T + B B^T + K K^T of the risk-sensitive update."""
     K, _, V = rs_gain(model, theta, P)
+    return _gain_form(model, K, V)
+
+
+def _gain_form(model: StateSpaceModel, K: np.ndarray, V: np.ndarray) -> np.ndarray:
     F = model.A - K @ model.C
-    return symmetrize(
-        F @ V @ F.T + model.B @ model.B.T + K @ K.T, rtol=np.inf
-    )
+    return symmetrize(F @ V @ F.T + model.B @ model.B.T + K @ K.T, rtol=np.inf)
 
 
 def rs_riccati_observer_form(model: StateSpaceModel, theta: float, P, G) -> np.ndarray:
@@ -142,8 +159,8 @@ class RiccatiStep:
     """One recorded point of a Riccati trajectory.
 
     status is "ok", "v_violation" (the validity matrix lost positive
-    definiteness) or "cone_exit" (the iterate itself is no longer
-    positive definite). lambda_V is None when V does not exist.
+    definiteness) or "cone_exit" (the iterate is not positive definite,
+    or NaN where the map could not form it). lambda_V is None when V does not exist.
     """
 
     t: int
@@ -157,33 +174,45 @@ class RiccatiStep:
         return self.status == "ok"
 
 
+def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
+    """The one trajectory loop: yields (record, V's decomposition or None) for t = 0..T.
+
+    It ends after the first record that is not "ok". The map's gate on
+    P_{t+1} supplies the next iterate's decomposition.
+    """
+    P = symmetrize(P0)
+    lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
+    thetas = np.array([theta], dtype=float)
+    for t in range(T + 1):
+        if errors:
+            yield RiccatiStep(t, P, "cone_exit", lam[0], None), None
+            return
+        P_inv = (U[0] / lam[0]) @ U[0].T
+        try:
+            V_dec = _validity(model, theta, P_inv)
+        except ConeExitError:
+            yield RiccatiStep(t, P, "v_violation", lam[0], None), None
+            return
+        yield RiccatiStep(t, P, "ok", lam[0], 1.0 / V_dec.eigenvalues[::-1]), V_dec
+        if t < T:
+            P_next, lam, U, errors = _map_step(model, thetas, P_inv[None])
+            P = P_next[0].copy()  # a view would keep one more array alive per record
+
+
 def iterate_trajectory(
     model: StateSpaceModel, theta: float, P0, T: int
 ) -> list[RiccatiStep]:
     """Iterate the risk-sensitive update for T steps, recording each iterate.
 
     Violations are data, not exceptions: the trajectory stops early
-    after recording a step whose status flags the event.
+    after recording a step whose status flags the event. A map that
+    leaves the cone ends it with a "cone_exit" record whose P and
+    lambda_P are NaN, because that iterate was never formed.
     """
     check_finite("theta", theta, nonnegative=True)
     if T < 0:
         raise DomainError(f"horizon T must be >= 0, got {T}")
-    P = symmetrize(P0)
-    steps = []
-    for t in range(T + 1):
-        try:
-            P_dec = require_spd(P, "trajectory iterate not positive definite")
-        except ConeExitError:
-            return steps + [RiccatiStep(t, P, "cone_exit", spectral(P).eigenvalues, None)]
-        P_inv = P_dec.inverse()
-        try:
-            lam_V = 1.0 / _validity(model, theta, P_inv).eigenvalues[::-1]
-        except ConeExitError:
-            return steps + [RiccatiStep(t, P, "v_violation", P_dec.eigenvalues, None)]
-        steps.append(RiccatiStep(t, P, "ok", P_dec.eigenvalues, lam_V))
-        if t < T:
-            P = _step(model, theta, P_inv)
-    return steps
+    return [step for step, _ in _trajectory(model, theta, P0, T)]
 
 
 @dataclass(frozen=True)
@@ -215,15 +244,13 @@ class AreReport:
     closed_loop_spectral_radius: float
 
 
-def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
-    """Frobenius residual of P = (A-KC) V (A-KC)^T + B B^T + K K^T at P."""
-    P = symmetrize(P)
-    rhs = rs_riccati_gain_form(model, theta, P)
-    residual = float(np.linalg.norm(P - rhs))
-    K, _, _ = rs_gain(model, theta, P)
+def _are_report(model: StateSpaceModel, theta: float, P: np.ndarray, P_dec):
+    """(K, R_nu, AreReport) at P from its decomposition: one validity gate, one gain."""
+    K, R_nu, V = _gain(model, theta, P_dec.inverse())
+    residual = float(np.linalg.norm(P - _gain_form(model, K, V)))
     eigs = np.linalg.eigvals(model.A - K @ model.C)
     eigs = eigs[np.argsort(-np.abs(eigs))]
-    return AreReport(
+    return K, R_nu, AreReport(
         residual=residual,
         relative_residual=residual / (1.0 + float(np.linalg.norm(P))),
         closed_loop_eigenvalues=eigs,
@@ -231,12 +258,19 @@ def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
     )
 
 
+def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
+    """Frobenius residual of P = (A-KC) V (A-KC)^T + B B^T + K K^T at P."""
+    P = symmetrize(P)
+    check_finite("theta", theta, nonnegative=True)
+    return _are_report(model, theta, P, require_spd(P, "gain argument P not positive definite"))[2]
+
+
 def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
                    max_iter: int) -> list:
     """The straight iteration for every theta at once, from one start P0.
 
     Raises only when P0 (default: identity) fails the gate. Each step runs
-    three stacked gates: on the inner matrix, on P_next and on the whitened
+    the map's two stacked gates (`_map_step`) and a third on the whitened
     P_next^-1/2 P P_next^-1/2, whose log spectrum gives the step distance.
     A theta stops at its own step once that distance is below tol. Returns,
     per theta, (iterations, distance, P, decomposition of P) or the error
@@ -245,10 +279,8 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     b, n = len(thetas), model.n
     P0 = symmetrize(P0) if P0 is not None else np.eye(n)
     P0_dec = require_spd(P0, "fixed-point start P0 not positive definite")
-    CtC, DtD, BBt = model.C.T @ model.C, model.D.T @ model.D, model.B @ model.B.T
     out = [None] * b
     live = np.arange(b)  # input index of each running entry
-    th = thetas[:, None, None]
     P = np.broadcast_to(P0, (b, n, n))
     lam = np.broadcast_to(P0_dec.eigenvalues, (b, n))
     U = np.broadcast_to(P0_dec.eigenvectors, (b, n, n))
@@ -272,21 +304,15 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
         if not live.size:
             break
         P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
-        lam_m, U_m, errors = _require_spd_stack(
-            P_inv + CtC - th * DtD, "map leaves the cone: P^-1 + C^T C - theta D^T D")
+        P_next, lam, U, errors = _map_step(model, thetas[live], P_inv)
         if errors:
-            live, th, P, lam_m, U_m = stop(errors, [live, th, P, lam_m, U_m])
-        P_next = model.A @ ((U_m / lam_m[:, None, :]) @ U_m.swapaxes(1, 2)) @ model.A.T + BBt
-        P_next = 0.5 * (P_next + P_next.swapaxes(1, 2))
-        lam, U, errors = _require_spd_stack(P_next, "iterate left the cone")
-        if errors:
-            live, th, P, P_next, lam, U = stop(errors, [live, th, P, P_next, lam, U])
+            live, P, P_next, lam, U = stop(errors, [live, P, P_next, lam, U])
         whiten = (U / np.sqrt(lam)[:, None, :]) @ U.swapaxes(1, 2)
         lam_w, _, errors = _require_spd_stack(
             whiten @ P @ whiten,
             "distance argument Q must be positive definite: P^-1/2 Q P^-1/2")
         if errors:
-            live, th, P_next, lam, U, lam_w = stop(errors, [live, th, P_next, lam, U, lam_w], False)
+            live, P_next, lam, U, lam_w = stop(errors, [live, P_next, lam, U, lam_w], False)
         log_w = np.log(lam_w)[:, None, :]  # ||log lam_w||, summed as np.linalg.norm sums a vector
         distance = np.sqrt(log_w @ log_w.swapaxes(1, 2))[:, 0, 0]
         P = P_next
@@ -294,8 +320,7 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
         for i in np.flatnonzero(done).tolist():
             out[live[i]] = (it, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
         if done.any():
-            live, th, P, lam, U, distance = (
-                a[~done] for a in (live, th, P, lam, U, distance))
+            live, P, lam, U, distance = (a[~done] for a in (live, P, lam, U, distance))
     for i, j in enumerate(live.tolist()):
         out[j] = IterationLimitError(
             f"no fixed point within {max_iter} iterations at theta={thetas[j]:.6e}: "
@@ -310,14 +335,13 @@ def _finish(model: StateSpaceModel, theta: float, it: int, distance: float,
             P: np.ndarray, P_dec) -> FixedPointResult:
     """Validity gate, gain and ARE report at a converged iterate."""
     try:
-        K, R_nu, _ = _gain(model, theta, P_dec.inverse())
+        K, R_nu, report = _are_report(model, theta, P, P_dec)
     except ConeExitError as exc:
         raise ConeExitError(
             f"fixed point reached at theta={theta:.6e} but its "
             f"validity matrix is not positive definite",
             lambda_min=exc.lambda_min, step=it, last_valid=P,
         ) from exc
-    report = verify_are(model, theta, P)
     return FixedPointResult(
         P_star=P,
         iterations=it,

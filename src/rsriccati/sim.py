@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cone import require_spd, spd_sqrt, symmetrize
-from .errors import ConeExitError, DomainError, check_finite
-from .riccati import _gain, _step
+from .cone import spd_sqrt
+from .errors import DomainError, check_finite
+from .riccati import _kalman_form, _trajectory
 from .statespace import StateSpaceModel
 
 
@@ -94,9 +94,8 @@ class FilterRun:
     observations); innovations the one-step prediction errors y_t -
     C x_hat_t. P_sequence carries the Riccati iterates for gain-based
     filters (empty for the fixed-gain observer). violation_step flags
-    the first step whose validity matrix was not positive definite
-    (the run stops there); rmse is per-component against the supplied
-    truth, when given.
+    the first step whose `RiccatiStep` status is not "ok" (the run stops
+    there); rmse is per-component against the supplied truth, when given.
     """
 
     estimates: np.ndarray
@@ -125,9 +124,9 @@ def run_filter(
 ) -> FilterRun:
     """Predicted-form filter with per-step risk-sensitive gains.
 
-    theta = 0 is the Kalman filter. The error-variance sequence is
-    advanced with the same map the trajectory analysis uses, so the two
-    agree exactly. On a validity violation the run aborts in-band:
+    theta = 0 is the Kalman filter. P_sequence and violation_step are the
+    iterates and the final status of `iterate_trajectory` over T steps,
+    computed by the same loop. On a violation the run aborts in-band:
     estimates computed so far are returned with violation_step set.
     """
     check_finite("theta", theta, nonnegative=True)
@@ -138,20 +137,17 @@ def run_filter(
     estimates = np.empty((T + 1, model.n))
     estimates[0] = np.asarray(x0_hat, dtype=float).ravel()
     innovations = np.empty((T, model.p))
-    P = symmetrize(P0)
-    P_sequence = [P]
+    P_sequence = []
     violation = None
-    for t in range(T):
-        try:
-            P_inv = require_spd(P, "gain argument P not positive definite").inverse()
-            K, _, _ = _gain(model, theta, P_inv)
-        except ConeExitError:
+    for step, V_dec in _trajectory(model, theta, P0, T):
+        t = step.t
+        P_sequence.append(step.P)
+        if V_dec is None:
             violation = t
-            break
-        innovations[t] = observations[t] - model.C @ estimates[t]
-        estimates[t + 1] = model.A @ estimates[t] + K @ innovations[t]
-        P = _step(model, theta, P_inv)
-        P_sequence.append(P)
+        elif t < T:
+            K, _ = _kalman_form(model, V_dec.inverse())
+            innovations[t] = observations[t] - model.C @ estimates[t]
+            estimates[t + 1] = model.A @ estimates[t] + K @ innovations[t]
     steps = T if violation is None else violation
     return FilterRun(
         estimates=estimates[: steps + 1],

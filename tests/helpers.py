@@ -1,8 +1,13 @@
-"""Shared random-instance generators for the sampling-based tests."""
+"""Shared models and random-instance generators for the sampling-based tests."""
 
 import numpy as np
 
 from rsriccati import StateSpaceModel, is_observable, is_reachable
+
+# From P0 = I at theta = 1 - 1e-6, V^-1 = P0^-1 - theta I = 1e-6 I passes the
+# gate, but the map's inner matrix diag(1e14, 1e-6) fails it: P_1 is never formed.
+MAP_EXIT_JSON = '{"A": [[0.5,0.1],[0,0.5]], "B": [[1,0],[0,1]], "C": [[1e7,0]], "D": [[1,0],[0,1]]}'
+MAP_EXIT_THETA = 1.0 - 1e-6
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):

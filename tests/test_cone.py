@@ -169,6 +169,16 @@ def test_contraction_bound_trivial():
     assert contraction_bound(np.zeros((2, 2)), np.eye(2), np.eye(2)) == 0.0
 
 
+def test_contraction_bound_folds_the_roundoff_of_its_own_product():
+    # M Omega^-1 M^T is symmetric by construction; at cond(Omega) = 8e11 its
+    # roundoff asymmetry exceeds the 1e-8 input check, which must not fire
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    Omega = (Q * np.logspace(0, -11.9, 8)) @ Q.T
+    M = rng.standard_normal((8, 8)) @ Q[:, :1] @ Q[:, :1].T
+    assert 0.0 <= contraction_bound(M, Omega, np.eye(8)) < 1.0
+
+
 def test_contraction_bound_rejects_indefinite():
     with pytest.raises(DomainError):
         contraction_bound(np.eye(2), np.diag([1.0, -1.0]), np.eye(2))

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import fixed_point_oracle, random_model, random_spd, safe_theta
+from helpers import (
+    MAP_EXIT_JSON,
+    MAP_EXIT_THETA,
+    fixed_point_oracle,
+    random_model,
+    random_spd,
+    safe_theta,
+)
 
 from rsriccati import (
     ConeExitError,
@@ -281,6 +288,27 @@ def test_trajectory_flags_violation_above_breakdown(example_model):
     assert steps[-1].lambda_V is None or steps[-1].lambda_V[-1] <= 0
     assert len(steps) < 201  # stopped early
     assert all(s.status == "ok" for s in steps[:-1])
+
+
+def test_trajectory_reports_map_cone_exit_in_band():
+    steps = iterate_trajectory(load_model(MAP_EXIT_JSON), MAP_EXIT_THETA, np.eye(2), 5)
+    assert [(s.t, s.status) for s in steps] == [(0, "ok"), (1, "cone_exit")]
+    assert np.isnan(steps[1].P).all() and np.isnan(steps[1].lambda_P).all()
+    assert steps[1].lambda_V is None
+
+
+def test_trajectory_and_are_report_reproduce_the_fixed_point_bitwise(example_model, example_bound):
+    _, Sigma2, beta2 = example_bound
+    rng = np.random.default_rng(43)
+    model = random_model(rng, n=4, m=4, p=2)
+    P0 = random_spd(rng, 4)
+    theta = safe_theta(model, fixed_point(model, 0.0, P0).P_star, 0.1)
+    for model, theta, P0 in [(example_model, beta2, Sigma2), (model, theta, P0)]:
+        fp = fixed_point(model, theta, P0)
+        steps = iterate_trajectory(model, theta, P0, fp.iterations)
+        assert steps[-1].status == "ok"
+        assert np.array_equal(steps[-1].P, fp.P_star)
+        assert verify_are(model, theta, fp.P_star).residual == fp.are_residual
 
 
 def test_trajectory_eigenvalues_follow_partial_order(example_model, example_bound):

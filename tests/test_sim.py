@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import MAP_EXIT_JSON, MAP_EXIT_THETA
 
 from rsriccati import (
     DomainError,
@@ -120,6 +121,24 @@ def test_filter_flags_validity_violation(example_model):
     assert out.violation_step == steps[-1].t
     assert len(out.P_sequence) == len(steps)
     assert len(out.estimates) == out.violation_step + 1
+
+
+def test_filter_flags_a_violation_at_the_last_step(example_model):
+    # the last iterate is checked like every other: P_sequence and
+    # violation_step are those of iterate_trajectory over the same horizon
+    T = iterate_trajectory(example_model, 2e-3, np.eye(2), 60)[-1].t
+    run = simulate(example_model, T, seed=11)
+    out = run_filter(example_model, 2e-3, np.eye(2), np.zeros(2), run.observations)
+    assert out.violation_step == T
+    assert len(out.innovations) == T and len(out.P_sequence) == T + 1
+
+
+def test_filter_reports_map_cone_exit_in_band():
+    model = load_model(MAP_EXIT_JSON)
+    out = run_filter(model, MAP_EXIT_THETA, np.eye(2), np.zeros(2), np.zeros((5, 1)))
+    assert out.violation_step == 1
+    assert len(out.estimates) == 2 and len(out.innovations) == 1
+    assert len(out.P_sequence) == 2 and np.isnan(out.P_sequence[1]).all()
 
 
 def test_filter_rejects_empty_observations(example_model):
