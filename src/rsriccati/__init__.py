@@ -40,7 +40,6 @@ from .cone import (
     spectral,
     symmetrize,
     thompson_distance,
-    translation_coefficient,
 )
 from .errors import (
     ConeExitError,
@@ -60,12 +59,9 @@ from .riccati import (
     fixed_point_sweep,
     initial_variance,
     iterate_trajectory,
-    kalman_gain,
-    riccati_map,
     rs_gain,
     rs_riccati_gain_form,
     rs_riccati_map,
-    rs_riccati_observer_form,
     verify_are,
 )
 from .sim import FilterRun, SimulationRun, run_filter, run_observer, simulate
@@ -77,7 +73,6 @@ from .statespace import (
     impulse_toeplitz,
     is_observable,
     is_reachable,
-    ldu_factors,
     load_model,
     observability_matrix,
     reachability_matrix,
@@ -123,8 +118,6 @@ __all__ = [
     "is_reachable",
     "is_spd",
     "iterate_trajectory",
-    "kalman_gain",
-    "ldu_factors",
     "load_model",
     "loewner_leq",
     "lyapunov_sigma",
@@ -132,12 +125,10 @@ __all__ = [
     "observer_bound",
     "place_observer_gain",
     "reachability_matrix",
-    "riccati_map",
     "riemann_distance",
     "rs_gain",
     "rs_riccati_gain_form",
     "rs_riccati_map",
-    "rs_riccati_observer_form",
     "run_filter",
     "run_observer",
     "simulate",
@@ -150,6 +141,5 @@ __all__ = [
     "tau_N",
     "theta_N",
     "thompson_distance",
-    "translation_coefficient",
     "verify_are",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cone import is_spd, loewner_leq
 from .errors import DomainError, NumericalError, UsageError, check_finite
-from .statespace import StateSpaceModel, is_reachable, observability_matrix
+from .statespace import RANK_RTOL, StateSpaceModel, is_reachable, observability_matrix
 
 # Pattern-search step below which the bound search stops refining.
 REFINE_STEP_TOL = 1e-6
@@ -75,7 +75,7 @@ def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
     # reachability matrix), unlike the newest-first block convention
     obs = np.flipud(observability_matrix(model, model.n, "C"))
     sv = np.linalg.svd(obs, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
+    if sv[-1] <= RANK_RTOL * sv[0]:
         raise DomainError(
             f"pair (C, A) is not observable: observability matrix singular "
             f"values span [{sv[-1]:.3e}, {sv[0]:.3e}]"

@@ -375,8 +375,8 @@ def _cmd_paper_example(args) -> int:
     # says this eigenvalue is 1 but then reports theta_2 = 2 instead of
     # the reciprocal. The threshold here follows the defining formula.
     th2 = ssp.theta_N(model, 2)
-    block0 = ssp.build_block_model(model, 2, 0.0)
-    lam1 = spectral(ssp._penalty_core(block0.H, block0.L)).eigenvalues[0]
+    free = ssp._theta_free(model, 2)
+    lam1 = spectral(ssp._penalty_core(free.L, free.psi)).eigenvalues[0]
     record("theta_2_core_eigenvalue", lam1, _relerr(lam1, 1.0) < 1e-10)
     record("theta_2", th2, abs(th2 - 1.0 / lam1) < 1e-12)
     summary["theta_2_note"] = (

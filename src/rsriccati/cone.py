@@ -8,7 +8,9 @@ Dimensions are small (n up to a few tens), so there is no reason to use
 anything fancier than dense symmetric eigensolvers. `require_spd` is the
 one positive-definiteness decision: relative to scale and failed by NaN.
 Its stacked form `_require_spd_stack` applies the same rule to a stack
-of matrices for the fixed-point kernel.
+of matrices for the fixed-point kernel. `symmetrize` checks a caller's
+matrix for asymmetry; matrices the library forms itself are symmetric
+by construction and only have their roundoff folded away by `_sym`.
 
 All functions are pure; none mutate their arguments.
 """
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConeExitError, DomainError, NumericalError, UsageError
+from .errors import ConeExitError, NumericalError, UsageError
 
 # Positive definite means lam_min > SPD_RTOL * |lam_max|, whatever the scale.
 SPD_RTOL = 1e-12
@@ -29,25 +31,30 @@ SPD_RTOL = 1e-12
 ASYM_RTOL = 1e-8
 
 
-def symmetrize(X, rtol: float = ASYM_RTOL) -> np.ndarray:
-    """Return (X + X^T)/2 as a float array, rejecting genuinely asymmetric input.
+def _sym(X: np.ndarray) -> np.ndarray:
+    """(X + X^T)/2 over the last two axes, for matrices symmetric by construction."""
+    return 0.5 * (X + X.swapaxes(-1, -2))
+
+
+def symmetrize(X) -> np.ndarray:
+    """Return (X + X^T)/2 of a caller's square matrix, rejecting genuinely asymmetric input.
 
     Roundoff-level asymmetry is silently folded away; relative asymmetry
-    above `rtol` (Frobenius) raises UsageError.
+    above ASYM_RTOL (Frobenius) raises UsageError. Matrices the library
+    forms itself skip this check and go through `_sym`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {X.shape}")
-    sym = 0.5 * (X + X.T)
     scale = np.linalg.norm(X)
     if scale > 0.0:
         asym = np.linalg.norm(X - X.T) / scale
-        if asym > rtol:
+        if asym > ASYM_RTOL:
             raise UsageError(
                 f"matrix is not symmetric: relative asymmetry {asym:.3e} "
-                f"exceeds {rtol:.1e}"
+                f"exceeds {ASYM_RTOL:.1e}"
             )
-    return sym
+    return _sym(X)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -107,7 +114,7 @@ def _require_spd_stack(X: np.ndarray, what: str):
     entry that fails, keyed by its index. A stacked solve that fails is redone
     one entry at a time, so only the failing entry gets `spectral`'s error.
     """
-    X = 0.5 * (X + X.swapaxes(1, 2))
+    X = _sym(X)
     errors = {}
     try:
         lam, U = np.linalg.eigh(X)
@@ -151,7 +158,7 @@ def relative_log_spectrum(P, Q) -> np.ndarray:
     if Q.shape != U.shape:
         raise UsageError(f"dimension mismatch: {U.shape[0]} vs {Q.shape[0]}")
     P_inv_sqrt = (U / np.sqrt(lam_p)) @ U.T
-    middle = symmetrize(P_inv_sqrt @ Q @ P_inv_sqrt, rtol=np.inf)
+    middle = _sym(P_inv_sqrt @ Q @ P_inv_sqrt)
     what = "distance argument Q must be positive definite: P^-1/2 Q P^-1/2"
     return np.log(require_spd(middle, what).eigenvalues)
 
@@ -169,25 +176,6 @@ def thompson_distance(P, Q) -> float:
     return float(max(log_s[0], -log_s[-1]))
 
 
-def translation_coefficient(P, Q, S) -> float:
-    """Non-expansiveness factor alpha/(alpha+beta) of P -> P + S on sampled arguments.
-
-    alpha is the larger of the top eigenvalues of P and Q, beta the
-    smallest eigenvalue of the nonnegative definite translation S.
-    """
-    lam_p = require_spd(P, "translation argument P must be positive definite").eigenvalues
-    lam_q = require_spd(Q, "translation argument Q must be positive definite").eigenvalues
-    lam_s = spectral(S).eigenvalues
-    if lam_s[-1] < -1e-12:
-        raise DomainError(
-            f"translation S must be nonnegative definite: smallest eigenvalue "
-            f"{lam_s[-1]:.6e}"
-        )
-    alpha = max(lam_p[0], lam_q[0])
-    beta = max(lam_s[-1], 0.0)
-    return alpha / (alpha + beta)
-
-
 def contraction_bound(M, Omega, W) -> float:
     """Contraction coefficient bound for P -> M [P^-1 + Omega]^-1 M^T + W.
 
@@ -197,8 +185,7 @@ def contraction_bound(M, Omega, W) -> float:
     M = np.asarray(M, dtype=float)
     Omega_inv = spd_inv(Omega)
     lam_w = require_spd(W, "contraction_bound W must be positive definite").eigenvalues
-    # symmetric by construction: fold its roundoff away rather than reject it as input
-    top = spectral(symmetrize(M @ Omega_inv @ M.T, rtol=np.inf)).eigenvalues[0]
+    top = spectral(_sym(M @ Omega_inv @ M.T)).eigenvalues[0]
     top = max(top, 0.0)
     return top / (lam_w[-1] + top)
 

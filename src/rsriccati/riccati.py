@@ -4,8 +4,8 @@ The one-step error-variance update of the risk-sensitive filter is
 
     P  ->  A [P^-1 + C^T C - theta D^T D]^-1 A^T + B B^T,
 
-which reduces to the Kalman update at theta = 0. Equivalent gain and
-observer forms are provided for cross-checking. The filter itself only
+which reduces to the Kalman update at theta = 0. An equivalent gain
+form is provided for cross-checking. The filter itself only
 exists while the validity matrix V = (P^-1 - theta D^T D)^-1 stays
 positive definite; `iterate_trajectory` reports per-step validity
 in-band, while `fixed_point` demands it of the converged point (losing
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import lyapunov_sigma, place_observer_gain
-from .cone import SpectralDecomposition, _require_spd_stack, require_spd, symmetrize
+from .cone import SpectralDecomposition, _require_spd_stack, _sym, require_spd, symmetrize
 from .errors import ConeExitError, DomainError, IterationLimitError, UsageError, check_finite
 from .statespace import BlockModel, StateSpaceModel, theta_N
 
@@ -45,7 +45,10 @@ from .statespace import BlockModel, StateSpaceModel, theta_N
 def _validity(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
     """Factor of V^-1 = P^-1 - theta D^T D, gated."""
     V_inv = P_inv - theta * (model.D.T @ model.D)
-    return require_spd(V_inv, "validity violated: P^-1 - theta D^T D")
+    lam, U, errors = _require_spd_stack(V_inv[None], "validity violated: P^-1 - theta D^T D")
+    if errors:
+        raise errors[0]
+    return SpectralDecomposition(lam[0], U[0])
 
 
 def _map_step(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
@@ -60,14 +63,14 @@ def _map_step(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
     if errors:
         lam[list(errors)] = np.nan  # never divide by an eigenvalue that failed the gate
     P_next = model.A @ ((U / lam[:, None, :]) @ U.swapaxes(1, 2)) @ model.A.T + model.B @ model.B.T
-    P_next = 0.5 * (P_next + P_next.swapaxes(1, 2))
+    P_next = _sym(P_next)
     lam, U, left = _require_spd_stack(P_next, "iterate left the cone")
     return P_next, lam, U, {**left, **errors}
 
 
 def _kalman_form(model: StateSpaceModel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K, R_nu) = (A V C^T R_nu^-1, C V C^T + I)."""
-    R_nu = symmetrize(model.C @ V @ model.C.T + np.eye(model.p), rtol=np.inf)
+    R_nu = _sym(model.C @ V @ model.C.T + np.eye(model.p))
     return model.A @ V @ model.C.T @ np.linalg.inv(R_nu), R_nu
 
 
@@ -75,16 +78,6 @@ def _gain(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
     """(K, R_nu, V) from P^-1: the Kalman form at the validity matrix V."""
     V = _validity(model, theta, P_inv).inverse()
     return (*_kalman_form(model, V), V)
-
-
-def riccati_map(model: StateSpaceModel, P) -> np.ndarray:
-    """One-step Kalman error-variance update A[P^-1 + C^T C]^-1 A^T + B B^T."""
-    return rs_riccati_map(model, 0.0, P)
-
-
-def kalman_gain(model: StateSpaceModel, P) -> tuple[np.ndarray, np.ndarray]:
-    """Kalman gain and innovation variance (K, R_nu) at error variance P."""
-    return _kalman_form(model, symmetrize(P))
 
 
 def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
@@ -122,25 +115,7 @@ def rs_riccati_gain_form(model: StateSpaceModel, theta: float, P) -> np.ndarray:
 
 def _gain_form(model: StateSpaceModel, K: np.ndarray, V: np.ndarray) -> np.ndarray:
     F = model.A - K @ model.C
-    return symmetrize(F @ V @ F.T + model.B @ model.B.T + K @ K.T, rtol=np.inf)
-
-
-def rs_riccati_observer_form(model: StateSpaceModel, theta: float, P, G) -> np.ndarray:
-    """Observer form of the update with an arbitrary preliminary gain G.
-
-    For every n x p gain G the value equals the plain risk-sensitive
-    update: the correction term subtracts exactly the mismatch between
-    G and the optimal gain.
-    """
-    G = np.asarray(G, dtype=float)
-    _, R_nu, V = rs_gain(model, theta, P)
-    F = model.A - G @ model.C
-    mismatch = F @ V @ model.C.T - G
-    value = (
-        F @ V @ F.T + G @ G.T + model.B @ model.B.T
-        - mismatch @ np.linalg.solve(R_nu, mismatch.T)
-    )
-    return symmetrize(value, rtol=np.inf)
+    return _sym(F @ V @ F.T + model.B @ model.B.T + K @ K.T)
 
 
 def block_riccati_map(block: BlockModel, P) -> np.ndarray:
@@ -151,7 +126,7 @@ def block_riccati_map(block: BlockModel, P) -> np.ndarray:
     """
     P_inv = require_spd(P, "block map argument P not positive definite").inverse()
     middle = require_spd(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega").inverse()
-    return symmetrize(block.alpha @ middle @ block.alpha.T + block.W, rtol=np.inf)
+    return _sym(block.alpha @ middle @ block.alpha.T + block.W)
 
 
 @dataclass(frozen=True)
@@ -446,7 +421,6 @@ def breakdown_search(
     theta_hi: Optional[float] = None,
     policy: str = "sigma-bound",
     tol: float = 1e-6,
-    max_iter: int = 10000,
 ) -> BreakdownResult:
     """Bisect for the largest risk parameter with a valid stable fixed point.
 
@@ -454,9 +428,10 @@ def breakdown_search(
     policy's initial variance stays inside the cone, converges, and the
     fixed point keeps the validity matrix positive definite (the
     quantity whose divergence marks breakdown). Non-convergence within
-    max_iter counts as failure, which is conservative near breakdown
-    where the contraction constant approaches one. theta_hi defaults to
-    theta_N at block length n; bisection stops at width tol or adjacent floats.
+    `fixed_point`'s default iteration limit counts as failure, which is
+    conservative near breakdown where the contraction constant
+    approaches one. theta_hi defaults to theta_N at block length n;
+    bisection stops at width tol or adjacent floats.
     """
     if theta_hi is None:
         theta_hi = theta_N(model, model.n)
@@ -474,7 +449,7 @@ def breakdown_search(
 
     def solvable(theta: float) -> bool:
         try:
-            fixed_point(model, theta, P0, max_iter=max_iter)
+            fixed_point(model, theta, P0)
         except (ConeExitError, IterationLimitError):
             return False
         return True

@@ -14,6 +14,10 @@ Riccati map. The thresholds computed here:
               Omega_N(theta) becomes singular, in closed form by a
               Schur complement (one eigensolve; see tau_N).
 
+The theta-free block matrices (R, O, O_R, H, L, J and the Grams
+I + H H^T, I + H^T H with their inverses) come from one private builder,
+shared by `build_block_model`, which adds the theta part, and `tau_N`.
+
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
 row down to C at the bottom. Every stacked object in this module goes
@@ -24,13 +28,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .cone import require_spd, spectral, symmetrize
-from .errors import DomainError, UsageError, check_finite
+from .cone import _sym, require_spd, spectral
+from .errors import UsageError, check_finite
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-10
@@ -215,16 +219,13 @@ class BlockModel:
     """All N-block, theta-dependent derived matrices of a model.
 
     R, O, O_R are the block reachability/observability stacks, H and L
-    the impulse Toeplitz maps to the measurement and penalty outputs.
-    K is the (indefinite) Gram matrix of the stacked observation noise,
-    S the Schur complement of its measurement block, Q the whitened
-    block input covariance, J the penalty innovation map, Omega / W the
-    theta-dependent observability and reachability Gramians, alpha the
-    closed-loop block transition matrix, and G / G_R the block
-    projection gains. K and S have no finite value in the risk-neutral
-    case theta = 0 (their penalty block carries a -1/theta term) and
-    are None there; everything derived from them uses the theta -> 0
-    limit instead.
+    the impulse Toeplitz maps to the measurement and penalty outputs,
+    J the penalty innovation map; these do not depend on theta. Q is
+    the whitened block input covariance, Omega / W the theta-dependent
+    observability and reachability Gramians, alpha the closed-loop
+    block transition matrix, and G / G_R the block projection gains.
+    The theta part goes through the inverse Schur complement S^-1 of
+    the stacked-noise Gram matrix, which has the limit 0 at theta = 0.
     """
 
     N: int
@@ -234,8 +235,6 @@ class BlockModel:
     O_R: np.ndarray
     H: np.ndarray
     L: np.ndarray
-    K: Optional[np.ndarray]
-    S: Optional[np.ndarray]
     Q: np.ndarray
     J: np.ndarray
     Omega: np.ndarray
@@ -245,10 +244,34 @@ class BlockModel:
     G_R: np.ndarray
 
 
-def _penalty_core(H: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """M = L (I + H^T H)^{-1} L^T, the theta-free part of S = -I/theta + M."""
-    psi = np.eye(H.shape[1]) + H.T @ H
-    return symmetrize(L @ np.linalg.solve(psi, L.T), rtol=np.inf)
+# The theta-free N-block matrices; phi = I + H H^T is the
+# measurement-block Gram and psi = I + H^T H.
+_ThetaFree = namedtuple("_ThetaFree", "R O O_R H L phi psi phi_inv psi_inv J")
+
+
+def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
+    R = reachability_matrix(model, N)
+    O = observability_matrix(model, N, "C")
+    O_R = observability_matrix(model, N, "D")
+    H = impulse_toeplitz(model, N, "C")
+    L = impulse_toeplitz(model, N, "D")
+    phi = np.eye(N * model.p) + H @ H.T
+    psi = np.eye(N * model.m) + H.T @ H
+    phi_inv = _sym(np.linalg.inv(phi))
+    psi_inv = _sym(np.linalg.inv(psi))
+    X = L @ H.T @ phi_inv               # lower LDU coupling block
+    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, psi_inv, O_R - X @ O)
+
+
+def _penalty_core(L: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """M = L psi^-1 L^T with psi = I + H^T H, the theta-free part of S = -I/theta + M."""
+    return _sym(L @ np.linalg.solve(psi, L.T))
+
+
+def _threshold(M: np.ndarray) -> float:
+    """theta_N = 1/lam_1(M); +inf when that eigenvalue vanishes."""
+    lam_1 = spectral(M).eigenvalues[0]
+    return math.inf if lam_1 < 1e-14 else 1.0 / lam_1
 
 
 def theta_N(model: StateSpaceModel, N: int) -> float:
@@ -258,11 +281,9 @@ def theta_N(model: StateSpaceModel, N: int) -> float:
     L (I + H^T H)^{-1} L^T; +inf when that eigenvalue vanishes (no
     feedthrough from the process noise to the penalty output).
     """
-    core = _penalty_core(impulse_toeplitz(model, N, "C"), impulse_toeplitz(model, N, "D"))
-    lam_1 = spectral(core).eigenvalues[0]
-    if lam_1 < 1e-14:
-        return math.inf
-    return 1.0 / lam_1
+    H = impulse_toeplitz(model, N, "C")
+    psi = np.eye(N * model.m) + H.T @ H
+    return _threshold(_penalty_core(impulse_toeplitz(model, N, "D"), psi))
 
 
 def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockModel:
@@ -276,44 +297,21 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
     positive definite).
     """
     check_finite("theta", theta, nonnegative=True)
-    R = reachability_matrix(model, N)
-    O = observability_matrix(model, N, "C")
-    O_R = observability_matrix(model, N, "D")
-    H = impulse_toeplitz(model, N, "C")
-    L = impulse_toeplitz(model, N, "D")
-    Nm = N * model.m
-    Np = N * model.p
-    Nq = N * model.q
-
-    phi = np.eye(Np) + H @ H.T          # measurement-block Gram
-    psi = np.eye(Nm) + H.T @ H
-    phi_inv = symmetrize(np.linalg.inv(phi), rtol=np.inf)
-    psi_inv = symmetrize(np.linalg.inv(psi), rtol=np.inf)
+    R, O, O_R, H, L, _, psi, phi_inv, psi_inv, J = _theta_free(model, N)
 
     # Whitened block input covariance; positive definiteness is exactly
     # the theta < theta_N condition.
     what = f"Q_N^theta not positive definite at theta={theta:.6e} (requires theta < theta_N)"
     Q = require_spd(psi - theta * (L.T @ L), what).inverse()
 
-    X = L @ H.T @ phi_inv               # lower LDU coupling block
-    J = O_R - X @ O
-
+    Nq = N * model.q
     if theta > 0.0:
-        S = symmetrize(
-            -np.eye(Nq) / theta + L @ psi_inv @ L.T, rtol=np.inf
-        )
-        S_inv = symmetrize(np.linalg.inv(S), rtol=np.inf)
-        K = np.block([
-            [phi, H @ L.T],
-            [L @ H.T, -np.eye(Nq) / theta + L @ L.T],
-        ])
+        S_inv = _sym(np.linalg.inv(_sym(-np.eye(Nq) / theta + L @ psi_inv @ L.T)))
     else:
-        S = None
         S_inv = np.zeros((Nq, Nq))      # limit of S^-1 as theta -> 0
-        K = None
 
-    Omega = symmetrize(O.T @ phi_inv @ O + J.T @ S_inv @ J, rtol=np.inf)
-    W = symmetrize(R @ Q @ R.T, rtol=np.inf)
+    Omega = _sym(O.T @ phi_inv @ O + J.T @ S_inv @ J)
+    W = _sym(R @ Q @ R.T)
 
     G_risk_free = H.T @ phi_inv
     G_R = psi_inv @ L.T @ S_inv
@@ -322,35 +320,9 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
     alpha = A_N - R @ (G @ O + G_R @ O_R)
 
     return BlockModel(
-        N=N, theta=theta, R=R, O=O, O_R=O_R, H=H, L=L, K=K, S=S, Q=Q,
+        N=N, theta=theta, R=R, O=O, O_R=O_R, H=H, L=L, Q=Q,
         J=J, Omega=Omega, W=W, alpha=alpha, G=G, G_R=G_R,
     )
-
-
-def ldu_factors(block: BlockModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block LDU factors of the stacked-noise Gram matrix K (theta > 0).
-
-    Returns (lower, diag, upper) with lower @ diag @ upper == K.
-    """
-    if block.S is None:
-        raise DomainError("the Gram matrix K has no finite value at theta = 0")
-    Np = block.H.shape[0]
-    Nq = block.L.shape[0]
-    phi = np.eye(Np) + block.H @ block.H.T
-    X = block.L @ block.H.T @ np.linalg.inv(phi)
-    lower = np.block([
-        [np.eye(Np), np.zeros((Np, Nq))],
-        [X, np.eye(Nq)],
-    ])
-    diag = np.block([
-        [phi, np.zeros((Np, Nq))],
-        [np.zeros((Nq, Np)), block.S],
-    ])
-    upper = np.block([
-        [np.eye(Np), X.T],
-        [np.zeros((Nq, Np)), np.eye(Nq)],
-    ])
-    return lower, diag, upper
 
 
 @dataclass(frozen=True)
@@ -379,17 +351,17 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     capped as described on Thresholds; it never exceeds theta_N because
     J Omega_N(0)^{-1} J^T is positive semidefinite.
     """
-    th_N = theta_N(model, N)
-    block = build_block_model(model, N, 0.0)
+    free = _theta_free(model, N)
+    M = _penalty_core(free.L, free.psi)
+    th_N = _threshold(M)
     what = f"pair (C, A) not observable at block length N={N}: Omega_N(0) is singular"
-    omega0 = require_spd(block.Omega, what)
+    omega0 = require_spd(_sym(free.O.T @ free.phi_inv @ free.O), what)
     # Y Y^T = J Omega_N(0)^{-1} J^T with Y = J R^{-1}, where Z = QR and
     # Omega_N(0) = Z^T Z for Z = phi^{-1/2} O, phi = I + H H^T. Working on Z
     # loses eps * sqrt(cond(Omega_N(0))), not eps * cond(Omega_N(0)).
-    phi_factor = np.linalg.cholesky(np.eye(block.H.shape[0]) + block.H @ block.H.T)
-    R = np.linalg.qr(np.linalg.solve(phi_factor, block.O), mode="r")
-    Y = np.linalg.solve(R.T, block.J.T).T
-    lam_1 = spectral(_penalty_core(block.H, block.L) + Y @ Y.T).eigenvalues[0]
+    R = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(free.phi), free.O), mode="r")
+    Y = np.linalg.solve(R.T, free.J.T).T
+    lam_1 = spectral(M + Y @ Y.T).eigenvalues[0]
     tau = 1.0 / lam_1 if lam_1 > 0.0 else math.inf
     cap = th_N if math.isfinite(th_N) else 1e3 / omega0.eigenvalues[0]
     return Thresholds(N=N, theta_N=th_N, tau_N=min(tau, cap), tau_is_capped=bool(tau >= cap))

@@ -12,7 +12,7 @@ expected to fail; their docstrings carry the arithmetic:
 import time
 
 import numpy as np
-from helpers import random_model, random_spd, safe_theta
+from helpers import random_model, random_spd, rs_riccati_observer_form, safe_theta
 
 from rsriccati import (
     block_riccati_map,
@@ -23,14 +23,12 @@ from rsriccati import (
     fixed_point,
     impulse_toeplitz,
     iterate_trajectory,
-    kalman_gain,
     loewner_leq,
     lyapunov_sigma,
-    riccati_map,
     riemann_distance,
+    rs_gain,
     rs_riccati_gain_form,
     rs_riccati_map,
-    rs_riccati_observer_form,
     spectral,
     spectral_radius,
     tau_N,
@@ -272,8 +270,8 @@ def test_criterion_09c_map_form_equivalences():
         model = random_model(rng)
         P = random_spd(rng, 2, 0.3, 3.0)
         # risk-neutral gain form
-        rn = riccati_map(model, P)
-        K, _ = kalman_gain(model, P)
+        rn = rs_riccati_map(model, 0.0, P)
+        K = rs_gain(model, 0.0, P)[0]
         F = model.A - K @ model.C
         rn_gain = F @ P @ F.T + model.B @ model.B.T + K @ K.T
         worst = max(worst, np.linalg.norm(rn - rn_gain) / (1 + np.linalg.norm(rn)))

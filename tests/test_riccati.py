@@ -4,8 +4,10 @@ from helpers import (
     MAP_EXIT_JSON,
     MAP_EXIT_THETA,
     fixed_point_oracle,
+    kalman_gain_oracle,
     random_model,
     random_spd,
+    rs_riccati_observer_form,
     safe_theta,
 )
 
@@ -23,15 +25,12 @@ from rsriccati import (
     fixed_point_sweep,
     initial_variance,
     iterate_trajectory,
-    kalman_gain,
     load_model,
     loewner_leq,
-    riccati_map,
     riemann_distance,
     rs_gain,
     rs_riccati_gain_form,
     rs_riccati_map,
-    rs_riccati_observer_form,
     spectral,
     verify_are,
 )
@@ -47,27 +46,27 @@ SCALAR = '{"A": [[%s]], "B": [[1]], "C": [[1]], "D": [[1]]}'
 def test_riccati_map_zero_dynamics():
     model = load_model('{"A": [[0,0],[0,0]], "B": [[1,0],[0,2]], "C": [[1,1]]}')
     P = random_spd(np.random.default_rng(1), 2)
-    assert np.allclose(riccati_map(model, P), model.B @ model.B.T)
+    assert np.allclose(rs_riccati_map(model, 0.0, P), model.B @ model.B.T)
 
 
 def test_riccati_map_scalar():
     model = load_model(SCALAR % "1")
-    assert abs(riccati_map(model, np.eye(1))[0, 0] - 1.5) < 1e-15
+    assert abs(rs_riccati_map(model, 0.0, np.eye(1))[0, 0] - 1.5) < 1e-15
 
 
 def test_riccati_map_rejects_indefinite():
     model = load_model(SCALAR % "1")
     with pytest.raises(DomainError):
-        riccati_map(model, -np.eye(1))
+        rs_riccati_map(model, 0.0, -np.eye(1))
 
 
 def test_kalman_gain_trivial():
     model = load_model('{"A": [[1,0],[0,1]], "B": [[1,0],[0,1]], "C": [[0,0]]}')
-    K, R_nu = kalman_gain(model, np.eye(2))
+    K, R_nu = rs_gain(model, 0.0, np.eye(2))[:2]
     assert np.array_equal(K, np.zeros((2, 1)))
     assert np.array_equal(R_nu, np.eye(1))
     scalar = load_model(SCALAR % "1")
-    K, R_nu = kalman_gain(scalar, np.eye(1))
+    K, R_nu = rs_gain(scalar, 0.0, np.eye(1))[:2]
     assert abs(R_nu[0, 0] - 2.0) < 1e-15
     assert abs(K[0, 0] - 0.5) < 1e-15
 
@@ -77,18 +76,11 @@ def test_gain_form_matches_map_risk_neutral():
     for _ in range(20):
         model = random_model(rng)
         P = random_spd(rng, 2)
-        lhs = riccati_map(model, P)
-        K, _ = kalman_gain(model, P)
+        lhs = rs_riccati_map(model, 0.0, P)
+        K = rs_gain(model, 0.0, P)[0]
         F = model.A - K @ model.C
         rhs = F @ P @ F.T + model.B @ model.B.T + K @ K.T
         assert np.linalg.norm(lhs - rhs) < 1e-10 * (1 + np.linalg.norm(lhs))
-
-
-def test_rs_map_reduces_to_kalman_at_zero():
-    rng = np.random.default_rng(5)
-    model = random_model(rng)
-    P = random_spd(rng, 2)
-    assert np.array_equal(rs_riccati_map(model, 0.0, P), riccati_map(model, P))
 
 
 def test_rs_map_scalar_no_dynamics():
@@ -135,7 +127,7 @@ def test_rs_gain_reduces_at_zero():
     rng = np.random.default_rng(7)
     model = random_model(rng)
     P = random_spd(rng, 2)
-    K0, R0 = kalman_gain(model, P)
+    K0, R0 = kalman_gain_oracle(model, P)
     K, R_nu, V = rs_gain(model, 0.0, P)
     assert np.allclose(K, K0, atol=1e-12)
     assert np.allclose(R_nu, R0, atol=1e-12)
@@ -202,7 +194,7 @@ def test_block_map_single_step_is_plain_map():
     model = random_model(rng)
     block = build_block_model(model, 1, 0.0)
     P = random_spd(rng, 2)
-    assert np.allclose(block_riccati_map(block, P), riccati_map(model, P), atol=1e-12)
+    assert np.allclose(block_riccati_map(block, P), rs_riccati_map(model, 0.0, P), atol=1e-12)
 
 
 def test_block_map_is_composition_risk_neutral():
@@ -211,7 +203,9 @@ def test_block_map_is_composition_risk_neutral():
         model = random_model(rng)
         block = build_block_model(model, 3, 0.0)
         P = random_spd(rng, 2)
-        composed = riccati_map(model, riccati_map(model, riccati_map(model, P)))
+        composed = P
+        for _ in range(3):
+            composed = rs_riccati_map(model, 0.0, composed)
         got = block_riccati_map(block, P)
         assert np.linalg.norm(got - composed) < 1e-9 * (1 + np.linalg.norm(composed))
 
@@ -419,7 +413,7 @@ def test_verify_are_risk_neutral_reduction():
     rng = np.random.default_rng(41)
     model = random_model(rng)
     P = random_spd(rng, 2)
-    K, _ = kalman_gain(model, P)
+    K = rs_gain(model, 0.0, P)[0]
     F = model.A - K @ model.C
     manual = np.linalg.norm(P - (F @ P @ F.T + model.B @ model.B.T + K @ K.T))
     assert abs(verify_are(model, 0.0, P).residual - manual) < 1e-12

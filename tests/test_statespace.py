@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_model
+from helpers import ldu_factors, random_model, stacked_noise_gram
 
 from rsriccati import (
     DomainError,
@@ -13,7 +13,6 @@ from rsriccati import (
     impulse_toeplitz,
     is_observable,
     is_reachable,
-    ldu_factors,
     load_model,
     loewner_leq,
     observability_matrix,
@@ -197,7 +196,6 @@ def test_block_model_risk_neutral_gramians(example_model):
     w_direct = R @ np.linalg.inv(np.eye(4) + H.T @ H) @ R.T
     assert np.allclose(block.Omega, omega_direct, rtol=1e-10)
     assert np.allclose(block.W, w_direct, rtol=1e-10)
-    assert block.K is None and block.S is None
     assert np.allclose(block.G_R, np.zeros_like(block.G_R))
 
 
@@ -234,7 +232,7 @@ def test_block_model_two_route_gramian(example_model):
     theta = 4e-4
     block = build_block_model(example_model, 2, theta)
     stacked = np.vstack([block.O, block.O_R])
-    direct = stacked.T @ np.linalg.solve(block.K, stacked)
+    direct = stacked.T @ np.linalg.solve(stacked_noise_gram(block), stacked)
     assert np.linalg.norm(block.Omega - direct) < 1e-9 * np.linalg.norm(block.Omega)
 
 
@@ -243,12 +241,8 @@ def test_block_model_ldu_reconstruction(example_model):
     block = build_block_model(example_model, 2, theta)
     lower, diag, upper = ldu_factors(block)
     K_rebuilt = lower @ diag @ upper
-    assert np.linalg.norm(K_rebuilt - block.K) < 1e-10 * np.linalg.norm(block.K)
-
-
-def test_ldu_factors_rejects_risk_neutral(example_model):
-    with pytest.raises(DomainError):
-        ldu_factors(build_block_model(example_model, 2, 0.0))
+    K = stacked_noise_gram(block)
+    assert np.linalg.norm(K_rebuilt - K) < 1e-10 * np.linalg.norm(K)
 
 
 def test_block_model_rejects_theta_at_threshold(example_model):
@@ -274,7 +268,8 @@ def test_block_model_schur_matches_direct(example_model):
     H, L = block.H, block.L
     psi_inv = np.linalg.inv(np.eye(4) + H.T @ H)
     S_direct = -np.eye(4) / theta + L @ psi_inv @ L.T
-    assert np.allclose(block.S, S_direct, atol=1e-12)
+    # G_R = psi^-1 L^T S^-1, so G_R S = psi^-1 L^T pins the Schur complement
+    assert np.allclose(block.G_R @ S_direct, psi_inv @ L.T, atol=1e-12)
 
 
 def test_gramian_monotonicity_in_theta(example_model):
@@ -331,6 +326,18 @@ def test_tau_rejects_unobservable_pair():
     )
     with pytest.raises(DomainError, match="not observable"):
         tau_N(model, 2)
+
+
+def test_tau_reports_theta_N_from_the_same_core(example_model):
+    # tau_N and theta_N read one penalty core M, so they agree exactly;
+    # N * p >= n keeps Omega_N(0) positive definite, as tau_N requires
+    rng = np.random.default_rng(41)
+    models = [example_model] + [random_model(rng, n, p=p) for n in (2, 3, 4, 6, 8) for p in (1, n)]
+    for model in models:
+        n = model.n
+        for N in sorted({1, 2, n, 3 * n}):
+            if N * model.p >= n:
+                assert tau_N(model, N).theta_N == theta_N(model, N)
 
 
 def _assert_tau_brackets_singularity(model, N):
