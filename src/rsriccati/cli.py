@@ -376,7 +376,7 @@ def _cmd_paper_example(args) -> int:
     # the reciprocal. The threshold here follows the defining formula.
     th2 = ssp.theta_N(model, 2)
     free = ssp._theta_free(model, 2)
-    lam1 = spectral(ssp._penalty_core(free.L, free.psi)).eigenvalues[0]
+    lam1 = spectral(ssp._penalty_core(free.L, free.psi, 2)).eigenvalues[0]
     record("theta_2_core_eigenvalue", lam1, _relerr(lam1, 1.0) < 1e-10)
     record("theta_2", th2, abs(th2 - 1.0 / lam1) < 1e-12)
     summary["theta_2_note"] = (

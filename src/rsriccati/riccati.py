@@ -25,7 +25,11 @@ its stacked form: leaving the cone is a semantic event, never papered
 over. The map is evaluated only in the stacked `_map_step`, which also
 gates P_next and so hands the next step its factorization; the kernel,
 `rs_riccati_map` and the loop behind `iterate_trajectory` and
-`sim.run_filter` all step through it.
+`sim.run_filter` all step through it. That loop stops factorizing once
+its state repeats bitwise (P_{t+1}, its eigenvalues and eigenvectors
+equal to P_t's): the map contracts, so a trajectory near its fixed point
+reaches that repeat within a few steps, and every later step would
+recompute the same bits. The shortcut is exact; no tolerance decides it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,32 @@ import numpy as np
 
 from .bounds import lyapunov_sigma, place_observer_gain
 from .cone import SpectralDecomposition, _require_spd_stack, _sym, require_spd, symmetrize
-from .errors import ConeExitError, DomainError, IterationLimitError, UsageError, check_finite
+from .errors import (
+    ConeExitError,
+    DomainError,
+    IterationLimitError,
+    NumericalError,
+    UsageError,
+    check_finite,
+)
 from .statespace import BlockModel, StateSpaceModel, theta_N
+
+
+def _inverse(P, name: str) -> np.ndarray:
+    """P^-1 of a caller's matrix through the positivity gate; NumericalError if it overflows.
+
+    The relative gate admits P = diag(1e-310, 1e-300), whose inverse is not
+    finite: that is a numerical failure, not a verdict on any later gate.
+    """
+    dec = require_spd(P, f"{name} not positive definite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        P_inv = dec.inverse()
+    if not np.isfinite(P_inv).all():
+        raise NumericalError(
+            f"{name} inverse overflows double precision: smallest eigenvalue "
+            f"{dec.eigenvalues[-1]:.6e}"
+        )
+    return P_inv
 
 
 def _validity(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
@@ -87,7 +115,7 @@ def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
     definite (the map leaves the cone).
     """
     check_finite("theta", theta, nonnegative=True)
-    P_inv = require_spd(P, "riccati map argument P not positive definite").inverse()
+    P_inv = _inverse(P, "riccati map argument P")
     P_next, _, _, errors = _map_step(model, np.array([theta], dtype=float), P_inv[None])
     if np.isnan(P_next).all():  # the inner matrix failed its gate
         raise errors[0]
@@ -103,7 +131,7 @@ def rs_gain(
     to exist; otherwise a "validity violated" ConeExitError is raised.
     """
     check_finite("theta", theta, nonnegative=True)
-    P_inv = require_spd(P, "gain argument P not positive definite").inverse()
+    P_inv = _inverse(P, "gain argument P")
     return _gain(model, theta, P_inv)
 
 
@@ -124,7 +152,7 @@ def block_riccati_map(block: BlockModel, P) -> np.ndarray:
     Coincides with the N-fold composition of the one-step map at the
     same risk parameter.
     """
-    P_inv = require_spd(P, "block map argument P not positive definite").inverse()
+    P_inv = _inverse(P, "block map argument P")
     middle = require_spd(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega").inverse()
     return _sym(block.alpha @ middle @ block.alpha.T + block.W)
 
@@ -153,7 +181,12 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
     """The one trajectory loop: yields (record, V's decomposition or None) for t = 0..T.
 
     It ends after the first record that is not "ok". The map's gate on
-    P_{t+1} supplies the next iterate's decomposition.
+    P_{t+1} supplies the next iterate's decomposition. When P_{t+1}, its
+    eigenvalues and its eigenvectors equal P_t's bitwise, the loop state has
+    repeated, so every later step would recompute the same bits: the
+    remaining records are yielded without factorizing again, each with its
+    own copies of P, lambda_P and lambda_V, and all with the same V_dec
+    object. This is exact, not a tolerance; only period 1 is checked.
     """
     P = symmetrize(P0)
     lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
@@ -168,10 +201,17 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
         except ConeExitError:
             yield RiccatiStep(t, P, "v_violation", lam[0], None), None
             return
-        yield RiccatiStep(t, P, "ok", lam[0], 1.0 / V_dec.eigenvalues[::-1]), V_dec
+        lam_V = 1.0 / V_dec.eigenvalues[::-1]
+        yield RiccatiStep(t, P, "ok", lam[0], lam_V), V_dec
         if t < T:
-            P_next, lam, U, errors = _map_step(model, thetas, P_inv[None])
-            P = P_next[0].copy()  # a view would keep one more array alive per record
+            P_next, lam_next, U_next, errors = _map_step(model, thetas, P_inv[None])
+            if (np.array_equal(P_next[0], P) and np.array_equal(lam_next, lam)
+                    and np.array_equal(U_next, U)):
+                for s in range(t + 1, T + 1):
+                    yield RiccatiStep(s, P.copy(), "ok", lam[0].copy(), lam_V.copy()), V_dec
+                return
+            # a view of P_next would keep one more array alive per record
+            P, lam, U = P_next[0].copy(), lam_next, U_next
 
 
 def iterate_trajectory(
@@ -182,7 +222,10 @@ def iterate_trajectory(
     Violations are data, not exceptions: the trajectory stops early
     after recording a step whose status flags the event. A map that
     leaves the cone ends it with a "cone_exit" record whose P and
-    lambda_P are NaN, because that iterate was never formed.
+    lambda_P are NaN, because that iterate was never formed. Once the
+    iterate repeats bitwise, the remaining records are copies of the last
+    one (with their own t), produced without factorizing again; they are
+    the same bits a step-by-step iteration gives.
     """
     check_finite("theta", theta, nonnegative=True)
     if T < 0:

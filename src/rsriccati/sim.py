@@ -128,6 +128,10 @@ def run_filter(
     iterates and the final status of `iterate_trajectory` over T steps,
     computed by the same loop. On a violation the run aborts in-band:
     estimates computed so far are returned with violation_step set.
+    Once the loop's state repeats bitwise (see `riccati._trajectory`) it
+    hands back the same V decomposition, and the gain is formed again only
+    when that decomposition changes; every output is the same bits as a
+    per-step gain would give. The estimate recursion runs every step.
     """
     check_finite("theta", theta, nonnegative=True)
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
@@ -138,14 +142,16 @@ def run_filter(
     estimates[0] = np.asarray(x0_hat, dtype=float).ravel()
     innovations = np.empty((T, model.p))
     P_sequence = []
-    violation = None
+    violation = gain_dec = None
     for step, V_dec in _trajectory(model, theta, P0, T):
         t = step.t
         P_sequence.append(step.P)
         if V_dec is None:
             violation = t
         elif t < T:
-            K, _ = _kalman_form(model, V_dec.inverse())
+            if V_dec is not gain_dec:
+                K, _ = _kalman_form(model, V_dec.inverse())
+                gain_dec = V_dec
             innovations[t] = observations[t] - model.C @ estimates[t]
             estimates[t + 1] = model.A @ estimates[t] + K @ innovations[t]
     steps = T if violation is None else violation

@@ -17,6 +17,8 @@ Riccati map. The thresholds computed here:
 The theta-free block matrices (R, O, O_R, H, L, J and the Grams
 I + H H^T, I + H^T H with their inverses) come from one private builder,
 shared by `build_block_model`, which adds the theta part, and `tau_N`.
+A block matrix of the thresholds that overflows double precision raises
+NumericalError before any positivity gate reads it.
 
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import _sym, require_spd, spectral
-from .errors import UsageError, check_finite
+from .errors import NumericalError, UsageError, check_finite
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-10
@@ -249,23 +251,47 @@ class BlockModel:
 _ThetaFree = namedtuple("_ThetaFree", "R O O_R H L phi psi phi_inv psi_inv J")
 
 
+def _finite(N: int, name: str, X: np.ndarray) -> np.ndarray:
+    """X, or NumericalError when this block matrix overflowed double precision.
+
+    The model itself is finite, so a non-finite block matrix can only come
+    from overflow; no gate may read it as a verdict on the model.
+    """
+    if not np.isfinite(X).all():
+        raise NumericalError(
+            f"block matrix {name} is not finite at block length N={N}: "
+            f"the model overflows double precision"
+        )
+    return X
+
+
 def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
-    R = reachability_matrix(model, N)
-    O = observability_matrix(model, N, "C")
-    O_R = observability_matrix(model, N, "D")
-    H = impulse_toeplitz(model, N, "C")
-    L = impulse_toeplitz(model, N, "D")
-    phi = np.eye(N * model.p) + H @ H.T
-    psi = np.eye(N * model.m) + H.T @ H
-    phi_inv = _sym(np.linalg.inv(phi))
-    psi_inv = _sym(np.linalg.inv(psi))
-    X = L @ H.T @ phi_inv               # lower LDU coupling block
-    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, psi_inv, O_R - X @ O)
+    """The theta-free block matrices.
+
+    I + H H^T and I + H^T H are inverted here, so they must be finite (an
+    overflow in H shows on their diagonals). The other blocks reach the
+    thresholds' gates only through products that `tau_N` and `theta_N` check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = reachability_matrix(model, N)
+        O = observability_matrix(model, N, "C")
+        O_R = observability_matrix(model, N, "D")
+        H = impulse_toeplitz(model, N, "C")
+        L = impulse_toeplitz(model, N, "D")
+        phi = _finite(N, "I + H H^T", np.eye(N * model.p) + H @ H.T)
+        psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
+        phi_inv = _sym(np.linalg.inv(phi))
+        psi_inv = _sym(np.linalg.inv(psi))
+        X = L @ H.T @ phi_inv           # lower LDU coupling block
+        J = O_R - X @ O
+    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, psi_inv, J)
 
 
-def _penalty_core(L: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _penalty_core(L: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
     """M = L psi^-1 L^T with psi = I + H^T H, the theta-free part of S = -I/theta + M."""
-    return _sym(L @ np.linalg.solve(psi, L.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _sym(L @ np.linalg.solve(psi, L.T))
+    return _finite(N, "L (I + H^T H)^-1 L^T", M)
 
 
 def _threshold(M: np.ndarray) -> float:
@@ -281,9 +307,11 @@ def theta_N(model: StateSpaceModel, N: int) -> float:
     L (I + H^T H)^{-1} L^T; +inf when that eigenvalue vanishes (no
     feedthrough from the process noise to the penalty output).
     """
-    H = impulse_toeplitz(model, N, "C")
-    psi = np.eye(N * model.m) + H.T @ H
-    return _threshold(_penalty_core(impulse_toeplitz(model, N, "D"), psi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = impulse_toeplitz(model, N, "C")
+        psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
+        L = impulse_toeplitz(model, N, "D")
+    return _threshold(_penalty_core(L, psi, N))
 
 
 def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockModel:
@@ -352,16 +380,20 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     J Omega_N(0)^{-1} J^T is positive semidefinite.
     """
     free = _theta_free(model, N)
-    M = _penalty_core(free.L, free.psi)
+    M = _penalty_core(free.L, free.psi, N)
     th_N = _threshold(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega0 = _finite(N, "Omega_N(0)", _sym(free.O.T @ free.phi_inv @ free.O))
     what = f"pair (C, A) not observable at block length N={N}: Omega_N(0) is singular"
-    omega0 = require_spd(_sym(free.O.T @ free.phi_inv @ free.O), what)
+    omega0 = require_spd(omega0, what)
     # Y Y^T = J Omega_N(0)^{-1} J^T with Y = J R^{-1}, where Z = QR and
     # Omega_N(0) = Z^T Z for Z = phi^{-1/2} O, phi = I + H H^T. Working on Z
     # loses eps * sqrt(cond(Omega_N(0))), not eps * cond(Omega_N(0)).
     R = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(free.phi), free.O), mode="r")
-    Y = np.linalg.solve(R.T, free.J.T).T
-    lam_1 = spectral(M + Y @ Y.T).eigenvalues[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = np.linalg.solve(R.T, free.J.T).T
+        # passed on unnamed, so spectral can free it once symmetrized
+        lam_1 = spectral(_finite(N, "M + J Omega_N(0)^-1 J^T", M + Y @ Y.T)).eigenvalues[0]
     tau = 1.0 / lam_1 if lam_1 > 0.0 else math.inf
     cap = th_N if math.isfinite(th_N) else 1e3 / omega0.eigenvalues[0]
     return Thresholds(N=N, theta_N=th_N, tau_N=min(tau, cap), tau_is_capped=bool(tau >= cap))

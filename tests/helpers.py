@@ -2,8 +2,18 @@
 
 import numpy as np
 
-from rsriccati import DomainError, StateSpaceModel, is_observable, is_reachable, rs_gain, spectral
-from rsriccati.cone import require_spd
+from rsriccati import (
+    ConeExitError,
+    DomainError,
+    RiccatiStep,
+    StateSpaceModel,
+    is_observable,
+    is_reachable,
+    rs_gain,
+    spectral,
+)
+from rsriccati.cone import _require_spd_stack, require_spd, symmetrize
+from rsriccati.riccati import _kalman_form, _map_step, _validity
 
 # From P0 = I at theta = 1 - 1e-6, V^-1 = P0^-1 - theta I = 1e-6 I passes the
 # gate, but the map's inner matrix diag(1e14, 1e-6) fails it: P_1 is never formed.
@@ -132,3 +142,44 @@ def translation_coefficient(P, Q, S):
     alpha = max(lam_p[0], lam_q[0])
     beta = max(lam_s[-1], 0.0)
     return alpha / (alpha + beta)
+
+
+def reference_filter(model, theta, P0, x0_hat, observations):
+    """`run_filter` and `iterate_trajectory` without the repeat shortcut.
+
+    Every step calls `_validity` and `_map_step` and forms its gain from its
+    own V, however often the state repeats. Returns (records, estimates,
+    innovations, violation_step) shaped as `iterate_trajectory` over
+    len(observations) steps and `run_filter` return them.
+    """
+    T = len(observations)
+    estimates = np.empty((T + 1, model.n))
+    estimates[0] = np.asarray(x0_hat, dtype=float).ravel()
+    innovations = np.empty((T, model.p))
+    records = []
+    P = symmetrize(P0)
+    lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
+    for t in range(T + 1):
+        if errors:
+            records.append(RiccatiStep(t, P, "cone_exit", lam[0], None))
+            return records, estimates[: t + 1], innovations[:t], t
+        P_inv = (U[0] / lam[0]) @ U[0].T
+        try:
+            V_dec = _validity(model, theta, P_inv)
+        except ConeExitError:
+            records.append(RiccatiStep(t, P, "v_violation", lam[0], None))
+            return records, estimates[: t + 1], innovations[:t], t
+        records.append(RiccatiStep(t, P, "ok", lam[0], 1.0 / V_dec.eigenvalues[::-1]))
+        if t < T:
+            K, _ = _kalman_form(model, V_dec.inverse())
+            innovations[t] = observations[t] - model.C @ estimates[t]
+            estimates[t + 1] = model.A @ estimates[t] + K @ innovations[t]
+            P_next, lam, U, errors = _map_step(model, np.array([theta]), P_inv[None])
+            P = P_next[0].copy()
+    return records, estimates, innovations, None
+
+
+def first_repeat(records):
+    """First t with records[t + 1].P bitwise equal to records[t].P, or None."""
+    return next((t for t, (a, b) in enumerate(zip(records, records[1:]))
+                 if np.array_equal(a.P, b.P)), None)

@@ -53,6 +53,16 @@ def test_analyze_bad_json(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("N", ["2", "3"])
+def test_analyze_exits_numerical_on_overflow(capsys, tmp_path, N):
+    # A = 1e200 I overflows the N-block matrices of an observable pair
+    path = tmp_path / "overflow.json"
+    path.write_text('{"A": [[1e200,0],[0,1e200]], "B": [[1,0],[0,1]], "C": [[1,1]]}')
+    code, _, err = run_cli(capsys, "analyze", str(path), "--block-n", N)
+    assert code == 4
+    assert "numerical error" in err and "not finite" in err
+
+
 def test_analyze_json_payload(capsys, model_file):
     code, out, _ = run_cli(capsys, "analyze", model_file, "--json",
                            "--theta", "2e-4")

@@ -140,6 +140,15 @@ def test_rs_gain_scalar_validity_matrix():
     assert abs(V[0, 0] - 2.0) < 1e-14
 
 
+@pytest.mark.parametrize("update", [rs_gain, rs_riccati_map])
+def test_overflowing_inverse_is_a_numerical_failure(example_model, update):
+    # P passes the relative gate (1e-310 > 1e-12 x 1e-300), but P^-1 is not
+    # finite: neither a validity violation nor a cone exit, and no warning
+    P = np.diag([1e-310, 1e-300])
+    with pytest.raises(NumericalError, match="inverse overflows"):
+        update(example_model, 0.1, P)
+
+
 def test_rs_gain_validity_violation():
     model = load_model(SCALAR % "1")
     with pytest.raises(ConeExitError, match="validity violated"):

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import MAP_EXIT_JSON, MAP_EXIT_THETA
+from helpers import (
+    MAP_EXIT_JSON,
+    MAP_EXIT_THETA,
+    first_repeat,
+    random_model,
+    reference_filter,
+    safe_theta,
+)
 
 from rsriccati import (
     DomainError,
@@ -168,6 +175,91 @@ def test_innovation_whiteness_at_fixed_point():
     nu = out.innovations.ravel()
     rho1 = np.dot(nu[:-1], nu[1:]) / np.dot(nu, nu)
     assert abs(rho1) < 3.0 / np.sqrt(T)
+
+
+# ---------------------------------------------------------------------------
+# the exact repeat shortcut of the trajectory loop
+
+TWO_STATE = StateSpaceModel(
+    A=np.array([[0.6, 0.2], [0.1, 0.5]]), B=np.eye(2),
+    C=np.array([[1.0, 0.5]]), D=np.eye(2),
+)
+
+
+@pytest.fixture(scope="module")
+def shortcut_cases(example_model):
+    n4 = random_model(np.random.default_rng(0), n=4, m=2, p=1)
+    n4_theta = safe_theta(n4, fixed_point(n4, 0.0).P_star)
+    return {
+        # (model, theta, P0, T, repeats within T)
+        "two-state theta=0": (TWO_STATE, 0.0, np.eye(2), 300, True),
+        "two-state theta>0": (TWO_STATE, 0.02, np.eye(2), 300, True),
+        "two-state theta=0 from P*": (TWO_STATE, 0.0, fixed_point(TWO_STATE).P_star, 300, True),
+        "worked example theta=0": (example_model, 0.0, np.eye(2), 300, True),
+        "n=4 theta=0": (n4, 0.0, np.eye(4), 400, False),
+        "n=4 theta>0": (n4, n4_theta, np.eye(4), 400, False),
+        "v_violation": (example_model, 2e-3, np.eye(2), 60, False),
+        "cone_exit": (load_model(MAP_EXIT_JSON), MAP_EXIT_THETA, np.eye(2), 5, False),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "two-state theta=0", "two-state theta>0", "two-state theta=0 from P*",
+    "worked example theta=0", "n=4 theta=0", "n=4 theta>0", "v_violation", "cone_exit",
+])
+def test_filter_and_trajectory_match_the_always_factorizing_loop(shortcut_cases, case):
+    model, theta, P0, T, repeats = shortcut_cases[case]
+    observations = simulate(model, T, seed=4).observations
+    records, estimates, innovations, violation = reference_filter(
+        model, theta, P0, np.zeros(model.n), observations)
+    # the case exercises what it names: a bitwise period-1 repeat, or none within T
+    assert (first_repeat(records) is not None) == repeats
+    out = run_filter(model, theta, P0, np.zeros(model.n), observations)
+    steps = iterate_trajectory(model, theta, P0, T)
+    assert out.violation_step == violation
+    assert np.array_equal(out.estimates, estimates)
+    assert np.array_equal(out.innovations, innovations)
+    assert len(out.P_sequence) == len(steps) == len(records)
+    for P, step, want in zip(out.P_sequence, steps, records):
+        assert (step.t, step.status) == (want.t, want.status)
+        assert np.array_equal(P, want.P, equal_nan=True)
+        assert np.array_equal(step.P, want.P, equal_nan=True)
+        assert np.array_equal(step.lambda_P, want.lambda_P, equal_nan=True)
+        assert (step.lambda_V is None) == (want.lambda_V is None)
+        if want.lambda_V is not None:
+            assert np.array_equal(step.lambda_V, want.lambda_V)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02])
+def test_no_factorization_after_the_state_repeats(monkeypatch, theta):
+    T = 2000
+    observations = simulate(TWO_STATE, T, seed=4).observations
+    r = first_repeat(reference_filter(TWO_STATE, theta, np.eye(2), np.zeros(2), observations)[0])
+    assert r is not None and r < 100
+    calls = []
+
+    def counting(name):
+        solve = getattr(np.linalg, name)
+
+        def wrapper(X):
+            calls.append(name)
+            return solve(X)
+        return wrapper
+
+    for name in ("eigh", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    steps = iterate_trajectory(TWO_STATE, theta, np.eye(2), T)
+    # the start, then V's gate and the map's two gates on steps 0..r; none after
+    assert calls == ["eigh"] * (1 + 3 * (r + 1))
+    calls.clear()
+    run_filter(TWO_STATE, theta, np.eye(2), np.zeros(2), observations)
+    # and one gain (one inverse of R_nu) per step up to r
+    assert calls.count("eigh") == 1 + 3 * (r + 1) and calls.count("inv") == r + 1
+    # the repeated records are still distinct arrays
+    last, before = steps[-1], steps[-2]
+    for a, b in ((last.P, before.P), (last.lambda_P, before.lambda_P),
+                 (last.lambda_V, before.lambda_V)):
+        assert not np.shares_memory(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from helpers import ldu_factors, random_model, stacked_noise_gram
 
 from rsriccati import (
     DomainError,
+    NumericalError,
     StateSpaceModel,
     UsageError,
     build_block_model,
@@ -326,6 +327,22 @@ def test_tau_rejects_unobservable_pair():
     )
     with pytest.raises(DomainError, match="not observable"):
         tau_N(model, 2)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_thresholds_report_overflow_as_numerical_failure(N):
+    # (C, A) is observable, but A = 1e200 I overflows double precision: at
+    # N = 2 in Omega_N(0) = O^T (I + H H^T)^-1 O, at N = 3 already in the
+    # Grams of H, which holds C A B. A numerical failure, never "not observable".
+    model = StateSpaceModel(A=1e200 * np.eye(2), B=np.eye(2),
+                            C=np.array([[1.0, 1.0]]), D=np.eye(2))
+    with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
+        tau_N(model, N)
+    if N == 2:  # L and I + H^T H stay finite, so theta_N has its exact value
+        assert theta_N(model, N) == 1.0
+    else:
+        with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
+            theta_N(model, N)
 
 
 def test_tau_reports_theta_N_from_the_same_core(example_model):
