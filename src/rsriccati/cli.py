@@ -43,6 +43,8 @@ EXAMPLE_MODEL = {
     "C": [[1.0, -1.0]],
     "D": [[1.0, 0.0], [0.0, 1.0]],
 }
+# Points in each of the worked example's two theta sweeps.
+SWEEP_POINTS = 200
 
 
 def _fmt(x: float) -> str:
@@ -234,7 +236,7 @@ def _cmd_trajectory(args) -> int:
 def _fixed_point_payload(result: ric.FixedPointResult) -> dict:
     return {
         "P_star": result.P_star,
-        "eigenvalues_P_star": spectral(result.P_star).eigenvalues,
+        "eigenvalues_P_star": result.lambda_P,
         "iterations": result.iterations,
         "final_step_distance": result.final_step_distance,
         "K": result.K,
@@ -352,17 +354,16 @@ def _cmd_paper_example(args) -> int:
         summary[f"{name}_pass"] = bool(passed)
 
     # Gramian sweep over theta in [0, 2e-3].
-    sweep = np.linspace(0.0, 2e-3, args.sweep_points)
+    lam_W = []
     with open(out_dir / "gramian_sweep.csv", "w", newline="") as fh:
         fh.write("theta,lambda_min_Omega,lambda_min_W\n")
-        for th in sweep:
+        for th in np.linspace(0.0, 2e-3, SWEEP_POINTS):
             block = ssp.build_block_model(model, 2, float(th))
             lo = spectral(block.Omega).eigenvalues[-1]
-            lw = spectral(block.W).eigenvalues[-1]
-            fh.write(f"{_fmt(th)},{_fmt(lo)},{_fmt(lw)}\n")
+            lam_W.append(spectral(block.W).eigenvalues[-1])
+            fh.write(f"{_fmt(th)},{_fmt(lo)},{_fmt(lam_W[-1])}\n")
 
-    w0 = spectral(ssp.build_block_model(model, 2, 0.0).W).eigenvalues[-1]
-    w2 = spectral(ssp.build_block_model(model, 2, 2e-3).W).eigenvalues[-1]
+    w0, w2 = lam_W[0], lam_W[-1]  # linspace puts both ends exactly
     record("lambda_min_W_at_0", w0, _relerr(w0, 1.002828) < 1e-4)
     record("lambda_min_W_at_2e-3", w2, _relerr(w2, 1.02831) < 1e-4)
     summary["lambda_min_W_at_2e-3_note"] = (
@@ -371,12 +372,12 @@ def _cmd_paper_example(args) -> int:
         "published figure and with the observed increase rate of W"
     )
 
-    # Core eigenvalue behind the theta_2 threshold; the published text
-    # says this eigenvalue is 1 but then reports theta_2 = 2 instead of
-    # the reciprocal. The threshold here follows the defining formula.
-    th2 = ssp.theta_N(model, 2)
-    free = ssp._theta_free(model, 2)
-    lam1 = spectral(ssp._penalty_core(free.L, free.psi, 2)).eigenvalues[0]
+    # Core eigenvalue behind the theta_2 threshold, its reciprocal by
+    # definition; the published text says this eigenvalue is 1 but then
+    # reports theta_2 = 2 instead of the reciprocal.
+    thr = ssp.tau_N(model, 2)
+    th2 = thr.theta_N
+    lam1 = 1.0 / th2
     record("theta_2_core_eigenvalue", lam1, _relerr(lam1, 1.0) < 1e-10)
     record("theta_2", th2, abs(th2 - 1.0 / lam1) < 1e-12)
     summary["theta_2_note"] = (
@@ -385,17 +386,16 @@ def _cmd_paper_example(args) -> int:
         "reciprocal reading is the one consistent with the large-N limit"
     )
 
-    thr = ssp.tau_N(model, 2)
     record("tau_2", thr.tau_N, _relerr(thr.tau_N, 0.715e-3) < 0.02)
 
     G = bnd.place_observer_gain(model, [0.0, 0.0])
     record("G_nilpotent", G, float(np.max(np.abs(G.ravel() - [-13.1, -14.4]))) < 1e-6)
-    Sigma2 = bnd.lyapunov_sigma(model, G, 2.0)
+    bound2 = bnd.observer_bound(model, G, 2.0)
+    Sigma2, beta2 = bound2.Sigma_rho, bound2.beta_rho
     ref_sigma = 1e3 * np.array([[1.4622, 1.5954], [1.5954, 1.7431]])
     record("Sigma_2", Sigma2, float(np.max(np.abs(Sigma2 - ref_sigma) / ref_sigma)) < 5e-4)
     lam1_sigma = spectral(Sigma2).eigenvalues[0]
     record("lambda_1_Sigma_2", lam1_sigma, _relerr(lam1_sigma, 3.2042e3) < 5e-4)
-    beta2 = bnd.beta_rho(model, G, 2.0)
     record("beta_2", beta2, _relerr(beta2, 2.3407e-4) < 1e-3)
 
     # Trajectory from Sigma_2 at theta = beta_2 (12 recorded steps).
@@ -414,7 +414,7 @@ def _cmd_paper_example(args) -> int:
 
     # Fixed point at theta = beta_2.
     fp = ric.fixed_point(model, beta2, Sigma2)
-    eig_fp = spectral(fp.P_star).eigenvalues
+    eig_fp = fp.lambda_P
     cl = np.sort(np.abs(fp.closed_loop_eigenvalues))
     record("fixed_point_eigenvalues", eig_fp,
            _relerr(eig_fp[0], 332.4) < 5e-3 and _relerr(eig_fp[1], 1.003) < 5e-3)
@@ -422,37 +422,33 @@ def _cmd_paper_example(args) -> int:
            _relerr(cl[0], 0.034) < 0.02 and _relerr(cl[1], 0.776) < 0.02)
 
     # Fixed-point sweep for the breakdown onset (theta in [0, 0.95e-3]).
-    fp_sweep = np.linspace(0.0, 0.95e-3, args.sweep_points)
-    fp_results = ric.fixed_point_sweep(model, fp_sweep, np.eye(model.n))
+    fp_sweep = np.linspace(0.0, 0.95e-3, SWEEP_POINTS)
     with open(out_dir / "fixed_point_sweep.csv", "w", newline="") as fh:
         cols = (["theta"]
                 + [f"lambda_P_{i+1}" for i in range(model.n)]
                 + [f"lambda_V_{i+1}" for i in range(model.n)])
         fh.write(",".join(cols) + "\n")
-        for th, res in zip(fp_sweep, fp_results):
-            _, _, V = ric.rs_gain(model, float(th), res.P_star)
-            lp = spectral(res.P_star).eigenvalues
-            lv = spectral(V).eigenvalues
-            fh.write(",".join([_fmt(th)] + [_fmt(v) for v in lp]
-                              + [_fmt(v) for v in lv]) + "\n")
+        # the results are dropped once written, before the searches below
+        for th, res in zip(fp_sweep, ric.fixed_point_sweep(model, fp_sweep, np.eye(model.n))):
+            fh.write(",".join([_fmt(th)] + [_fmt(v) for v in res.lambda_P]
+                              + [_fmt(v) for v in res.lambda_V]) + "\n")
 
-    if not args.skip_search:
-        bres = ric.breakdown_search(model, theta_lo=beta2, theta_hi=2e-3,
-                                    policy="sigma-bound", tol=1e-6)
-        record("breakdown_theta",
-               {"theta": bres.theta, "bracket": list(bres.bracket),
-                "policy": bres.policy},
-               bool(bres.found and 0.95e-3 < bres.bracket[0]
-                    and bres.bracket[1] < 1.05e-3))
+    bres = ric.breakdown_search(model, theta_lo=beta2, theta_hi=2e-3,
+                                policy="sigma-bound", tol=1e-6)
+    record("breakdown_theta",
+           {"theta": bres.theta, "bracket": list(bres.bracket),
+            "policy": bres.policy},
+           bool(bres.found and 0.95e-3 < bres.bracket[0]
+                and bres.bracket[1] < 1.05e-3))
 
-        best = bnd.bound_search(model)
-        record("bound_search",
-               {"G": best.G, "rho": best.rho, "beta_rho": best.beta_rho},
-               bool(best.beta_rho >= 0.95 * 0.4824e-3 and 1.1 <= best.rho <= 1.5))
+    best = bnd.bound_search(model)
+    record("bound_search",
+           {"G": best.G, "rho": best.rho, "beta_rho": best.beta_rho},
+           bool(best.beta_rho >= 0.95 * 0.4824e-3 and 1.1 <= best.rho <= 1.5))
 
-        thr40 = ssp.tau_N(model, 40)
-        record("tau_40", thr40.tau_N, _relerr(thr40.tau_N, 1.33e-3) < 0.05)
-        record("theta_40", thr40.theta_N, _relerr(thr40.theta_N, 1.33e-3) < 0.05)
+    thr40 = ssp.tau_N(model, 40)
+    record("tau_40", thr40.tau_N, _relerr(thr40.tau_N, 1.33e-3) < 0.05)
+    record("theta_40", thr40.theta_N, _relerr(thr40.theta_N, 1.33e-3) < 0.05)
 
     summary["all_pass"] = all(
         v for k, v in summary.items() if k.endswith("_pass")
@@ -528,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-example",
                        help="reproduce the worked two-state example end to end")
     p.add_argument("--out-dir", default="paper_example_out")
-    p.add_argument("--sweep-points", type=int, default=200,
-                   help="points per theta sweep (default 200)")
-    p.add_argument("--skip-search", action="store_true",
-                   help="skip the breakdown/bound searches and large-N scan")
     p.set_defaults(func=_cmd_paper_example)
 
     return parser

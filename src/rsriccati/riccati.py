@@ -18,11 +18,13 @@ count carries meaning and no subspace ARE solver is used).
 `fixed_point_sweep` runs that iteration for a list of theta as one
 stacked kernel, and `fixed_point` is the kernel at batch size one. Each
 theta stops at its own step, so its result and its iteration count (the
-canonical one) are the same at any batch size.
+canonical one) are the same at any batch size; it carries the spectra
+of P* and V that the kernel's and the finish's factorizations gave.
 
 Every inversion goes through the positivity gate `cone.require_spd`, or
 its stacked form: leaving the cone is a semantic event, never papered
-over. The map is evaluated only in the stacked `_map_step`, which also
+over. A caller's P or P0 whose inverse overflows raises NumericalError
+at entry. The map is evaluated only in the stacked `_map_step`, which also
 gates P_next and so hands the next step its factorization; the kernel,
 `rs_riccati_map` and the loop behind `iterate_trajectory` and
 `sim.run_filter` all step through it. That loop stops factorizing once
@@ -53,13 +55,12 @@ from .errors import (
 from .statespace import BlockModel, StateSpaceModel, theta_N
 
 
-def _inverse(P, name: str) -> np.ndarray:
-    """P^-1 of a caller's matrix through the positivity gate; NumericalError if it overflows.
+def _finite_inverse(dec: SpectralDecomposition, name: str) -> np.ndarray:
+    """A caller's gated matrix inverted from its decomposition; NumericalError if that overflows.
 
     The relative gate admits P = diag(1e-310, 1e-300), whose inverse is not
     finite: that is a numerical failure, not a verdict on any later gate.
     """
-    dec = require_spd(P, f"{name} not positive definite")
     with np.errstate(over="ignore", invalid="ignore"):
         P_inv = dec.inverse()
     if not np.isfinite(P_inv).all():
@@ -68,6 +69,11 @@ def _inverse(P, name: str) -> np.ndarray:
             f"{dec.eigenvalues[-1]:.6e}"
         )
     return P_inv
+
+
+def _inverse(P, name: str) -> np.ndarray:
+    """P^-1 of a caller's matrix through the positivity gate (see `_finite_inverse`)."""
+    return _finite_inverse(require_spd(P, f"{name} not positive definite"), name)
 
 
 def _validity(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
@@ -102,12 +108,6 @@ def _kalman_form(model: StateSpaceModel, V: np.ndarray) -> tuple[np.ndarray, np.
     return model.A @ V @ model.C.T @ np.linalg.inv(R_nu), R_nu
 
 
-def _gain(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
-    """(K, R_nu, V) from P^-1: the Kalman form at the validity matrix V."""
-    V = _validity(model, theta, P_inv).inverse()
-    return (*_kalman_form(model, V), V)
-
-
 def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
     """Risk-sensitive update A[P^-1 + C^T C - theta D^T D]^-1 A^T + B B^T.
 
@@ -131,8 +131,8 @@ def rs_gain(
     to exist; otherwise a "validity violated" ConeExitError is raised.
     """
     check_finite("theta", theta, nonnegative=True)
-    P_inv = _inverse(P, "gain argument P")
-    return _gain(model, theta, P_inv)
+    V = _validity(model, theta, _inverse(P, "gain argument P")).inverse()
+    return (*_kalman_form(model, V), V)
 
 
 def rs_riccati_gain_form(model: StateSpaceModel, theta: float, P) -> np.ndarray:
@@ -190,6 +190,8 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
     """
     P = symmetrize(P0)
     lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
+    if not errors:
+        _finite_inverse(SpectralDecomposition(lam[0], U[0]), "trajectory start P0")
     thetas = np.array([theta], dtype=float)
     for t in range(T + 1):
         if errors:
@@ -240,6 +242,8 @@ class FixedPointResult:
     Carries the fixed point, the filter gain and innovation variance at
     it, the spectrum data of the closed loop A - KC, and the Frobenius
     residual of the algebraic equation the fixed point must satisfy.
+    lambda_P and lambda_V are the spectra of P* and of the validity matrix
+    V at P*, as on `RiccatiStep`, from factorizations already made.
     """
 
     P_star: np.ndarray
@@ -250,6 +254,8 @@ class FixedPointResult:
     closed_loop_eigenvalues: np.ndarray
     closed_loop_spectral_radius: float
     are_residual: float
+    lambda_P: np.ndarray
+    lambda_V: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -262,13 +268,15 @@ class AreReport:
     closed_loop_spectral_radius: float
 
 
-def _are_report(model: StateSpaceModel, theta: float, P: np.ndarray, P_dec):
-    """(K, R_nu, AreReport) at P from its decomposition: one validity gate, one gain."""
-    K, R_nu, V = _gain(model, theta, P_dec.inverse())
+def _are_report(model: StateSpaceModel, theta: float, P: np.ndarray, P_inv: np.ndarray):
+    """(K, R_nu, V's decomposition, AreReport) at P from P^-1: one validity gate, one gain."""
+    V_dec = _validity(model, theta, P_inv)
+    V = V_dec.inverse()
+    K, R_nu = _kalman_form(model, V)
     residual = float(np.linalg.norm(P - _gain_form(model, K, V)))
     eigs = np.linalg.eigvals(model.A - K @ model.C)
     eigs = eigs[np.argsort(-np.abs(eigs))]
-    return K, R_nu, AreReport(
+    return K, R_nu, V_dec, AreReport(
         residual=residual,
         relative_residual=residual / (1.0 + float(np.linalg.norm(P))),
         closed_loop_eigenvalues=eigs,
@@ -280,23 +288,25 @@ def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
     """Frobenius residual of P = (A-KC) V (A-KC)^T + B B^T + K K^T at P."""
     P = symmetrize(P)
     check_finite("theta", theta, nonnegative=True)
-    return _are_report(model, theta, P, require_spd(P, "gain argument P not positive definite"))[2]
+    return _are_report(model, theta, P, _inverse(P, "gain argument P"))[3]
 
 
 def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
                    max_iter: int) -> list:
     """The straight iteration for every theta at once, from one start P0.
 
-    Raises only when P0 (default: identity) fails the gate. Each step runs
-    the map's two stacked gates (`_map_step`) and a third on the whitened
-    P_next^-1/2 P P_next^-1/2, whose log spectrum gives the step distance.
-    A theta stops at its own step once that distance is below tol. Returns,
-    per theta, (iterations, distance, P, decomposition of P) or the error
-    `fixed_point` raises for it; the finish is left to the caller.
+    Raises only when P0 (default: identity) fails the gate or its inverse
+    overflows. Each step runs the map's two stacked gates (`_map_step`) and a
+    third on the whitened P_next^-1/2 P P_next^-1/2, whose log spectrum gives
+    the step distance. A theta stops at its own step once that distance is
+    below tol. Returns, per theta, (iterations, distance, P, decomposition of
+    P) or the error `fixed_point` raises for it; the finish is left to the
+    caller.
     """
     b, n = len(thetas), model.n
     P0 = symmetrize(P0) if P0 is not None else np.eye(n)
     P0_dec = require_spd(P0, "fixed-point start P0 not positive definite")
+    _finite_inverse(P0_dec, "fixed-point start P0")
     out = [None] * b
     live = np.arange(b)  # input index of each running entry
     P = np.broadcast_to(P0, (b, n, n))
@@ -351,9 +361,9 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
 
 def _finish(model: StateSpaceModel, theta: float, it: int, distance: float,
             P: np.ndarray, P_dec) -> FixedPointResult:
-    """Validity gate, gain and ARE report at a converged iterate."""
+    """Validity gate, gain, ARE report and spectra at a converged iterate."""
     try:
-        K, R_nu, report = _are_report(model, theta, P, P_dec)
+        K, R_nu, V_dec, report = _are_report(model, theta, P, P_dec.inverse())
     except ConeExitError as exc:
         raise ConeExitError(
             f"fixed point reached at theta={theta:.6e} but its "
@@ -369,6 +379,8 @@ def _finish(model: StateSpaceModel, theta: float, it: int, distance: float,
         closed_loop_eigenvalues=report.closed_loop_eigenvalues,
         closed_loop_spectral_radius=report.closed_loop_spectral_radius,
         are_residual=report.residual,
+        lambda_P=P_dec.eigenvalues,
+        lambda_V=1.0 / V_dec.eigenvalues[::-1],
     )
 
 

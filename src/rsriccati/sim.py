@@ -42,14 +42,12 @@ def simulate(
     seed: int,
     x0_mean=None,
     P0=None,
-    zero_noise: bool = False,
 ) -> SimulationRun:
     """Simulate x_{t+1} = A x_t + B u_t, y_t = C x_t + v_t for T steps.
 
     x_0 is drawn from N(x0_mean, P0) by coloring a standard normal draw
     with the symmetric square root of P0; u_t and v_t are independent
-    standard normal. `zero_noise` zeroes every draw (test hook for
-    deterministic propagation).
+    standard normal.
     """
     if T < 1:
         raise DomainError(f"horizon T must be >= 1, got {T}")
@@ -65,10 +63,6 @@ def simulate(
     u = gen_u.standard_normal((T, m))
     v = gen_v.standard_normal((T, p))
     z0 = gen_x0.standard_normal(n)
-    if zero_noise:
-        u = np.zeros_like(u)
-        v = np.zeros_like(v)
-        z0 = np.zeros_like(z0)
 
     states = np.empty((T + 1, n))
     states[0] = x0_mean + root @ z0

@@ -16,8 +16,8 @@ Riccati map. The thresholds computed here:
 
 The theta-free block matrices (R, O, O_R, H, L, J and the Grams
 I + H H^T, I + H^T H with their inverses) come from one private builder,
-shared by `build_block_model`, which adds the theta part, and `tau_N`.
-A block matrix of the thresholds that overflows double precision raises
+shared by `build_block_model`, which adds the theta part, `tau_N` and
+`theta_N`. A block matrix that overflows double precision raises
 NumericalError before any positivity gate reads it.
 
 Stacking convention: block vectors put the NEWEST sample on top, and
@@ -270,7 +270,7 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
 
     I + H H^T and I + H^T H are inverted here, so they must be finite (an
     overflow in H shows on their diagonals). The other blocks reach the
-    thresholds' gates only through products that `tau_N` and `theta_N` check.
+    gates only through products that their readers check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         R = reachability_matrix(model, N)
@@ -307,11 +307,8 @@ def theta_N(model: StateSpaceModel, N: int) -> float:
     L (I + H^T H)^{-1} L^T; +inf when that eigenvalue vanishes (no
     feedthrough from the process noise to the penalty output).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = impulse_toeplitz(model, N, "C")
-        psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
-        L = impulse_toeplitz(model, N, "D")
-    return _threshold(_penalty_core(L, psi, N))
+    free = _theta_free(model, N)
+    return _threshold(_penalty_core(free.L, free.psi, N))
 
 
 def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockModel:
@@ -326,26 +323,26 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
     """
     check_finite("theta", theta, nonnegative=True)
     R, O, O_R, H, L, _, psi, phi_inv, psi_inv, J = _theta_free(model, N)
-
-    # Whitened block input covariance; positive definiteness is exactly
-    # the theta < theta_N condition.
     what = f"Q_N^theta not positive definite at theta={theta:.6e} (requires theta < theta_N)"
-    Q = require_spd(psi - theta * (L.T @ L), what).inverse()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Whitened block input covariance; positive definiteness is exactly
+        # the theta < theta_N condition.
+        Q = require_spd(psi - theta * _finite(N, "L^T L", L.T @ L), what).inverse()
 
-    Nq = N * model.q
-    if theta > 0.0:
-        S_inv = _sym(np.linalg.inv(_sym(-np.eye(Nq) / theta + L @ psi_inv @ L.T)))
-    else:
-        S_inv = np.zeros((Nq, Nq))      # limit of S^-1 as theta -> 0
+        Nq = N * model.q
+        if theta > 0.0:
+            S_inv = _sym(np.linalg.inv(_sym(-np.eye(Nq) / theta + L @ psi_inv @ L.T)))
+        else:
+            S_inv = np.zeros((Nq, Nq))      # limit of S^-1 as theta -> 0
 
-    Omega = _sym(O.T @ phi_inv @ O + J.T @ S_inv @ J)
-    W = _sym(R @ Q @ R.T)
+        Omega = _finite(N, "Omega_N(theta)", _sym(O.T @ phi_inv @ O + J.T @ S_inv @ J))
+        W = _finite(N, "W_N(theta)", _sym(R @ Q @ R.T))
 
-    G_risk_free = H.T @ phi_inv
-    G_R = psi_inv @ L.T @ S_inv
-    G = G_risk_free - G_R @ (L @ G_risk_free)
-    A_N = _powers(model.A, N + 1)[N]
-    alpha = A_N - R @ (G @ O + G_R @ O_R)
+        G_risk_free = H.T @ phi_inv
+        G_R = psi_inv @ L.T @ S_inv
+        G = G_risk_free - G_R @ (L @ G_risk_free)
+        A_N = _powers(model.A, N + 1)[N]
+        alpha = _finite(N, "alpha_N(theta)", A_N - R @ (G @ O + G_R @ O_R))
 
     return BlockModel(
         N=N, theta=theta, R=R, O=O, O_R=O_R, H=H, L=L, Q=Q,

@@ -1,6 +1,10 @@
 """The public API as one explicit list, so any change to it shows up as a test diff."""
 
+import ast
+from pathlib import Path
+
 import rsriccati
+from rsriccati import cli
 
 PUBLIC_API = [
     "AdmissibilityReport",
@@ -73,3 +77,18 @@ def test_public_api_is_the_listed_names():
 def test_every_public_name_resolves():
     missing = [name for name in rsriccati.__all__ if not hasattr(rsriccati, name)]
     assert missing == []
+
+
+def test_cli_reads_no_private_library_name():
+    # the CLI reports what the library computes; it does not reach into its modules
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = {"statespace", "riccati", "bounds"}
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    aliases = {a.asname or a.name for node in imports for a in node.names if a.name in modules}
+    assert aliases == {"ssp", "ric", "bnd"}
+    private = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in aliases and node.attr.startswith("_")]
+    private += [a.name for node in imports if (node.module or "").split(".")[-1] in modules
+                for a in node.names if a.name.startswith("_")]
+    assert private == []

@@ -31,6 +31,7 @@ from rsriccati import (
     rs_gain,
     rs_riccati_gain_form,
     rs_riccati_map,
+    run_filter,
     spectral,
     verify_are,
 )
@@ -140,7 +141,13 @@ def test_rs_gain_scalar_validity_matrix():
     assert abs(V[0, 0] - 2.0) < 1e-14
 
 
-@pytest.mark.parametrize("update", [rs_gain, rs_riccati_map])
+@pytest.mark.parametrize("update", [
+    rs_gain, rs_riccati_map, verify_are, fixed_point,
+    pytest.param(lambda m, th, P: fixed_point_sweep(m, [th], P), id="fixed_point_sweep"),
+    pytest.param(lambda m, th, P: iterate_trajectory(m, th, P, 3), id="iterate_trajectory"),
+    pytest.param(lambda m, th, P: run_filter(m, th, P, np.zeros(2), np.zeros((3, 1))),
+                 id="run_filter"),
+])
 def test_overflowing_inverse_is_a_numerical_failure(example_model, update):
     # P passes the relative gate (1e-310 > 1e-12 x 1e-300), but P^-1 is not
     # finite: neither a validity violation nor a cone exit, and no warning
@@ -441,6 +448,8 @@ def assert_same_result(got, want):
     assert np.array_equal(got.closed_loop_eigenvalues, want.closed_loop_eigenvalues)
     assert got.closed_loop_spectral_radius == want.closed_loop_spectral_radius
     assert got.are_residual == want.are_residual
+    assert np.array_equal(got.lambda_P, want.lambda_P)
+    assert np.array_equal(got.lambda_V, want.lambda_V)
 
 
 def assert_same_error(got, want):
@@ -464,6 +473,11 @@ def check_sweep(model, thetas, P0):
     assert len(results) == len(thetas)
     for theta, got in zip(thetas, results):
         assert_same_result(got, fixed_point(model, theta, P0))
+        # the spectra a reader would otherwise compute again, to the bit
+        assert np.array_equal(got.lambda_P, spectral(got.P_star).eigenvalues)
+        record = iterate_trajectory(model, theta, got.P_star, 0)[0]
+        assert np.array_equal(got.lambda_P, record.lambda_P)
+        assert np.array_equal(got.lambda_V, record.lambda_V)
         want = fixed_point_oracle(model, theta, P0)
         assert np.linalg.norm(got.P_star - want) <= 1e-10 * np.linalg.norm(want)
 

@@ -36,26 +36,17 @@ def test_seed_replay_is_bit_identical(example_model):
 
 
 def test_states_satisfy_recursion_exactly(example_model):
-    run = simulate(example_model, 100, seed=7)
-    for t in range(run.T):
-        lhs = run.states[t + 1]
-        rhs = example_model.A @ run.states[t] + example_model.B @ run.process_noise[t]
-        assert np.linalg.norm(lhs - rhs) < 1e-12
-        obs = example_model.C @ run.states[t] + run.measurement_noise[t]
-        assert np.linalg.norm(run.observations[t] - obs) < 1e-12
-
-
-def test_zero_noise_hook_gives_pure_propagation():
-    model = StateSpaceModel(
-        A=np.array([[0.5, 0.1], [0.0, 0.8]]), B=np.zeros((2, 1)),
-        C=np.array([[1.0, 0.0]]), D=np.eye(2),
-    )
-    x0 = np.array([1.0, -2.0])
-    run = simulate(model, 10, seed=1, x0_mean=x0, zero_noise=True)
-    xt = x0.copy()
-    for t in range(1, 11):
-        xt = model.A @ xt
-        assert np.allclose(run.states[t], xt, atol=1e-15)
+    centred = simulate(example_model, 100, seed=7)
+    shifted = simulate(example_model, 100, seed=7, x0_mean=[1.0, -2.0])
+    # the same initial draw, moved by the mean
+    assert np.array_equal(shifted.states[0], np.array([1.0, -2.0]) + centred.states[0])
+    for run in (centred, shifted):
+        for t in range(run.T):
+            lhs = run.states[t + 1]
+            rhs = example_model.A @ run.states[t] + example_model.B @ run.process_noise[t]
+            assert np.linalg.norm(lhs - rhs) < 1e-12
+            obs = example_model.C @ run.states[t] + run.measurement_noise[t]
+            assert np.linalg.norm(run.observations[t] - obs) < 1e-12
 
 
 def test_simulate_rejects_indefinite_p0(example_model):

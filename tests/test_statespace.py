@@ -333,16 +333,28 @@ def test_tau_rejects_unobservable_pair():
 def test_thresholds_report_overflow_as_numerical_failure(N):
     # (C, A) is observable, but A = 1e200 I overflows double precision: at
     # N = 2 in Omega_N(0) = O^T (I + H H^T)^-1 O, at N = 3 already in the
-    # Grams of H, which holds C A B. A numerical failure, never "not observable".
+    # Grams of H, which holds C A B. A numerical failure, never "not observable",
+    # and never a block model with non-finite Gramians.
     model = StateSpaceModel(A=1e200 * np.eye(2), B=np.eye(2),
                             C=np.array([[1.0, 1.0]]), D=np.eye(2))
     with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
         tau_N(model, N)
+    with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
+        build_block_model(model, N, 0.0)
     if N == 2:  # L and I + H^T H stay finite, so theta_N has its exact value
         assert theta_N(model, N) == 1.0
     else:
         with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
             theta_N(model, N)
+
+
+def test_block_model_reports_penalty_overflow_as_numerical_failure():
+    # C sees only the stable mode, so H and its Grams stay finite, but the
+    # penalty map L holds D A^2 B = 1e400: the Q gate must not read it
+    model = StateSpaceModel(A=np.diag([1e200, 0.5]), B=np.eye(2),
+                            C=np.array([[0.0, 1.0]]), D=np.eye(2))
+    with pytest.raises(NumericalError, match=r"L\^T L is not finite at block length N=3"):
+        build_block_model(model, 3, 0.0)
 
 
 def test_tau_reports_theta_N_from_the_same_core(example_model):
