@@ -18,15 +18,12 @@ from .bounds import (
     AdmissibilityReport,
     ObserverBound,
     best_rho_for_gain,
-    beta_rho,
     bound_search,
     check_initial_condition,
     default_gain_grid,
     default_rho_grid,
-    lyapunov_sigma,
     observer_bound,
     place_observer_gain,
-    spectral_radius,
 )
 from .cone import (
     SpectralDecomposition,
@@ -35,7 +32,6 @@ from .cone import (
     loewner_leq,
     riemann_distance,
     spd_inv,
-    spd_log,
     spd_sqrt,
     spectral,
     symmetrize,
@@ -60,7 +56,6 @@ from .riccati import (
     initial_variance,
     iterate_trajectory,
     rs_gain,
-    rs_riccati_gain_form,
     rs_riccati_map,
     verify_are,
 )
@@ -101,7 +96,6 @@ __all__ = [
     "Thresholds",
     "UsageError",
     "best_rho_for_gain",
-    "beta_rho",
     "block_riccati_map",
     "bound_search",
     "breakdown_search",
@@ -120,23 +114,19 @@ __all__ = [
     "iterate_trajectory",
     "load_model",
     "loewner_leq",
-    "lyapunov_sigma",
     "observability_matrix",
     "observer_bound",
     "place_observer_gain",
     "reachability_matrix",
     "riemann_distance",
     "rs_gain",
-    "rs_riccati_gain_form",
     "rs_riccati_map",
     "run_filter",
     "run_observer",
     "simulate",
     "spd_inv",
-    "spd_log",
     "spd_sqrt",
     "spectral",
-    "spectral_radius",
     "symmetrize",
     "tau_N",
     "theta_N",

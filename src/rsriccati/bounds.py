@@ -15,6 +15,10 @@ theta <= beta_rho keeps the whole trajectory below Sigma_rho and the
 validity matrix positive definite. The pair (G, rho) is free; a grid pass
 and a pattern-search polish maximize beta_rho over it, since moving all
 observer poles to zero is a good first guess but not always the maximizer.
+
+Every Sigma_rho and beta_rho comes from one stacked kernel, `_beta_batch`:
+`observer_bound` runs it for one pair, `best_rho_for_gain` over a rho grid
+and `bound_search` over (G, rho) grids.
 """
 
 from __future__ import annotations
@@ -35,18 +39,6 @@ REFINE_STEP_TOL = 1e-6
 REFINE_MAX_ROUNDS = 2000
 # Entries of the Kronecker stacks one grid chunk may build (n^4 per candidate).
 _STACK_ENTRIES = 1 << 17
-
-
-def spectral_radius(F) -> float:
-    """Largest eigenvalue modulus of a (not necessarily symmetric) matrix."""
-    F = np.asarray(F, dtype=float)
-    try:
-        eigs = np.linalg.eigvals(F)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed on a {F.shape[0]}x{F.shape[0]} matrix"
-        ) from exc
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 
 def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
@@ -138,40 +130,6 @@ def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
     return beta, Sigma, radius, residual
 
 
-def _bound_one(model: StateSpaceModel, G, rho: float):
-    """The stacked kernel at batch size one: (G, radius, Sigma_rho, beta_rho) or an error."""
-    check_finite("rho", rho)
-    G = np.asarray(G, dtype=float).reshape(model.n, model.p)
-    beta, Sigma, (r,), residual = _beta_batch(model, G[None], np.array([[rho]], dtype=float))
-    if rho * r >= 1.0:
-        raise DomainError(
-            f"rho * spectral_radius(A - GC) = {rho * r:.6f} >= 1; "
-            f"the Lyapunov bound requires rho < 1/r = {1.0 / r if r > 0 else np.inf:.6f}"
-        )
-    if np.isnan(residual[0, 0]):
-        raise NumericalError(f"singular Lyapunov system at rho={rho}, spectral radius {r:.6f}")
-    if np.isnan(Sigma[0, 0, 0, 0]):
-        raise NumericalError(f"Lyapunov residual {residual[0, 0]:.3e} exceeds tolerance "
-                             f"at rho={rho}")
-    return G, r, Sigma[0, 0], float(beta[0, 0])
-
-
-def lyapunov_sigma(model: StateSpaceModel, G, rho: float) -> np.ndarray:
-    """Unique solution of Sigma = rho^2 F Sigma F^T + B B^T + G G^T, F = A - GC.
-
-    Solved exactly as the dense n^2 x n^2 Kronecker system (the dimensions
-    here never justify anything iterative), and held to a residual of
-    1e-10 max(1, ||Sigma||). Positive definiteness of the solution follows
-    from reachability of (A, B).
-    """
-    return _bound_one(model, G, rho)[2]
-
-
-def beta_rho(model: StateSpaceModel, G, rho: float) -> float:
-    """Risk bound (rho^2 - 1)/(rho^2 lam_1(D Sigma_rho D^T)); positive for rho > 1."""
-    return observer_bound(model, G, rho).beta_rho
-
-
 @dataclass(frozen=True)
 class ObserverBound:
     """A (G, rho) pair with its Lyapunov solution and risk bound."""
@@ -184,11 +142,32 @@ class ObserverBound:
 
 
 def observer_bound(model: StateSpaceModel, G, rho: float) -> ObserverBound:
-    """Assemble the full bound record for one candidate pair."""
+    """Sigma_rho and beta_rho for one pair (G, rho): the stacked kernel at batch size one.
+
+    Sigma_rho is the unique solution of Sigma = rho^2 F Sigma F^T + BB^T + GG^T,
+    F = A - GC, solved as the dense n^2 x n^2 Kronecker system and held to a
+    residual of 1e-10 max(1, ||Sigma||); reachability of (A, B) makes it
+    positive definite. Raises DomainError unless rho is finite, rho > 1 and
+    rho * spectral_radius(F) < 1, and NumericalError when the system is
+    singular or the solution misses its residual contract.
+    """
+    check_finite("rho", rho)
     if rho <= 1.0:
         raise DomainError(f"the risk bound needs rho > 1, got rho={rho}")
-    G, r, Sigma, beta = _bound_one(model, G, rho)
-    return ObserverBound(G=G, rho=rho, spectral_radius_F=r, Sigma_rho=Sigma, beta_rho=beta)
+    G = np.asarray(G, dtype=float).reshape(model.n, model.p)
+    beta, Sigma, (r,), residual = _beta_batch(model, G[None], np.array([[rho]], dtype=float))
+    if rho * r >= 1.0:
+        raise DomainError(
+            f"rho * spectral_radius(A - GC) = {rho * r:.6f} >= 1; "
+            f"the Lyapunov bound requires rho < 1/r = {1.0 / r if r > 0 else np.inf:.6f}"
+        )
+    if np.isnan(residual[0, 0]):
+        raise NumericalError(f"singular Lyapunov system at rho={rho}, spectral radius {r:.6f}")
+    if np.isnan(Sigma[0, 0, 0, 0]):
+        raise NumericalError(f"Lyapunov residual {residual[0, 0]:.3e} exceeds tolerance "
+                             f"at rho={rho}")
+    return ObserverBound(G=G, rho=rho, spectral_radius_F=r, Sigma_rho=Sigma[0, 0],
+                         beta_rho=float(beta[0, 0]))
 
 
 def _grid(name: str, values) -> np.ndarray:
@@ -226,14 +205,14 @@ def best_rho_for_gain(
     """Maximize beta_rho over rho for a fixed gain (one stacked scan of the rho grid).
 
     The first maximizer in grid order wins; a feasible rho whose solve
-    fails raises its error, as beta_rho would.
+    fails raises its error, as observer_bound would.
     """
     rhos = _grid("rho grid", rho_grid if rho_grid is not None else default_rho_grid())
     G = np.asarray(G, dtype=float).reshape(model.n, model.p)
     (beta,), (Sigma,), (r,), _ = _beta_batch(model, G[None], rhos[None])
     failed = (rhos > 1.0) & (rhos * r < 1.0) & np.isnan(beta)
     if failed.any():
-        _bound_one(model, G, rhos[np.argmax(failed)])
+        observer_bound(model, G, rhos[np.argmax(failed)])
     if np.all(np.isnan(beta)):
         raise DomainError(
             f"no rho in the grid satisfies 1 < rho < 1/spectral_radius = "

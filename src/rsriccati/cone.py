@@ -1,7 +1,7 @@
 """Geometry of the cone of symmetric positive definite matrices.
 
 Everything here runs through a single eigendecomposition backend:
-matrix square roots, logarithms, the affine-invariant (Riemann) and
+matrix square roots and inverses, the affine-invariant (Riemann) and
 Thompson distances, the Loewner partial order, and the contraction
 coefficient bound for Riccati-type maps P -> M [P^-1 + Omega]^-1 M^T + W.
 Dimensions are small (n up to a few tens), so there is no reason to use
@@ -138,22 +138,14 @@ def spd_sqrt(P) -> np.ndarray:
     return (U * np.sqrt(lam)) @ U.T
 
 
-def spd_log(P) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix (symmetric, not necessarily definite)."""
-    lam, U = require_spd(P, "spd_log input must be positive definite")
-    return (U * np.log(lam)) @ U.T
-
-
 def spd_inv(P) -> np.ndarray:
     """Inverse of an SPD matrix through its eigendecomposition."""
     return require_spd(P, "spd_inv input must be positive definite").inverse()
 
 
 def relative_log_spectrum(P, Q) -> np.ndarray:
-    """log of the eigenvalues of P^-1 Q via P^-1/2 Q P^-1/2; P may be its decomposition."""
-    if not isinstance(P, SpectralDecomposition):
-        P = require_spd(P, "distance argument P must be positive definite")
-    lam_p, U = P
+    """log of the eigenvalues of P^-1 Q via P^-1/2 Q P^-1/2."""
+    lam_p, U = require_spd(P, "distance argument P must be positive definite")
     Q = symmetrize(Q)
     if Q.shape != U.shape:
         raise UsageError(f"dimension mismatch: {U.shape[0]} vs {Q.shape[0]}")

@@ -4,16 +4,16 @@ The one-step error-variance update of the risk-sensitive filter is
 
     P  ->  A [P^-1 + C^T C - theta D^T D]^-1 A^T + B B^T,
 
-which reduces to the Kalman update at theta = 0. An equivalent gain
-form is provided for cross-checking. The filter itself only
-exists while the validity matrix V = (P^-1 - theta D^T D)^-1 stays
-positive definite; `iterate_trajectory` reports per-step validity
-in-band, while `fixed_point` demands it of the converged point (losing
-it there is the breakdown event the search in `breakdown_search`
-brackets). Fixed points are found by straight iteration of the map
-(the convergence theory is a contraction argument for exactly this
-iteration, measured in the affine-invariant metric, so the iteration
-count carries meaning and no subspace ARE solver is used).
+which reduces to the Kalman update at theta = 0. Its equivalent gain
+form gives the algebraic residual that `verify_are` and `fixed_point`
+report. The filter itself only exists while the validity matrix
+V = (P^-1 - theta D^T D)^-1 stays positive definite; `iterate_trajectory`
+reports per-step validity in-band, while `fixed_point` demands it of the
+converged point (losing it there is the breakdown event the search in
+`breakdown_search` brackets). Fixed points are found by straight
+iteration of the map (the convergence theory is a contraction argument
+for exactly this iteration, measured in the affine-invariant metric, so
+the iteration count carries meaning and no subspace ARE solver is used).
 
 `fixed_point_sweep` runs that iteration for a list of theta as one
 stacked kernel, and `fixed_point` is the kernel at batch size one. Each
@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import lyapunov_sigma, place_observer_gain
+from .bounds import observer_bound, place_observer_gain
 from .cone import SpectralDecomposition, _require_spd_stack, _sym, require_spd, symmetrize
 from .errors import (
     ConeExitError,
@@ -135,13 +135,8 @@ def rs_gain(
     return (*_kalman_form(model, V), V)
 
 
-def rs_riccati_gain_form(model: StateSpaceModel, theta: float, P) -> np.ndarray:
-    """Gain form (A-KC) V (A-KC)^T + B B^T + K K^T of the risk-sensitive update."""
-    K, _, V = rs_gain(model, theta, P)
-    return _gain_form(model, K, V)
-
-
 def _gain_form(model: StateSpaceModel, K: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Gain form (A-KC) V (A-KC)^T + B B^T + K K^T of the risk-sensitive update."""
     F = model.A - K @ model.C
     return _sym(F @ V @ F.T + model.B @ model.B.T + K @ K.T)
 
@@ -463,7 +458,7 @@ def initial_variance(model: StateSpaceModel, policy: str) -> np.ndarray:
         return scale * np.eye(model.n)
     if policy == "sigma-bound":
         G = place_observer_gain(model, [0.0] * model.n)
-        return lyapunov_sigma(model, G, 2.0)
+        return observer_bound(model, G, 2.0).Sigma_rho
     raise DomainError(
         f"unknown initial-variance policy {policy!r}; "
         f"expected 'identity-scaled' or 'sigma-bound'"

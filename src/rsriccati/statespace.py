@@ -354,10 +354,9 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
 class Thresholds:
     """A-priori risk-parameter thresholds at block length N.
 
-    tau_N <= theta_N always. The closed form is capped at theta_N, or at
-    the heuristic 1e3 / lam_1(Omega_N(0)) when theta_N is infinite;
-    tau_is_capped records that it reached the cap, so tau_N reports the
-    cap rather than a singularity.
+    tau_N <= theta_N always; tau_is_capped records that tau_N reached
+    theta_N, so tau_N reports theta_N rather than a singularity of Omega_N.
+    tau_N is infinite only when no risk parameter makes Omega_N singular.
     """
 
     N: int
@@ -373,16 +372,19 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     with M = L (I + H^T H)^{-1} L^T, so by a Schur complement it is
     positive definite exactly when 1/theta > lam_1(M + J Omega_N(0)^{-1} J^T).
     tau_N is the reciprocal of that eigenvalue (+inf when it vanishes),
-    capped as described on Thresholds; it never exceeds theta_N because
-    J Omega_N(0)^{-1} J^T is positive semidefinite.
+    taken no larger than theta_N, which it can pass only by roundoff since
+    J Omega_N(0)^{-1} J^T is positive semidefinite. M and J Omega_N(0)^{-1} J^T
+    do not change under a change of state coordinates x -> T x, so neither
+    does tau_N. Omega_N(0) must pass the positivity gate: the pair (C, A)
+    must be observable.
     """
     free = _theta_free(model, N)
     M = _penalty_core(free.L, free.psi, N)
     th_N = _threshold(M)
     with np.errstate(over="ignore", invalid="ignore"):
         omega0 = _finite(N, "Omega_N(0)", _sym(free.O.T @ free.phi_inv @ free.O))
-    what = f"pair (C, A) not observable at block length N={N}: Omega_N(0) is singular"
-    omega0 = require_spd(omega0, what)
+    require_spd(omega0, f"pair (C, A) not observable at block length N={N}: "
+                        f"Omega_N(0) is singular")
     # Y Y^T = J Omega_N(0)^{-1} J^T with Y = J R^{-1}, where Z = QR and
     # Omega_N(0) = Z^T Z for Z = phi^{-1/2} O, phi = I + H H^T. Working on Z
     # loses eps * sqrt(cond(Omega_N(0))), not eps * cond(Omega_N(0)).
@@ -392,5 +394,4 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
         # passed on unnamed, so spectral can free it once symmetrized
         lam_1 = spectral(_finite(N, "M + J Omega_N(0)^-1 J^T", M + Y @ Y.T)).eigenvalues[0]
     tau = 1.0 / lam_1 if lam_1 > 0.0 else math.inf
-    cap = th_N if math.isfinite(th_N) else 1e3 / omega0.eigenvalues[0]
-    return Thresholds(N=N, theta_N=th_N, tau_N=min(tau, cap), tau_is_capped=bool(tau >= cap))
+    return Thresholds(N=N, theta_N=th_N, tau_N=min(tau, th_N), tau_is_capped=bool(tau >= th_N))

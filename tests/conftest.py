@@ -1,6 +1,6 @@
 import pytest
 
-from rsriccati import beta_rho, load_model, lyapunov_sigma, place_observer_gain
+from rsriccati import load_model, observer_bound, place_observer_gain
 
 # The two-state worked example: unstable A, weakly observable single
 # output, B = D = I.
@@ -16,6 +16,5 @@ def example_model():
 def example_bound(example_model):
     """Zero-pole observer gain, its Lyapunov bound at rho=2, and beta_2."""
     G = place_observer_gain(example_model, [0.0, 0.0])
-    Sigma2 = lyapunov_sigma(example_model, G, 2.0)
-    beta2 = beta_rho(example_model, G, 2.0)
-    return G, Sigma2, beta2
+    bound = observer_bound(example_model, G, 2.0)
+    return G, bound.Sigma_rho, bound.beta_rho

@@ -13,7 +13,7 @@ from rsriccati import (
     spectral,
 )
 from rsriccati.cone import _require_spd_stack, require_spd, symmetrize
-from rsriccati.riccati import _kalman_form, _map_step, _validity
+from rsriccati.riccati import _gain_form, _kalman_form, _map_step, _validity
 
 # From P0 = I at theta = 1 - 1e-6, V^-1 = P0^-1 - theta I = 1e-6 I passes the
 # gate, but the map's inner matrix diag(1e14, 1e-6) fails it: P_1 is never formed.
@@ -53,6 +53,30 @@ def safe_theta(model, P, fraction=0.25):
     lam_min_Pinv = 1.0 / np.max(np.linalg.eigvalsh(P))
     lam_max_DtD = np.max(np.linalg.eigvalsh(model.D.T @ model.D))
     return fraction * lam_min_Pinv / lam_max_DtD
+
+
+def spectral_radius(F):
+    """Largest eigenvalue modulus of a (not necessarily symmetric) matrix."""
+    return float(np.max(np.abs(np.linalg.eigvals(F))))
+
+
+def spd_log(P):
+    """Matrix logarithm of an SPD matrix (symmetric, not necessarily definite)."""
+    lam, U = require_spd(P, "spd_log input must be positive definite")
+    return (U * np.log(lam)) @ U.T
+
+
+def series_sigma(F, Q, rho):
+    """sum_k rho^2k F^k Q F^kT, summed until a term is below 1e-16 of the total.
+
+    The Lyapunov solution Sigma = rho^2 F Sigma F^T + Q whenever rho F is
+    stable, and exact when F is nilpotent.
+    """
+    term, total = Q.copy(), Q.copy()
+    while np.linalg.norm(term) > 1e-16 * np.linalg.norm(total):
+        term = rho**2 * (F @ term @ F.T)
+        total += term
+    return total
 
 
 def fixed_point_oracle(model, theta, P0, tol=1e-12, max_iter=100_000):
@@ -105,6 +129,12 @@ def ldu_factors(block):
     diag = np.block([[phi, np.zeros((Np, Nq))], [np.zeros((Nq, Np)), S]])
     upper = np.block([[np.eye(Np), X.T], [np.zeros((Nq, Np)), np.eye(Nq)]])
     return lower, diag, upper
+
+
+def rs_riccati_gain_form(model, theta, P):
+    """Gain form (A-KC) V (A-KC)^T + B B^T + K K^T of the risk-sensitive update."""
+    K, _, V = rs_gain(model, theta, P)
+    return _gain_form(model, K, V)
 
 
 def rs_riccati_observer_form(model, theta, P, G):

@@ -12,7 +12,14 @@ expected to fail; their docstrings carry the arithmetic:
 import time
 
 import numpy as np
-from helpers import random_model, random_spd, rs_riccati_observer_form, safe_theta
+from helpers import (
+    random_model,
+    random_spd,
+    rs_riccati_gain_form,
+    rs_riccati_observer_form,
+    safe_theta,
+    spectral_radius,
+)
 
 from rsriccati import (
     block_riccati_map,
@@ -24,13 +31,11 @@ from rsriccati import (
     impulse_toeplitz,
     iterate_trajectory,
     loewner_leq,
-    lyapunov_sigma,
+    observer_bound,
     riemann_distance,
     rs_gain,
-    rs_riccati_gain_form,
     rs_riccati_map,
     spectral,
-    spectral_radius,
     tau_N,
     theta_N,
 )
@@ -350,7 +355,7 @@ def test_criterion_09g_lyapunov_direct_vs_series():
         if rho * spectral_radius(F) >= 0.9:
             continue
         cases += 1
-        Sigma = lyapunov_sigma(model, G, rho)
+        Sigma = observer_bound(model, G, rho).Sigma_rho
         term = model.B @ model.B.T + G @ G.T
         total = term.copy()
         while np.linalg.norm(term) > 1e-15 * np.linalg.norm(total):

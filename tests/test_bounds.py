@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_model, random_spd
+from helpers import random_model, random_spd, series_sigma, spectral_radius
 
 from rsriccati import (
     DomainError,
@@ -8,7 +8,6 @@ from rsriccati import (
     StateSpaceModel,
     UsageError,
     best_rho_for_gain,
-    beta_rho,
     bound_search,
     check_initial_condition,
     default_gain_grid,
@@ -16,11 +15,9 @@ from rsriccati import (
     iterate_trajectory,
     load_model,
     loewner_leq,
-    lyapunov_sigma,
     observer_bound,
     place_observer_gain,
     spectral,
-    spectral_radius,
 )
 from rsriccati.bounds import REFINE_MAX_ROUNDS, _beta_batch
 
@@ -100,7 +97,7 @@ def test_lyapunov_sigma_zero_closed_loop():
     # gain A/C makes the closed loop vanish, so the series truncates
     model = load_model('{"A": [[1]], "B": [[2]], "C": [[1]]}')
     G = np.array([[1.0]])
-    Sigma = lyapunov_sigma(model, G, 5.0)
+    Sigma = observer_bound(model, G, 5.0).Sigma_rho
     assert abs(Sigma[0, 0] - 5.0) < 1e-12  # B^2 + G^2
 
 
@@ -113,7 +110,7 @@ def test_lyapunov_sigma_matches_series_oracle():
         F = model.A - G @ model.C
         if rho * spectral_radius(F) >= 0.95:
             continue
-        Sigma = lyapunov_sigma(model, G, rho)
+        Sigma = observer_bound(model, G, rho).Sigma_rho
         term = model.B @ model.B.T + G @ G.T
         total = term.copy()
         while np.linalg.norm(term) > 1e-14 * np.linalg.norm(total):
@@ -131,7 +128,7 @@ def test_lyapunov_sigma_residual_and_spd():
         F = model.A - G @ model.C
         if rho * spectral_radius(F) >= 1.0:
             continue
-        Sigma = lyapunov_sigma(model, G, rho)
+        Sigma = observer_bound(model, G, rho).Sigma_rho
         residual = np.linalg.norm(
             Sigma - rho**2 * (F @ Sigma @ F.T) - model.B @ model.B.T - G @ G.T
         )
@@ -143,7 +140,7 @@ def test_lyapunov_sigma_rejects_expansive_rho(example_model, example_bound):
     G, _, _ = example_bound
     model = load_model('{"A": [[0.9]], "B": [[1]], "C": [[1]]}')
     with pytest.raises(DomainError, match="rho"):
-        lyapunov_sigma(model, np.array([[0.0]]), 1.2)  # 1.2 * 0.9 > 1
+        observer_bound(model, np.array([[0.0]]), 1.2)  # 1.2 * 0.9 > 1
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +155,14 @@ def test_beta_example_value(example_model, example_bound):
 def test_beta_rejects_rho_below_one(example_model, example_bound):
     G, _, _ = example_bound
     with pytest.raises(DomainError):
-        beta_rho(example_model, G, 1.0)
+        observer_bound(example_model, G, 1.0)
 
 
 @pytest.mark.parametrize("rho", [np.nan, np.inf])
 def test_rho_domain_at_entry(example_model, example_bound, rho):
     G, _, _ = example_bound
     with pytest.raises(DomainError, match="rho must be finite"):
-        beta_rho(example_model, G, rho)
-    with pytest.raises(DomainError, match="rho must be finite"):
-        lyapunov_sigma(example_model, G, rho)
+        observer_bound(example_model, G, rho)
 
 
 def test_beta_scalar_large_rho_limit():
@@ -175,7 +170,7 @@ def test_beta_scalar_large_rho_limit():
     # bound tends to its reciprocal as rho grows
     model = load_model('{"A": [[0.9]], "B": [[1]], "C": [[1]], "D": [[1]]}')
     G = np.array([[0.9]])
-    beta = beta_rho(model, G, 1e3)
+    beta = observer_bound(model, G, 1e3).beta_rho
     assert abs(beta - 1.0 / (0.9**2 + 1.0)) < 5e-3 * beta
 
 
@@ -256,7 +251,7 @@ def test_bound_search_polish_beats_grid_and_coordinate_descent(example_model):
     best = bound_search(example_model)
     assert best.beta_rho >= grid_best.beta_rho
     assert best.beta_rho >= COORDINATE_DESCENT_BETA * (1.0 - 1e-9)
-    assert best.beta_rho == beta_rho(example_model, best.G, best.rho)
+    assert best.beta_rho == observer_bound(example_model, best.G, best.rho).beta_rho
 
 
 def test_bound_search_refine_terminates_on_singleton_grid(example_model, example_bound):
@@ -328,14 +323,6 @@ def test_grid_helpers_reject_bad_specs(example_model, example_bound):
 # stacked kernel
 
 
-def _series_sigma(F, Q, rho):
-    term, total = Q.copy(), Q.copy()
-    while np.linalg.norm(term) > 1e-16 * np.linalg.norm(total):
-        term = rho**2 * (F @ term @ F.T)
-        total += term
-    return total
-
-
 def _random_batch(rng):
     """Models with n in 2..3 and p in 1..2; rho feasible, radius-infeasible or <= 1."""
     n, p = rng.integers(2, 4), rng.integers(1, 3)
@@ -364,13 +351,14 @@ def test_beta_batch_matches_series_oracle_and_scalar_path():
                 continue
             feasible += 1
             F = model.A - G[i] @ model.C
-            ref = _series_sigma(F, model.B @ model.B.T + G[i] @ G[i].T, rho[i, j])
+            ref = series_sigma(F, model.B @ model.B.T + G[i] @ G[i].T, rho[i, j])
             assert np.linalg.norm(Sigma[i, j] - ref) <= 1e-9 * np.linalg.norm(ref)
             lam_1 = np.linalg.eigvalsh(model.D @ ref @ model.D.T)[-1]
             ref_beta = (rho[i, j] ** 2 - 1.0) / (rho[i, j] ** 2 * lam_1)
             assert abs(beta[i, j] - ref_beta) <= 1e-9 * ref_beta
-            assert beta_rho(model, G[i], rho[i, j]) == beta[i, j]
-            assert np.array_equal(lyapunov_sigma(model, G[i], rho[i, j]), Sigma[i, j])
+            one = observer_bound(model, G[i], rho[i, j])
+            assert one.beta_rho == beta[i, j]
+            assert np.array_equal(one.Sigma_rho, Sigma[i, j])
     assert feasible > 200 and infeasible > 200
 
 
@@ -397,10 +385,10 @@ def test_singular_candidate_does_not_fail_its_batch():
     G = np.zeros((1, 1, 1))
     beta, Sigma, _, _ = _beta_batch(model, G, np.array([[1.5, rho, 1.2]]))
     assert np.isnan(beta[0, 1]) and np.isnan(Sigma[0, 1]).all()
-    assert beta[0, 0] == beta_rho(model, G[0], 1.5)
-    assert beta[0, 2] == beta_rho(model, G[0], 1.2)
+    assert beta[0, 0] == observer_bound(model, G[0], 1.5).beta_rho
+    assert beta[0, 2] == observer_bound(model, G[0], 1.2).beta_rho
     with pytest.raises(NumericalError, match="singular"):
-        lyapunov_sigma(model, G[0], rho)
+        observer_bound(model, G[0], rho)
 
 
 def test_lyapunov_sigma_meets_contract_on_high_gain_loop():
@@ -417,7 +405,7 @@ def test_lyapunov_sigma_meets_contract_on_high_gain_loop():
     )
     G = place_observer_gain(model, [0.0, 0.0])
     assert np.allclose(G.ravel(), [-4177.26, 3776.48], rtol=1e-5)
-    Sigma = lyapunov_sigma(model, G, 1.05)
+    Sigma = observer_bound(model, G, 1.05).Sigma_rho
     F = model.A - G @ model.C
     residual = np.linalg.norm(
         Sigma - 1.05**2 * (F @ Sigma @ F.T) - model.B @ model.B.T - G @ G.T

@@ -90,17 +90,18 @@ def test_analyze_contraction_report_switches_at_tau(capsys, model_file, example_
 
 
 def test_analyze_reports_no_coefficient_beyond_capped_tau(capsys, tmp_path):
-    # at N = 1 theta_N is infinite and Omega_1(theta) = (1e4 - theta) I
-    # stays positive definite far past the heuristic cap 1e3 / 1e4; the
-    # report follows theta < tau_N, not Omega's sign
-    path = tmp_path / "capped.json"
+    # at N = 1 theta_N is infinite and Omega_1(theta) = (1e4 - theta) I, so
+    # tau_1 = 1e4 in closed form: the coefficient is reported below it only
+    path = tmp_path / "strong_output.json"
     path.write_text('{"A": [[0.5,0],[0,0.3]], "B": [[1,0],[0,1]], "C": [[100,0],[0,100]]}')
-    _, out, _ = run_cli(capsys, "analyze", str(path), "--block-n", "1", "--json",
-                        "--theta", "0.2")
-    payload = json.loads(out)
-    assert payload["tau_is_capped"] is True
-    assert payload["conditions"]["theta_below_tau_N"] is False
-    assert payload["contraction_coefficient"] is None
+    for theta, below in (("0.2", True), ("2e4", False)):
+        _, out, _ = run_cli(capsys, "analyze", str(path), "--block-n", "1", "--json",
+                            "--theta", theta)
+        payload = json.loads(out)
+        assert abs(payload["tau_N"] - 1e4) <= 1e-12 * 1e4
+        assert payload["tau_is_capped"] is False
+        assert payload["conditions"]["theta_below_tau_N"] is below
+        assert (payload["contraction_coefficient"] is not None) is below
 
 
 def test_analyze_multi_output_model_without_bound(capsys, tmp_path):

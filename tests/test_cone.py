@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_nnd, random_spd, translation_coefficient
+from helpers import random_nnd, random_spd, spd_log, translation_coefficient
 
 from rsriccati import (
     ConeExitError,
@@ -12,7 +12,6 @@ from rsriccati import (
     loewner_leq,
     riemann_distance,
     spd_inv,
-    spd_log,
     spd_sqrt,
     spectral,
     symmetrize,

@@ -7,6 +7,7 @@ from helpers import (
     kalman_gain_oracle,
     random_model,
     random_spd,
+    rs_riccati_gain_form,
     rs_riccati_observer_form,
     safe_theta,
 )
@@ -29,7 +30,6 @@ from rsriccati import (
     loewner_leq,
     riemann_distance,
     rs_gain,
-    rs_riccati_gain_form,
     rs_riccati_map,
     run_filter,
     spectral,

@@ -7,6 +7,7 @@ from helpers import (
     random_model,
     reference_filter,
     safe_theta,
+    series_sigma,
 )
 
 from rsriccati import (
@@ -16,7 +17,6 @@ from rsriccati import (
     impulse_toeplitz,
     iterate_trajectory,
     load_model,
-    lyapunov_sigma,
     observability_matrix,
     place_observer_gain,
     run_filter,
@@ -273,7 +273,8 @@ def test_observer_error_variance_bounded_by_lyapunov(example_model):
     # sampled over an ensemble of short runs (the nilpotent closed loop
     # makes it stationary after two steps) instead of one long run.
     G = place_observer_gain(example_model, [0.0, 0.0])
-    Sigma1 = lyapunov_sigma(example_model, G, 1.0)
+    F = example_model.A - G @ example_model.C
+    Sigma1 = series_sigma(F, example_model.B @ example_model.B.T + G @ G.T, 1.0)
     errors = []
     for seed in range(3000):
         run = simulate(example_model, 8, seed=seed,

@@ -308,17 +308,32 @@ def test_tau_example_value(example_model):
     assert 0.0 < thr.tau_N <= thr.theta_N
 
 
-def test_tau_capped_when_gramian_stays_positive():
-    # no penalty feedthrough (theta_N infinite) and a strong output, so
-    # the Gramian is still positive definite at the heuristic bracket cap
-    model = StateSpaceModel(
-        A=np.diag([0.5, 0.3]), B=np.array([[0.0], [1.0]]),
-        C=100.0 * np.eye(2), D=np.array([[1.0, 0.0]]),
+def _strong_output_model(c=1.0):
+    """No penalty feedthrough (theta_N infinite) and a strong output, in states c x."""
+    return StateSpaceModel(
+        A=np.diag([0.5, 0.3]), B=c * np.array([[0.0], [1.0]]),
+        C=100.0 / c * np.eye(2), D=np.array([[1.0, 0.0]]) / c,
     )
+
+
+def test_tau_capped_when_gramian_stays_positive():
+    # with theta_N infinite, tau_N is the closed form itself: 1e4, where
+    # Omega_2(theta) changes sign
+    model = _strong_output_model()
     thr = tau_N(model, 2)
     assert math.isinf(thr.theta_N)
-    assert thr.tau_is_capped
-    assert thr.tau_N > 0.0
+    assert abs(thr.tau_N - 1e4) <= 1e-12 * 1e4
+    assert not thr.tau_is_capped
+    below = build_block_model(model, 2, thr.tau_N * (1.0 - 1e-6)).Omega
+    above = build_block_model(model, 2, thr.tau_N * (1.0 + 1e-6)).Omega
+    assert np.linalg.eigvalsh(below)[0] > 0.0
+    assert np.linalg.eigvalsh(above)[0] < 0.0
+
+
+def test_tau_is_scale_invariant_when_theta_N_is_infinite():
+    # x -> c x leaves tau_N unchanged; no bound may depend on the state scale
+    taus = [tau_N(_strong_output_model(c), 2).tau_N for c in (1e-3, 1.0, 1e3)]
+    assert all(abs(t - taus[1]) <= 1e-12 * taus[1] for t in taus)
 
 
 def test_tau_rejects_unobservable_pair():
