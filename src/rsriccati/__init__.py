@@ -53,7 +53,6 @@ from .riccati import (
     breakdown_search,
     fixed_point,
     fixed_point_sweep,
-    initial_variance,
     iterate_trajectory,
     rs_gain,
     rs_riccati_map,
@@ -107,7 +106,6 @@ __all__ = [
     "fixed_point",
     "fixed_point_sweep",
     "impulse_toeplitz",
-    "initial_variance",
     "is_observable",
     "is_reachable",
     "is_spd",

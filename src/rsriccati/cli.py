@@ -46,6 +46,9 @@ EXAMPLE_MODEL = {
 # Points in each of the worked example's two theta sweeps.
 SWEEP_POINTS = 200
 
+P0_HELP = ("initial variance: 'identity' (trace(B B^T)/n times I), 'sigma' (the Lyapunov "
+           "bound Sigma_2 of the zero-pole gain) or a JSON matrix file; default %(default)s")
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -82,9 +85,10 @@ def _load_model_file(path: str) -> ssp.StateSpaceModel:
 
 def _initial_variance_arg(model: ssp.StateSpaceModel, spec: str) -> np.ndarray:
     if spec == "identity":
-        return ric.initial_variance(model, "identity-scaled")
+        return float(np.trace(model.B @ model.B.T)) / model.n * np.eye(model.n)
     if spec == "sigma":
-        return ric.initial_variance(model, "sigma-bound")
+        G = bnd.place_observer_gain(model, [0.0] * model.n)
+        return bnd.observer_bound(model, G, 2.0).Sigma_rho
     try:
         doc = json.loads(Path(spec).read_text())
     except OSError as exc:
@@ -273,12 +277,12 @@ def _cmd_fixed_point(args) -> int:
 
 def _cmd_breakdown(args) -> int:
     model = _load_model_file(args.model)
-    result = ric.breakdown_search(model, args.lo, args.hi, policy=args.policy,
-                                  tol=args.tol)
+    P0 = _initial_variance_arg(model, args.p0)
+    result = ric.breakdown_search(model, args.lo, args.hi, P0, tol=args.tol)
     payload = {
         "theta": result.theta,
         "bracket": list(result.bracket),
-        "policy": result.policy,
+        "p0": args.p0,
         "found": result.found,
         "evaluations": result.evaluations,
     }
@@ -287,10 +291,10 @@ def _cmd_breakdown(args) -> int:
     elif result.found:
         print(f"breakdown theta = {result.theta:.6e} in "
               f"[{result.bracket[0]:.6e}, {result.bracket[1]:.6e}] "
-              f"(policy {result.policy}, {result.evaluations} evaluations)")
+              f"(p0 {args.p0}, {result.evaluations} evaluations)")
     else:
         print(f"no breakdown in range: theta = {result.theta:.6e} still "
-              f"solvable (policy {result.policy})")
+              f"solvable (p0 {args.p0})")
     return EXIT_OK
 
 
@@ -434,10 +438,10 @@ def _cmd_paper_example(args) -> int:
                               + [_fmt(v) for v in res.lambda_V]) + "\n")
 
     bres = ric.breakdown_search(model, theta_lo=beta2, theta_hi=2e-3,
-                                policy="sigma-bound", tol=1e-6)
-    record("breakdown_theta",
+                                P0=Sigma2, tol=1e-6)
+    record("breakdown_theta",  # "policy" names the Sigma_2 start in saved summaries
            {"theta": bres.theta, "bracket": list(bres.bracket),
-            "policy": bres.policy},
+            "policy": "sigma-bound"},
            bool(bres.found and 0.95e-3 < bres.bracket[0]
                 and bres.bracket[1] < 1.05e-3))
 
@@ -483,8 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="iterate the Riccati map and emit CSV")
     p.add_argument("model")
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--p0", default="identity",
-                   help="'identity', 'sigma', or a path to a JSON matrix")
+    p.add_argument("--p0", default="identity", help=P0_HELP)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_trajectory)
@@ -492,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-point", help="solve the Riccati equation by iteration")
     p.add_argument("model")
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--p0", default="identity",
-                   help="'identity', 'sigma', or a path to a JSON matrix")
+    p.add_argument("--p0", default="identity", help=P0_HELP)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--out", default=None, help="JSON output path (default stdout)")
@@ -504,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--policy", choices=("identity-scaled", "sigma-bound"),
-                   default="sigma-bound")
+    p.add_argument("--p0", default="sigma", help=P0_HELP)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_breakdown)

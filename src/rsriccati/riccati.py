@@ -42,7 +42,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import observer_bound, place_observer_gain
 from .cone import SpectralDecomposition, _require_spd_stack, _sym, require_spd, symmetrize
 from .errors import (
     ConeExitError,
@@ -435,52 +434,35 @@ class BreakdownResult:
     """Outcome of the bisection for the largest solvable risk parameter.
 
     found is False when the whole bracket was solvable (no breakdown in
-    range); theta then reports the upper end of the range.
+    range); theta then reports the upper end of the range. evaluations
+    counts the `fixed_point` probes, the two ends included.
     """
 
     theta: float
     bracket: tuple[float, float]
-    policy: str
     found: bool
     evaluations: int
-
-
-def initial_variance(model: StateSpaceModel, policy: str) -> np.ndarray:
-    """Named initial-variance policies for trajectory and breakdown runs.
-
-    "identity-scaled" is trace(B B^T)/n times the identity;
-    "sigma-bound" is the Lyapunov bound built from the all-zero pole
-    placement gain at contraction margin rho = 2 (the worked-example
-    construction; requires a single measurement output).
-    """
-    if policy == "identity-scaled":
-        scale = float(np.trace(model.B @ model.B.T)) / model.n
-        return scale * np.eye(model.n)
-    if policy == "sigma-bound":
-        G = place_observer_gain(model, [0.0] * model.n)
-        return observer_bound(model, G, 2.0).Sigma_rho
-    raise DomainError(
-        f"unknown initial-variance policy {policy!r}; "
-        f"expected 'identity-scaled' or 'sigma-bound'"
-    )
 
 
 def breakdown_search(
     model: StateSpaceModel,
     theta_lo: float,
     theta_hi: Optional[float] = None,
-    policy: str = "sigma-bound",
+    P0=None,
     tol: float = 1e-6,
 ) -> BreakdownResult:
     """Bisect for the largest risk parameter with a valid stable fixed point.
 
-    The predicate at each theta is: the fixed-point iteration from the
-    policy's initial variance stays inside the cone, converges, and the
-    fixed point keeps the validity matrix positive definite (the
-    quantity whose divergence marks breakdown). Non-convergence within
-    `fixed_point`'s default iteration limit counts as failure, which is
-    conservative near breakdown where the contraction constant
-    approaches one. theta_hi defaults to theta_N at block length n;
+    The predicate at each theta is: the fixed-point iteration from P0
+    (default: identity, as in `fixed_point`) stays inside the cone,
+    converges, and the fixed point keeps the validity matrix positive
+    definite (the quantity whose divergence marks breakdown).
+    Non-convergence within `fixed_point`'s default iteration limit counts
+    as failure, which is conservative near breakdown where the
+    contraction constant approaches one. P0 is gated once, before any
+    probe: one that is not positive definite raises ConeExitError, one
+    whose inverse overflows NumericalError, rather than reading as an
+    unsolvable theta_lo. theta_hi defaults to theta_N at block length n;
     bisection stops at width tol or adjacent floats.
     """
     if theta_hi is None:
@@ -495,7 +477,8 @@ def breakdown_search(
         raise UsageError(
             f"need theta_lo < theta_hi, got [{theta_lo}, {theta_hi}]"
         )
-    P0 = initial_variance(model, policy)
+    P0 = symmetrize(P0) if P0 is not None else np.eye(model.n)
+    _inverse(P0, "breakdown start P0")
 
     def solvable(theta: float) -> bool:
         try:
@@ -507,14 +490,13 @@ def breakdown_search(
     evaluations = 2
     if not solvable(theta_lo):
         raise UsageError(
-            f"theta_lo={theta_lo:.6e} is already unsolvable under "
-            f"policy {policy!r}; pick a smaller lower end"
+            f"theta_lo={theta_lo:.6e} is already unsolvable from this P0; "
+            f"pick a smaller lower end"
         )
     if solvable(theta_hi):
         return BreakdownResult(
             theta=theta_hi,
             bracket=(theta_lo, theta_hi),
-            policy=policy,
             found=False,
             evaluations=evaluations,
         )
@@ -528,7 +510,6 @@ def breakdown_search(
     return BreakdownResult(
         theta=0.5 * (lo + hi),
         bracket=(lo, hi),
-        policy=policy,
         found=True,
         evaluations=evaluations,
     )

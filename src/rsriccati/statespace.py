@@ -295,9 +295,9 @@ def _penalty_core(L: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
 
 
 def _threshold(M: np.ndarray) -> float:
-    """theta_N = 1/lam_1(M); +inf when that eigenvalue vanishes."""
+    """theta_N = 1/lam_1(M); +inf only when that eigenvalue is not positive, as for tau_N."""
     lam_1 = spectral(M).eigenvalues[0]
-    return math.inf if lam_1 < 1e-14 else 1.0 / lam_1
+    return 1.0 / lam_1 if lam_1 > 0.0 else math.inf
 
 
 def theta_N(model: StateSpaceModel, N: int) -> float:

@@ -177,12 +177,12 @@ def test_criterion_05_trajectory_monotonicity(example_model, example_bound):
 
 
 def test_criterion_06_breakdown_bracket(example_model, example_bound):
-    """Breakdown bracket inside (0.95e-3, 1.05e-3) under the sigma-bound
+    """Breakdown bracket inside (0.95e-3, 1.05e-3) from the Sigma_2
     start, in under 60 s."""
-    _, _, beta2 = example_bound
+    _, Sigma2, beta2 = example_bound
     t0 = time.monotonic()
     res = breakdown_search(example_model, theta_lo=beta2, theta_hi=2e-3,
-                           policy="sigma-bound", tol=1e-6)
+                           P0=Sigma2, tol=1e-6)
     elapsed = time.monotonic() - t0
     ok = (res.found and 0.95e-3 < res.bracket[0]
           and res.bracket[1] < 1.05e-3 and elapsed < 60.0)

@@ -37,7 +37,6 @@ PUBLIC_API = [
     "fixed_point",
     "fixed_point_sweep",
     "impulse_toeplitz",
-    "initial_variance",
     "is_observable",
     "is_reachable",
     "is_spd",
@@ -66,7 +65,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_the_listed_names():
-    assert len(PUBLIC_API) == 54
+    assert len(PUBLIC_API) == 53
     assert sorted(rsriccati.__all__) == PUBLIC_API
 
 
@@ -88,6 +87,33 @@ def test_cli_reads_no_private_library_name():
     private += [a.name for node in imports if (node.module or "").split(".")[-1] in modules
                 for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+# each module's relative imports, so a new dependency between layers shows up as a test diff
+LAYERS = {
+    "errors": set(),
+    "cone": {"errors"},
+    "statespace": {"cone", "errors"},
+    "bounds": {"cone", "errors", "statespace"},
+    "riccati": {"cone", "errors", "statespace"},
+    "sim": {"cone", "errors", "riccati", "statespace"},
+    "cli": {"bounds", "cone", "errors", "riccati", "statespace"},
+    "__init__": {"bounds", "cone", "errors", "riccati", "sim", "statespace"},
+}
+
+
+def test_module_layering():
+    package = Path(rsriccati.__file__).parent
+    found = {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        relative = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level]
+        # "from .cone import x" names cone; "from . import bounds as bnd" names bounds
+        found[path.stem] = {name for node in relative
+                            for name in ([node.module] if node.module else
+                                         [a.name for a in node.names])}
+    assert found == LAYERS
 
 
 def test_readme_example_runs():

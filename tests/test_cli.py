@@ -5,8 +5,8 @@ import stat
 import numpy as np
 import pytest
 
-from rsriccati import tau_N
-from rsriccati.cli import main
+from rsriccati import load_model, tau_N
+from rsriccati.cli import _initial_variance_arg, main
 from conftest import EXAMPLE_JSON
 
 
@@ -215,7 +215,49 @@ def test_breakdown_command(capsys, model_file):
     payload = json.loads(out)
     assert payload["found"] is True
     assert 0.95e-3 < payload["theta"] < 1.05e-3
-    assert payload["policy"] == "sigma-bound"
+    assert payload["p0"] == "sigma"
+
+
+@pytest.mark.parametrize("p0", ["sigma", "identity"])
+def test_breakdown_same_bracket_from_either_named_start(capsys, model_file, p0):
+    # both starts reach the same fixed points, so the bisection takes the same
+    # path; the numbers are those the two named initial-variance policies gave
+    code, out, _ = run_cli(capsys, "breakdown", model_file, "--lo", "2.3e-4",
+                           "--hi", "2e-3", "--tol", "1e-9", "--p0", p0, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bracket"] == [0.000979258351325989, 0.0009792591953277589]
+    assert payload["evaluations"] == 23
+
+
+@pytest.mark.parametrize("matrix, code, message", [
+    ("[[-1, 0], [0, -1]]", 3, "breakdown start P0 not positive definite"),
+    ("[[NaN, 0], [0, NaN]]", 3, "breakdown start P0 not positive definite"),
+    ("[[1e-310, 0], [0, 1e-310]]", 4, "breakdown start P0 inverse overflows"),
+])
+def test_breakdown_bad_p0_file(capsys, model_file, tmp_path, matrix, code, message):
+    p0 = tmp_path / "p0.json"
+    p0.write_text(matrix)
+    got, _, err = run_cli(capsys, "breakdown", model_file, "--lo", "2.3e-4",
+                          "--hi", "2e-3", "--p0", str(p0))
+    assert got == code
+    assert message in err
+
+
+def test_breakdown_missing_p0_file(capsys, model_file, tmp_path):
+    code, _, err = run_cli(capsys, "breakdown", model_file, "--lo", "2.3e-4",
+                           "--p0", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert "cannot read initial-variance file" in err
+
+
+def test_initial_variance_arg_named_starts(example_model, example_bound):
+    _, Sigma2, _ = example_bound
+    assert np.array_equal(_initial_variance_arg(example_model, "sigma"), Sigma2)
+    scaled = load_model('{"A": [[0.5, 0], [0, 0.3]], "B": [[1, 0], [0, 2]], "C": [[1, 1]]}')
+    for model in (example_model, scaled):
+        expected = np.trace(model.B @ model.B.T) / model.n * np.eye(model.n)
+        assert np.array_equal(_initial_variance_arg(model, "identity"), expected)
 
 
 def test_breakdown_bad_lower_end(capsys, model_file):
@@ -225,12 +267,13 @@ def test_breakdown_bad_lower_end(capsys, model_file):
 
 
 def test_bound_search_singleton(capsys, model_file):
-    code, out, _ = run_cli(capsys, "bound-search", model_file,
+    code, _, err = run_cli(capsys, "bound-search", model_file,
                            "--rho-grid", "2.0", "--gain-grid", "0.0001:1",
                            "--no-refine", "--json")
-    # span:points of 0.0001:1 collapses each coordinate grid to zero,
-    # i.e. the zero-pole gain is not in it; just check the contract
-    assert code in (0, 3)
+    # span:points of 0.0001:1 gives each gain coordinate the single point
+    # linspace(-h, h, 1) = [-h]; that one gain is infeasible at rho = 2
+    assert code == 3
+    assert "no feasible (G, rho) candidate" in err
 
 
 def test_bound_search_small_grid(capsys, model_file):

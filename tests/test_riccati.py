@@ -24,7 +24,6 @@ from rsriccati import (
     contraction_bound,
     fixed_point,
     fixed_point_sweep,
-    initial_variance,
     iterate_trajectory,
     load_model,
     loewner_leq,
@@ -346,6 +345,19 @@ def test_fixed_point_scalar_golden_ratio():
     assert res.are_residual <= 1e-8 * (1 + np.linalg.norm(res.P_star))
 
 
+@pytest.mark.parametrize("theta", np.linspace(0.0, 0.55, 12))
+def test_fixed_point_scalar_whittle_root(theta):
+    # Whittle (1990): for n = 1, P* is the positive root of
+    # s P^2 + (1 - a^2 - b^2 s) P - b^2 = 0 with s = c^2 - theta d^2
+    a, b, c, d = 0.9, 1.0, 1.0, 1.0
+    model = load_model(SCALAR % a)
+    s = c**2 - theta * d**2
+    beta = 1.0 - a**2 - b**2 * s  # negative on this grid: no cancellation below
+    root = (-beta + np.sqrt(beta**2 + 4.0 * s * b**2)) / (2.0 * s)
+    res = fixed_point(model, theta)
+    assert abs(res.P_star[0, 0] - root) <= 1e-12 * root
+
+
 def test_fixed_point_immediate_for_zero_dynamics():
     model = load_model('{"A": [[0,0],[0,0]], "B": [[1,0],[0,1]], "C": [[1,1]]}')
     res = fixed_point(model, 0.0, 3.0 * np.eye(2))
@@ -582,17 +594,18 @@ def test_breakdown_scalar_matches_sweep_oracle():
     grid = np.linspace(lo, hi, 81)
     flags = [solvable(t) for t in grid]
     last_ok = grid[max(i for i, f in enumerate(flags) if f)]
-    res = breakdown_search(model, lo, hi, policy="identity-scaled", tol=1e-4)
+    res = breakdown_search(model, lo, hi, tol=1e-4)
     assert res.found
     spacing = grid[1] - grid[0]
     assert abs(res.theta - last_ok) <= spacing + 1e-4
-    # scalar validity saturation: 1/p = theta at p = a^2/c^2 + b^2
-    assert abs(res.theta - 1.0 / (0.9**2 + 1.0)) < 2e-3
+    # scalar validity saturation: 1/p = theta at p = a^2/c^2 + b^2; the
+    # bisection's own bracket must hold it
+    assert res.bracket[0] < 1.0 / (0.9**2 + 1.0) < res.bracket[1]
 
 
 def test_breakdown_flags_no_breakdown_in_range():
     model = load_model(SCALAR % "0.5")
-    res = breakdown_search(model, 0.1, 0.5, policy="identity-scaled", tol=1e-4)
+    res = breakdown_search(model, 0.1, 0.5, tol=1e-4)
     assert not res.found
     assert res.theta == 0.5
 
@@ -600,23 +613,23 @@ def test_breakdown_flags_no_breakdown_in_range():
 def test_breakdown_terminates_at_zero_tol():
     # with tol = 0 the bisection runs until lo and hi are adjacent floats
     model = load_model(SCALAR % "0.9")
-    res = breakdown_search(model, 0.1, 0.9, policy="identity-scaled", tol=0.0)
+    res = breakdown_search(model, 0.1, 0.9, tol=0.0)
     lo, hi = res.bracket
     assert res.found
     assert lo < hi and np.nextafter(lo, np.inf) >= hi
-    assert abs(res.theta - 1.0 / (0.9**2 + 1.0)) < 2e-3
+    assert abs(res.theta - 1.0 / (0.9**2 + 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("tol", [-1e-6, np.nan])
 def test_breakdown_rejects_bad_tol(tol):
     model = load_model(SCALAR % "0.9")
     with pytest.raises(UsageError, match="tol"):
-        breakdown_search(model, 0.1, 0.9, policy="identity-scaled", tol=tol)
+        breakdown_search(model, 0.1, 0.9, tol=tol)
 
 
 def test_breakdown_rejects_unsolvable_lower_end(example_model):
     with pytest.raises(UsageError):
-        breakdown_search(example_model, 1.8e-3, 2e-3, policy="identity-scaled")
+        breakdown_search(example_model, 1.8e-3, 2e-3)
 
 
 def test_breakdown_rejects_bad_bracket(example_model):
@@ -624,11 +637,16 @@ def test_breakdown_rejects_bad_bracket(example_model):
         breakdown_search(example_model, 1e-3, 1e-4)
 
 
-def test_initial_variance_policies(example_model, example_bound):
-    _, Sigma2, _ = example_bound
-    ident = initial_variance(example_model, "identity-scaled")
-    assert np.allclose(ident, np.eye(2))  # trace(B B^T)/n = 1 here
-    sigma = initial_variance(example_model, "sigma-bound")
-    assert np.allclose(sigma, Sigma2)
-    with pytest.raises(DomainError):
-        initial_variance(example_model, "bogus")
+@pytest.mark.parametrize("P0, error, match", [
+    (-np.eye(1), ConeExitError, "breakdown start P0 not positive definite"),
+    (np.array([[np.nan]]), ConeExitError, "breakdown start P0 not positive definite"),
+    (np.array([[1e-310]]), NumericalError, "breakdown start P0 inverse overflows"),
+])
+def test_breakdown_gates_P0_before_any_probe(monkeypatch, P0, error, match):
+    # a bad start is its own error, not an "unsolvable theta_lo"
+    def no_probe(*args, **kwargs):
+        raise AssertionError("breakdown_search probed with an ungated P0")
+
+    monkeypatch.setattr("rsriccati.riccati.fixed_point", no_probe)
+    with pytest.raises(error, match=match):
+        breakdown_search(load_model(SCALAR % "0.9"), 0.1, 0.9, P0)

@@ -186,6 +186,16 @@ def test_theta_example_follows_defining_formula(example_model):
     assert abs(theta_N(example_model, 2) - 1.0 / lam_1) < 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-7, 1e-6, 1.0, 1e3])
+def test_theta_scales_with_the_penalty_output(example_model, c):
+    # theta enters only as theta D^T D, so D -> c D gives theta_N -> theta_N / c^2;
+    # only an exactly vanishing eigenvalue reads as infinite
+    m = example_model
+    scaled = StateSpaceModel(A=m.A, B=m.B, C=m.C, D=c * np.eye(2))
+    assert abs(theta_N(scaled, 2) * c**2 - 1.0) < 1e-14
+    assert all(math.isinf(theta_N(_strong_output_model(), N)) for N in (1, 2, 3, 5))
+
+
 # ---------------------------------------------------------------------------
 # block model
 
