@@ -64,12 +64,9 @@ from .statespace import (
     StateSpaceModel,
     Thresholds,
     build_block_model,
-    impulse_toeplitz,
     is_observable,
     is_reachable,
     load_model,
-    observability_matrix,
-    reachability_matrix,
     tau_N,
     theta_N,
 )
@@ -105,17 +102,14 @@ __all__ = [
     "default_rho_grid",
     "fixed_point",
     "fixed_point_sweep",
-    "impulse_toeplitz",
     "is_observable",
     "is_reachable",
     "is_spd",
     "iterate_trajectory",
     "load_model",
     "loewner_leq",
-    "observability_matrix",
     "observer_bound",
     "place_observer_gain",
-    "reachability_matrix",
     "riemann_distance",
     "rs_gain",
     "rs_riccati_map",

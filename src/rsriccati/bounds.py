@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import is_spd, loewner_leq
+from .cone import is_spd, loewner_leq, relative_log_spectrum
 from .errors import DomainError, NumericalError, UsageError, check_finite
-from .statespace import RANK_RTOL, StateSpaceModel, is_reachable, observability_matrix
+from .statespace import RANK_RTOL, StateSpaceModel, _output_stacks, is_reachable
 
 # Pattern-search step below which the bound search stops refining.
 REFINE_STEP_TOL = 1e-6
@@ -65,7 +65,7 @@ def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
         raise UsageError(f"complex poles must come in conjugate pairs, got {poles}")
     # top-to-bottom stack [C; CA; ...; C A^{n-1}] (the transposed dual
     # reachability matrix), unlike the newest-first block convention
-    obs = np.flipud(observability_matrix(model, model.n, "C"))
+    obs = np.flipud(_output_stacks(model, model.n, model.C)[0])
     sv = np.linalg.svd(obs, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise DomainError(
@@ -323,9 +323,16 @@ class AdmissibilityReport:
 def check_initial_condition(
     model: StateSpaceModel, theta: float, P0, bound: ObserverBound
 ) -> AdmissibilityReport:
-    """Check the trajectory-positivity preconditions against an ObserverBound."""
+    """Check the trajectory-positivity preconditions against an ObserverBound.
+
+    A positive definite P0 is ordered on lam_1(Sigma_rho^-1/2 P0 Sigma_rho^-1/2) <= 1 + 1e-9,
+    which no change of state coordinates x -> T x moves, at any scale of T;
+    any other P0 by `loewner_leq`.
+    """
+    positive = is_spd(P0)
     return AdmissibilityReport(
-        p0_positive=is_spd(P0),
-        p0_below_sigma=loewner_leq(P0, bound.Sigma_rho, tol=1e-9),
+        p0_positive=positive,
+        p0_below_sigma=(bool(relative_log_spectrum(bound.Sigma_rho, P0)[0] <= 1e-9) if positive
+                        else loewner_leq(P0, bound.Sigma_rho, tol=1e-9)),
         theta_below_beta=bool(theta <= bound.beta_rho),
     )

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cone import SpectralDecomposition, _require_spd_stack, _sym, require_spd, symmetrize
+from .cone import SpectralDecomposition, _require_spd_stack, _sym, require_spd, spectral, symmetrize
 from .errors import (
     ConeExitError,
     DomainError,
@@ -51,7 +51,7 @@ from .errors import (
     UsageError,
     check_finite,
 )
-from .statespace import BlockModel, StateSpaceModel, theta_N
+from .statespace import BlockModel, StateSpaceModel
 
 
 def _finite_inverse(dec: SpectralDecomposition, name: str) -> np.ndarray:
@@ -462,23 +462,26 @@ def breakdown_search(
     contraction constant approaches one. P0 is gated once, before any
     probe: one that is not positive definite raises ConeExitError, one
     whose inverse overflows NumericalError, rather than reading as an
-    unsolvable theta_lo. theta_hi defaults to theta_N at block length n;
-    bisection stops at width tol or adjacent floats.
+    unsolvable theta_lo. Bisection stops at width tol or adjacent floats.
+    theta_hi defaults to 1/lam_1(D P*(0) D^T), P*(0) the risk-neutral fixed
+    point from P0 (that solve raises its own errors; it is not a probe).
+    No theta from there on is solvable: the map grows with theta and is
+    monotone in P, so P*(theta) >= P*(0), and V at P*(theta) is positive
+    definite only when theta * lam_1(D P*(theta) D^T) < 1.
     """
-    if theta_hi is None:
-        theta_hi = theta_N(model, model.n)
-        if math.isinf(theta_hi):
-            theta_hi = 1e3 * theta_lo
-    for theta in (theta_lo, theta_hi):
-        check_finite("theta", theta, nonnegative=True)
+    check_finite("theta", theta_lo, nonnegative=True)
     if not tol >= 0.0:
         raise UsageError(f"bisection tol must be >= 0, got {tol}")
+    P0 = symmetrize(P0) if P0 is not None else np.eye(model.n)
+    _inverse(P0, "breakdown start P0")
+    if theta_hi is None:
+        P_star = fixed_point(model, 0.0, P0).P_star
+        theta_hi = 1.0 / spectral(_sym(model.D @ P_star @ model.D.T)).eigenvalues[0]
+    check_finite("theta", theta_hi, nonnegative=True)
     if not theta_hi > theta_lo:
         raise UsageError(
             f"need theta_lo < theta_hi, got [{theta_lo}, {theta_hi}]"
         )
-    P0 = symmetrize(P0) if P0 is not None else np.eye(model.n)
-    _inverse(P0, "breakdown start P0")
 
     def solvable(theta: float) -> bool:
         try:

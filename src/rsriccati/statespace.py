@@ -22,8 +22,8 @@ NumericalError before any positivity gate reads it.
 
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
-row down to C at the bottom. Every stacked object in this module goes
-through the same offset helper so the convention cannot drift.
+row down to C at the bottom. `_output_stacks` builds an output's stack
+and Toeplitz map from one list of powers of A, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -137,68 +137,35 @@ def load_model(text) -> StateSpaceModel:
     return StateSpaceModel(A=mats["A"], B=mats["B"], C=mats["C"], D=mats["D"])
 
 
-def _offsets(N: int) -> range:
-    """Time offsets of the block rows, newest sample on top.
-
-    Row block i of any stacked N-block object refers to sample offset
-    N-1-i. Both the stacked observability matrices and the block
-    Toeplitz impulse maps index through here.
-    """
+def _powers(A: np.ndarray, N: int) -> list[np.ndarray]:
+    """[I, A, ..., A^{N-1}]; the one place that rejects a block length below 1."""
     if N < 1:
         raise UsageError(f"block length N must be >= 1, got {N}")
-    return range(N - 1, -1, -1)
-
-
-def _powers(A: np.ndarray, count: int) -> list[np.ndarray]:
     out = [np.eye(A.shape[0])]
-    for _ in range(count - 1):
+    for _ in range(N - 1):
         out.append(out[-1] @ A)
     return out
 
 
-def reachability_matrix(model: StateSpaceModel, N: int) -> np.ndarray:
+def _reachability(model: StateSpaceModel, N: int) -> np.ndarray:
     """[B  AB  ...  A^{N-1} B], shape n x Nm."""
-    if N < 1:
-        raise UsageError(f"block length N must be >= 1, got {N}")
-    pw = _powers(model.A, N)
-    return np.hstack([pw[k] @ model.B for k in range(N)])
+    return np.hstack([P @ model.B for P in _powers(model.A, N)])
 
 
-def _output_matrix(model: StateSpaceModel, output: str) -> np.ndarray:
-    if output == "C":
-        return model.C
-    if output == "D":
-        return model.D
-    raise UsageError(f"output selector must be 'C' or 'D', got {output!r}")
+def _output_stacks(model: StateSpaceModel, N: int, out: np.ndarray):
+    """Observability stack and impulse Toeplitz map of one output matrix, from one power list.
 
-
-def observability_matrix(model: StateSpaceModel, N: int, output: str = "C") -> np.ndarray:
-    """Stacked observability matrix with C A^{N-1} on top and C at the bottom."""
-    out = _output_matrix(model, output)
-    pw = _powers(model.A, N)
-    return np.vstack([out @ pw[t] for t in _offsets(N)])
-
-
-def impulse_toeplitz(model: StateSpaceModel, N: int, output: str = "C") -> np.ndarray:
-    """Strictly upper block-triangular impulse-response map of the block model.
-
-    Block (i, j) equals out @ A^{j-i-1} @ B for j > i and zero
-    elsewhere; with the newest-on-top stacking this maps the stacked
-    inputs to their contribution in the stacked outputs.
+    The stack runs from out A^{N-1} on top down to out. The Toeplitz map
+    holds out A^{d-1} B on its delay-d block diagonal, blocks (i, i + d),
+    d >= 1, and zero on and below the diagonal.
     """
-    out = _output_matrix(model, output)
-    rows = out.shape[0]
-    m = model.m
-    pw = _powers(model.A, max(N - 1, 1))
-    impulse = [None] + [out @ pw[t - 1] @ model.B for t in range(1, N)]
-    T = np.zeros((N * rows, N * m))
-    offs = list(_offsets(N))
-    for i in range(N):
-        for j in range(N):
-            delay = offs[i] - offs[j]  # output sample minus input sample time
-            if delay >= 1:
-                T[i * rows:(i + 1) * rows, j * m:(j + 1) * m] = impulse[delay]
-    return T
+    pw = _powers(model.A, N)
+    O = np.vstack([out @ P for P in reversed(pw)])
+    T = np.zeros((N, out.shape[0], N, model.m))  # block (i, j) is T[i, :, j]
+    for d in range(1, N):
+        i = np.arange(N - d)
+        T[i, :, i + d] = out @ pw[d - 1] @ model.B
+    return O, T.reshape(O.shape[0], N * model.m)
 
 
 def _rank(M: np.ndarray) -> int:
@@ -209,20 +176,21 @@ def _rank(M: np.ndarray) -> int:
 
 
 def is_reachable(model: StateSpaceModel) -> bool:
-    return _rank(reachability_matrix(model, model.n)) == model.n
+    return _rank(_reachability(model, model.n)) == model.n
 
 
 def is_observable(model: StateSpaceModel) -> bool:
-    return _rank(observability_matrix(model, model.n)) == model.n
+    return _rank(_output_stacks(model, model.n, model.C)[0]) == model.n
 
 
 @dataclass(frozen=True)
 class BlockModel:
     """All N-block, theta-dependent derived matrices of a model.
 
-    R, O, O_R are the block reachability/observability stacks, H and L
-    the impulse Toeplitz maps to the measurement and penalty outputs,
-    J the penalty innovation map; these do not depend on theta. Q is
+    R, O, O_R are the block reachability and observability stacks (of C
+    and D), H and L the impulse Toeplitz maps to C and D, with block (i, j)
+    out A^{j-i-1} B for j > i; J the penalty innovation map. These do not
+    depend on theta, and this is their one public source. Q is
     the whitened block input covariance, Omega / W the theta-dependent
     observability and reachability Gramians, alpha the closed-loop
     block transition matrix, and G / G_R the block projection gains.
@@ -273,11 +241,9 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
     gates only through products that their readers check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        R = reachability_matrix(model, N)
-        O = observability_matrix(model, N, "C")
-        O_R = observability_matrix(model, N, "D")
-        H = impulse_toeplitz(model, N, "C")
-        L = impulse_toeplitz(model, N, "D")
+        R = _reachability(model, N)
+        O, H = _output_stacks(model, N, model.C)
+        O_R, L = _output_stacks(model, N, model.D)
         phi = _finite(N, "I + H H^T", np.eye(N * model.p) + H @ H.T)
         psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
         phi_inv = _sym(np.linalg.inv(phi))
@@ -331,7 +297,7 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
 
         Nq = N * model.q
         if theta > 0.0:
-            S_inv = _sym(np.linalg.inv(_sym(-np.eye(Nq) / theta + L @ psi_inv @ L.T)))
+            S_inv = _sym(np.linalg.inv(-np.eye(Nq) / theta + _penalty_core(L, psi, N)))
         else:
             S_inv = np.zeros((Nq, Nq))      # limit of S^-1 as theta -> 0
 

@@ -28,7 +28,6 @@ from rsriccati import (
     build_block_model,
     contraction_bound,
     fixed_point,
-    impulse_toeplitz,
     iterate_trajectory,
     loewner_leq,
     observer_bound,
@@ -399,8 +398,8 @@ def test_criterion_10_threshold_cross_check(example_model):
     check passes when the computation agrees with the documented
     reciprocal resolution, not with the printed 2.
     """
-    H = impulse_toeplitz(example_model, 2, "C")
-    L = impulse_toeplitz(example_model, 2, "D")
+    block = build_block_model(example_model, 2)
+    H, L = block.H, block.L
     core = L @ np.linalg.inv(np.eye(4) + H.T @ H) @ L.T
     lam1 = float(np.max(np.linalg.eigvalsh(core)))
     th2 = theta_N(example_model, 2)

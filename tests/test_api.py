@@ -36,17 +36,14 @@ PUBLIC_API = [
     "default_rho_grid",
     "fixed_point",
     "fixed_point_sweep",
-    "impulse_toeplitz",
     "is_observable",
     "is_reachable",
     "is_spd",
     "iterate_trajectory",
     "load_model",
     "loewner_leq",
-    "observability_matrix",
     "observer_bound",
     "place_observer_gain",
-    "reachability_matrix",
     "riemann_distance",
     "rs_gain",
     "rs_riccati_map",
@@ -65,8 +62,25 @@ PUBLIC_API = [
 
 
 def test_public_api_is_the_listed_names():
-    assert len(PUBLIC_API) == 53
+    assert len(PUBLIC_API) == 50
     assert sorted(rsriccati.__all__) == PUBLIC_API
+
+
+# public functions and classes that library modules define but the package
+# does not export, so a leftover public helper shows up as a test diff
+UNEXPORTED = {"cone.relative_log_spectrum", "cone.require_spd", "errors.check_finite"}
+
+
+def test_unexported_public_definitions():
+    package = Path(rsriccati.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        if path.stem in ("__init__", "cli"):  # the package and its front end
+            continue
+        found |= {f"{path.stem}.{node.name}" for node in ast.parse(path.read_text()).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in rsriccati.__all__}
+    assert found == UNEXPORTED
 
 
 def test_every_public_name_resolves():

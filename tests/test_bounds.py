@@ -428,6 +428,26 @@ def test_check_initial_condition(example_model, example_bound):
     assert not too_risky.admissible and not too_risky.theta_below_beta
 
 
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("kind", ["scale", "mix"])
+def test_admissibility_does_not_depend_on_state_coordinates(example_model, example_bound,
+                                                            kind, c):
+    # x -> T x maps Sigma_rho to T Sigma_rho T^T and leaves beta_rho alone, so
+    # the verdict on P0 = s Sigma_rho may not depend on T or its scale
+    G, _, beta2 = example_bound
+    mix = np.random.default_rng(3).standard_normal((2, 2))
+    T = c * (np.eye(2) if kind == "scale" else mix)
+    T_inv = np.linalg.inv(T)
+    m = example_model
+    moved = StateSpaceModel(A=T @ m.A @ T_inv, B=T @ m.B, C=m.C @ T_inv, D=m.D @ T_inv)
+    bound = observer_bound(moved, T @ G, 2.0)
+    assert abs(bound.beta_rho - beta2) <= 1e-9 * beta2
+    Sigma = bound.Sigma_rho
+    for s, admissible in ((1.0, True), (1.0 + 1e-13, True), (1.0 + 1e-8, False), (2.0, False)):
+        report = check_initial_condition(moved, 0.5 * beta2, s * Sigma, bound)
+        assert report.p0_below_sigma is admissible and report.admissible is admissible
+
+
 def test_admissible_pairs_certify_valid_trajectories(example_model, example_bound):
     G, Sigma2, beta2 = example_bound
     bound = observer_bound(example_model, G, 2.0)

@@ -63,6 +63,12 @@ def test_analyze_exits_numerical_on_overflow(capsys, tmp_path, N):
     assert "numerical error" in err and "not finite" in err
 
 
+def test_analyze_rejects_block_length_zero(capsys, model_file):
+    code, _, err = run_cli(capsys, "analyze", model_file, "--block-n", "0")
+    assert code == 2
+    assert "block length N must be >= 1, got 0" in err
+
+
 def test_analyze_json_payload(capsys, model_file):
     code, out, _ = run_cli(capsys, "analyze", model_file, "--json",
                            "--theta", "2e-4")

@@ -17,6 +17,7 @@ from rsriccati import (
     DomainError,
     IterationLimitError,
     NumericalError,
+    StateSpaceModel,
     UsageError,
     block_riccati_map,
     breakdown_search,
@@ -635,6 +636,31 @@ def test_breakdown_rejects_unsolvable_lower_end(example_model):
 def test_breakdown_rejects_bad_bracket(example_model):
     with pytest.raises(UsageError):
         breakdown_search(example_model, 1e-3, 1e-4)
+
+
+def test_breakdown_default_upper_end_is_never_solvable(example_model):
+    # theta_hi defaults to 1/lam_1(D P*(0) D^T): P*(theta) >= P*(0), so V at
+    # P*(theta) is invalid from there on
+    whittle = load_model(SCALAR % "0.9")
+    # scalar P*(0) is the positive root of P^2 - a^2 P - 1 = 0 (Whittle 1990)
+    p0_star = (0.81 + np.sqrt(0.81**2 + 4.0)) / 2.0
+    for model, expected in ((whittle, 1.0 / p0_star), (example_model, 3.64e-3)):
+        P_star = fixed_point(model, 0.0).P_star
+        end = 1.0 / np.max(np.linalg.eigvalsh(model.D @ P_star @ model.D.T))
+        assert abs(end - expected) <= 1e-3 * expected
+        with pytest.raises(ConeExitError):
+            fixed_point(model, end)
+        default, explicit = breakdown_search(model, 0.0), breakdown_search(model, 0.0, end)
+        assert default.found and default.evaluations == explicit.evaluations
+        assert np.allclose(default.bracket, explicit.bracket, rtol=1e-12, atol=0.0)
+    res = breakdown_search(whittle, 0.0, tol=1e-9)
+    assert res.found and res.bracket[0] < 1.0 / (0.9**2 + 1.0) < res.bracket[1]
+    # no noise reaches the penalized state, so P*(0) is singular: the default
+    # end's own solve reports that, rather than an end guessed from theta_lo
+    unreachable = StateSpaceModel(A=np.diag([0.5, 0.3]), B=np.array([[0.0], [1.0]]),
+                                  C=100.0 * np.eye(2), D=np.array([[1.0, 0.0]]))
+    with pytest.raises(ConeExitError, match="theta=0.000000e\\+00"):
+        breakdown_search(unreachable, 0.0)
 
 
 @pytest.mark.parametrize("P0, error, match", [

@@ -13,11 +13,10 @@ from helpers import (
 from rsriccati import (
     DomainError,
     StateSpaceModel,
+    build_block_model,
     fixed_point,
-    impulse_toeplitz,
     iterate_trajectory,
     load_model,
-    observability_matrix,
     place_observer_gain,
     run_filter,
     run_observer,
@@ -311,7 +310,7 @@ def test_block_observation_stack_decomposition(example_model):
     y_stack = np.concatenate(run.observations[::-1])
     u_stack = np.concatenate(run.process_noise[::-1])
     v_stack = np.concatenate(run.measurement_noise[::-1])
-    O = observability_matrix(example_model, N)
-    H = impulse_toeplitz(example_model, N)
+    block = build_block_model(example_model, N)
+    O, H = block.O, block.H
     recon = O @ run.states[0] + v_stack + H @ u_stack
     assert np.linalg.norm(y_stack - recon) < 1e-12

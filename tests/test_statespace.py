@@ -11,13 +11,10 @@ from rsriccati import (
     StateSpaceModel,
     UsageError,
     build_block_model,
-    impulse_toeplitz,
     is_observable,
     is_reachable,
     load_model,
     loewner_leq,
-    observability_matrix,
-    reachability_matrix,
     spectral,
     tau_N,
     theta_N,
@@ -70,25 +67,25 @@ def test_model_rejects_nonfinite():
 
 
 def test_reachability_matrix_basics(example_model):
-    assert np.array_equal(reachability_matrix(example_model, 1), example_model.B)
+    assert np.array_equal(build_block_model(example_model, 1).R, example_model.B)
     model = load_model('{"A": [[1,0],[0,1]], "B": [[1],[2]], "C": [[1,0]]}')
-    R3 = reachability_matrix(model, 3)
+    R3 = build_block_model(model, 3).R
     assert np.array_equal(R3, np.hstack([model.B] * 3))
 
 
 def test_observability_matrix_example(example_model):
-    assert np.array_equal(observability_matrix(example_model, 1), example_model.C)
-    O2 = observability_matrix(example_model, 2)
+    assert np.array_equal(build_block_model(example_model, 1).O, example_model.C)
+    O2 = build_block_model(example_model, 2).O
     # newest on top: first block row is C A, computed by hand
     assert np.allclose(O2, np.array([[0.1, -0.2], [1.0, -1.0]]))
 
 
 def test_impulse_toeplitz_single_block_is_zero(example_model):
-    assert np.array_equal(impulse_toeplitz(example_model, 1), np.zeros((1, 2)))
+    assert np.array_equal(build_block_model(example_model, 1).H, np.zeros((1, 2)))
 
 
 def test_impulse_toeplitz_example_n2(example_model):
-    H2 = impulse_toeplitz(example_model, 2)
+    H2 = build_block_model(example_model, 2).H
     expected = np.zeros((2, 4))
     expected[0, 2:] = [1.0, -1.0]  # C B in the (1, 2) block
     assert np.allclose(H2, expected)
@@ -96,22 +93,35 @@ def test_impulse_toeplitz_example_n2(example_model):
 
 def test_impulse_toeplitz_zero_b():
     model = load_model('{"A": [[1,1],[0,1]], "B": [[0],[0]], "C": [[1,0]]}')
-    assert np.array_equal(impulse_toeplitz(model, 3), np.zeros((3, 3)))
+    assert np.array_equal(build_block_model(model, 3).H, np.zeros((3, 3)))
 
 
 def test_impulse_toeplitz_block_layout():
+    # block row i of a stack is out A^{N-1-i} (newest on top); Toeplitz
+    # block (i, j) is out A^{j-i-1} B above the diagonal and zero elsewhere
     rng = np.random.default_rng(5)
     model = random_model(rng, n=3, m=2, p=2)
-    N = 4
-    H = impulse_toeplitz(model, N)
-    pw = [np.linalg.matrix_power(model.A, k) for k in range(N)]
-    for i in range(N):
-        for j in range(N):
-            block = H[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2]
-            if j > i:
-                assert np.allclose(block, model.C @ pw[j - i - 1] @ model.B)
-            else:
-                assert np.array_equal(block, np.zeros((2, 2)))
+    for N in (1, 4):
+        block_model = build_block_model(model, N)
+        pw = [np.linalg.matrix_power(model.A, k) for k in range(N)]
+        for out, O, T in ((model.C, block_model.O, block_model.H),
+                          (model.D, block_model.O_R, block_model.L)):
+            rows = out.shape[0]
+            assert O.shape == (N * rows, 3) and T.shape == (N * rows, N * 2)
+            for i in range(N):
+                assert np.allclose(O[i * rows:(i + 1) * rows], out @ pw[N - 1 - i])
+                for j in range(N):
+                    block = T[i * rows:(i + 1) * rows, j * 2:(j + 1) * 2]
+                    if j > i:
+                        assert np.allclose(block, out @ pw[j - i - 1] @ model.B)
+                    else:
+                        assert np.array_equal(block, np.zeros((rows, 2)))
+
+
+def test_block_length_below_one_is_a_usage_error(example_model):
+    for build in (build_block_model, tau_N, theta_N):
+        with pytest.raises(UsageError, match="block length N must be >= 1, got 0"):
+            build(example_model, 0)
 
 
 def test_reachability_observability_flags(example_model):
@@ -143,9 +153,8 @@ def test_downsampled_dynamics_match_stepwise_simulation():
     u_stack = np.concatenate(u[::-1])
     v_stack = np.concatenate(v[::-1])
     y_stack = np.concatenate(ys[::-1])
-    R = reachability_matrix(model, N)
-    O = observability_matrix(model, N)
-    H = impulse_toeplitz(model, N)
+    block = build_block_model(model, N)
+    R, O, H = block.R, block.O, block.H
     A_N = np.linalg.matrix_power(model.A, N)
     assert np.linalg.norm(xt - (A_N @ x + R @ u_stack)) < 1e-12
     assert np.linalg.norm(y_stack - (O @ x + v_stack + H @ u_stack)) < 1e-12
@@ -178,8 +187,8 @@ def test_theta_example_follows_defining_formula(example_model):
     # (the published example text asserts 2 instead, which does not
     # follow from the formula and is inconsistent with the large-N
     # limit where tau_N and theta_N must meet)
-    H = impulse_toeplitz(example_model, 2, "C")
-    L = impulse_toeplitz(example_model, 2, "D")
+    block = build_block_model(example_model, 2)
+    H, L = block.H, block.L
     core = L @ np.linalg.inv(np.eye(4) + H.T @ H) @ L.T
     lam_1 = np.max(np.linalg.eigvalsh(core))
     assert abs(lam_1 - 1.0) < 1e-12
@@ -264,8 +273,8 @@ def test_block_model_rejects_theta_at_threshold(example_model):
 
 def test_schur_complement_sign_tracks_threshold(example_model):
     th = theta_N(example_model, 2)
-    H = impulse_toeplitz(example_model, 2, "C")
-    L = impulse_toeplitz(example_model, 2, "D")
+    block = build_block_model(example_model, 2)
+    H, L = block.H, block.L
     psi_inv = np.linalg.inv(np.eye(4) + H.T @ H)
     for theta, expect_negative in ((0.5 * th, True), (1.5 * th, False)):
         S = -np.eye(4) / theta + L @ psi_inv @ L.T
