@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import is_spd, loewner_leq, relative_log_spectrum
+from .cone import _whiten, is_spd, spectral
 from .errors import DomainError, NumericalError, UsageError, check_finite
-from .statespace import RANK_RTOL, StateSpaceModel, _output_stacks, is_reachable
+from .statespace import RANK_RTOL, StateSpaceModel, _powers, is_reachable
 
 # Pattern-search step below which the bound search stops refining.
 REFINE_STEP_TOL = 1e-6
@@ -65,7 +65,7 @@ def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
         raise UsageError(f"complex poles must come in conjugate pairs, got {poles}")
     # top-to-bottom stack [C; CA; ...; C A^{n-1}] (the transposed dual
     # reachability matrix), unlike the newest-first block convention
-    obs = np.flipud(_output_stacks(model, model.n, model.C)[0])
+    obs = np.vstack([model.C @ P for P in _powers(model.A, model.n)])
     sv = np.linalg.svd(obs, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise DomainError(
@@ -325,14 +325,14 @@ def check_initial_condition(
 ) -> AdmissibilityReport:
     """Check the trajectory-positivity preconditions against an ObserverBound.
 
-    A positive definite P0 is ordered on lam_1(Sigma_rho^-1/2 P0 Sigma_rho^-1/2) <= 1 + 1e-9,
-    which no change of state coordinates x -> T x moves, at any scale of T;
-    any other P0 by `loewner_leq`.
+    Every symmetric P0 is ordered on lam_1(Sigma_rho^-1/2 P0 Sigma_rho^-1/2) <= 1 + 1e-9,
+    which no change of state coordinates x -> T x moves, at any scale of T.
+    Sigma_rho must pass the positivity gate, as it does when (A, [B G]) is
+    reachable; otherwise ConeExitError.
     """
-    positive = is_spd(P0)
+    middle = _whiten(bound.Sigma_rho, P0, "Sigma_rho must be positive definite")
     return AdmissibilityReport(
-        p0_positive=positive,
-        p0_below_sigma=(bool(relative_log_spectrum(bound.Sigma_rho, P0)[0] <= 1e-9) if positive
-                        else loewner_leq(P0, bound.Sigma_rho, tol=1e-9)),
+        p0_positive=is_spd(P0),
+        p0_below_sigma=bool(spectral(middle).eigenvalues[0] <= 1.0 + 1e-9),
         theta_below_beta=bool(theta <= bound.beta_rho),
     )

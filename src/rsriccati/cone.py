@@ -143,14 +143,19 @@ def spd_inv(P) -> np.ndarray:
     return require_spd(P, "spd_inv input must be positive definite").inverse()
 
 
-def relative_log_spectrum(P, Q) -> np.ndarray:
-    """log of the eigenvalues of P^-1 Q via P^-1/2 Q P^-1/2."""
-    lam_p, U = require_spd(P, "distance argument P must be positive definite")
+def _whiten(P, Q, what: str) -> np.ndarray:
+    """P^-1/2 Q P^-1/2 for a positive definite P (gated with `what`) and any symmetric Q."""
+    lam_p, U = require_spd(P, what)
     Q = symmetrize(Q)
     if Q.shape != U.shape:
         raise UsageError(f"dimension mismatch: {U.shape[0]} vs {Q.shape[0]}")
     P_inv_sqrt = (U / np.sqrt(lam_p)) @ U.T
-    middle = _sym(P_inv_sqrt @ Q @ P_inv_sqrt)
+    return _sym(P_inv_sqrt @ Q @ P_inv_sqrt)
+
+
+def relative_log_spectrum(P, Q) -> np.ndarray:
+    """log of the eigenvalues of P^-1 Q via P^-1/2 Q P^-1/2."""
+    middle = _whiten(P, Q, "distance argument P must be positive definite")
     what = "distance argument Q must be positive definite: P^-1/2 Q P^-1/2"
     return np.log(require_spd(middle, what).eigenvalues)
 

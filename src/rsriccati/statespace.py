@@ -22,8 +22,8 @@ NumericalError before any positivity gate reads it.
 
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
-row down to C at the bottom. `_output_stacks` builds an output's stack
-and Toeplitz map from one list of powers of A, so they cannot drift apart.
+row down to C at the bottom. Every stack and Toeplitz map of one build
+reads the same list of powers of A, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -147,25 +147,28 @@ def _powers(A: np.ndarray, N: int) -> list[np.ndarray]:
     return out
 
 
-def _reachability(model: StateSpaceModel, N: int) -> np.ndarray:
-    """[B  AB  ...  A^{N-1} B], shape n x Nm."""
-    return np.hstack([P @ model.B for P in _powers(model.A, N)])
+def _reachability(pw: list[np.ndarray], B: np.ndarray) -> np.ndarray:
+    """[B  AB  ...  A^{N-1} B] from pw = _powers(A, N), shape n x Nm."""
+    return np.hstack([P @ B for P in pw])
 
 
-def _output_stacks(model: StateSpaceModel, N: int, out: np.ndarray):
-    """Observability stack and impulse Toeplitz map of one output matrix, from one power list.
+def _observability(pw: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The stack from out A^{N-1} on top down to out, from pw = _powers(A, N)."""
+    return np.vstack([out @ P for P in reversed(pw)])
 
-    The stack runs from out A^{N-1} on top down to out. The Toeplitz map
-    holds out A^{d-1} B on its delay-d block diagonal, blocks (i, i + d),
+
+def _toeplitz(pw: list[np.ndarray], out: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Impulse Toeplitz map of one output matrix, from pw = _powers(A, N).
+
+    It holds out A^{d-1} B on its delay-d block diagonal, blocks (i, i + d),
     d >= 1, and zero on and below the diagonal.
     """
-    pw = _powers(model.A, N)
-    O = np.vstack([out @ P for P in reversed(pw)])
-    T = np.zeros((N, out.shape[0], N, model.m))  # block (i, j) is T[i, :, j]
+    N = len(pw)
+    T = np.zeros((N, out.shape[0], N, B.shape[1]))  # block (i, j) is T[i, :, j]
     for d in range(1, N):
         i = np.arange(N - d)
-        T[i, :, i + d] = out @ pw[d - 1] @ model.B
-    return O, T.reshape(O.shape[0], N * model.m)
+        T[i, :, i + d] = out @ pw[d - 1] @ B
+    return T.reshape(N * out.shape[0], N * B.shape[1])
 
 
 def _rank(M: np.ndarray) -> int:
@@ -176,11 +179,11 @@ def _rank(M: np.ndarray) -> int:
 
 
 def is_reachable(model: StateSpaceModel) -> bool:
-    return _rank(_reachability(model, model.n)) == model.n
+    return _rank(_reachability(_powers(model.A, model.n), model.B)) == model.n
 
 
 def is_observable(model: StateSpaceModel) -> bool:
-    return _rank(_output_stacks(model, model.n, model.C)[0]) == model.n
+    return _rank(_observability(_powers(model.A, model.n), model.C)) == model.n
 
 
 @dataclass(frozen=True)
@@ -215,8 +218,8 @@ class BlockModel:
 
 
 # The theta-free N-block matrices; phi = I + H H^T is the
-# measurement-block Gram and psi = I + H^T H.
-_ThetaFree = namedtuple("_ThetaFree", "R O O_R H L phi psi phi_inv psi_inv J")
+# measurement-block Gram, psi = I + H^T H and A_N = A^N.
+_ThetaFree = namedtuple("_ThetaFree", "R O O_R H L phi psi phi_inv psi_inv J A_N")
 
 
 def _finite(N: int, name: str, X: np.ndarray) -> np.ndarray:
@@ -241,16 +244,18 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
     gates only through products that their readers check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        R = _reachability(model, N)
-        O, H = _output_stacks(model, N, model.C)
-        O_R, L = _output_stacks(model, N, model.D)
+        pw = _powers(model.A, N)
+        R = _reachability(pw, model.B)
+        O, H = _observability(pw, model.C), _toeplitz(pw, model.C, model.B)
+        O_R, L = _observability(pw, model.D), _toeplitz(pw, model.D, model.B)
         phi = _finite(N, "I + H H^T", np.eye(N * model.p) + H @ H.T)
         psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
         phi_inv = _sym(np.linalg.inv(phi))
         psi_inv = _sym(np.linalg.inv(psi))
         X = L @ H.T @ phi_inv           # lower LDU coupling block
         J = O_R - X @ O
-    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, psi_inv, J)
+        A_N = pw[-1] @ model.A
+    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, psi_inv, J, A_N)
 
 
 def _penalty_core(L: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
@@ -288,7 +293,7 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
     positive definite).
     """
     check_finite("theta", theta, nonnegative=True)
-    R, O, O_R, H, L, _, psi, phi_inv, psi_inv, J = _theta_free(model, N)
+    R, O, O_R, H, L, _, psi, phi_inv, psi_inv, J, A_N = _theta_free(model, N)
     what = f"Q_N^theta not positive definite at theta={theta:.6e} (requires theta < theta_N)"
     with np.errstate(over="ignore", invalid="ignore"):
         # Whitened block input covariance; positive definiteness is exactly
@@ -307,7 +312,6 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
         G_risk_free = H.T @ phi_inv
         G_R = psi_inv @ L.T @ S_inv
         G = G_risk_free - G_R @ (L @ G_risk_free)
-        A_N = _powers(model.A, N + 1)[N]
         alpha = _finite(N, "alpha_N(theta)", A_N - R @ (G @ O + G_R @ O_R))
 
     return BlockModel(

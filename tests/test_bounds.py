@@ -426,6 +426,19 @@ def test_check_initial_condition(example_model, example_bound):
     assert not too_big.admissible and not too_big.p0_below_sigma
     too_risky = check_initial_condition(example_model, 1.1 * beta2, Sigma2, bound)
     assert not too_risky.admissible and not too_risky.theta_below_beta
+    # Sigma_2 = 1.005 u u^T + 3204 v v^T: P0 = u u^T + 1e-10 v v^T passes the
+    # positivity gate although P0 and Sigma_2 together span a condition
+    # number near 3e13, and it lies below Sigma_2
+    lam, U = np.linalg.eigh(bound.Sigma_rho)
+    u, v = U[:, :1], U[:, 1:]
+    assert lam[1] / lam[0] > 3e3
+    thin = check_initial_condition(example_model, beta2, u @ u.T + 1e-10 * v @ v.T, bound)
+    assert thin.p0_positive and thin.p0_below_sigma and thin.admissible
+    # one rule orders every symmetric P0, positive or not
+    for P0, below in ((u @ u.T - v @ v.T, True), (-Sigma2, True), (2.0 * u @ u.T - v @ v.T, False)):
+        report = check_initial_condition(example_model, beta2, P0, bound)
+        assert not report.p0_positive and not report.admissible
+        assert report.p0_below_sigma is below
 
 
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
