@@ -327,8 +327,8 @@ def check_initial_condition(
 
     Every symmetric P0 is ordered on lam_1(Sigma_rho^-1/2 P0 Sigma_rho^-1/2) <= 1 + 1e-9,
     which no change of state coordinates x -> T x moves, at any scale of T.
-    Sigma_rho must pass the positivity gate, as it does when (A, [B G]) is
-    reachable; otherwise ConeExitError.
+    Sigma_rho must pass the positivity gate (it is positive definite when
+    (A, [B G]) is reachable), or ConeExitError is raised.
     """
     middle = _whiten(bound.Sigma_rho, P0, "Sigma_rho must be positive definite")
     return AdmissibilityReport(

@@ -3,6 +3,7 @@ import pytest
 from helpers import random_model, random_spd, series_sigma, spectral_radius
 
 from rsriccati import (
+    ConeExitError,
     DomainError,
     NumericalError,
     StateSpaceModel,
@@ -439,6 +440,16 @@ def test_check_initial_condition(example_model, example_bound):
         report = check_initial_condition(example_model, beta2, P0, bound)
         assert not report.p0_positive and not report.admissible
         assert report.p0_below_sigma is below
+
+
+def test_admissibility_refuses_a_singular_sigma_rho():
+    # no noise reaches the second state, so Sigma_rho = diag(2.29, 0); an
+    # absolute order with tolerance 1e-9 certified P0 = diag(1, 1e-10)
+    m = StateSpaceModel(A=np.diag([0.5, 0.3]), B=np.array([[1.0], [0.0]]),
+                        C=np.array([[1.0, 0.0]]), D=np.eye(2))
+    bound = observer_bound(m, np.zeros((2, 1)), 1.5)
+    with pytest.raises(ConeExitError, match="Sigma_rho must be positive definite"):
+        check_initial_condition(m, 0.0, np.diag([1.0, 1e-10]), bound)
 
 
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
