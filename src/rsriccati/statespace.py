@@ -147,16 +147,6 @@ def _powers(A: np.ndarray, N: int) -> list[np.ndarray]:
     return out
 
 
-def _reachability(pw: list[np.ndarray], B: np.ndarray) -> np.ndarray:
-    """[B  AB  ...  A^{N-1} B] from pw = _powers(A, N), shape n x Nm."""
-    return np.hstack([P @ B for P in pw])
-
-
-def _observability(pw: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """The stack from out A^{N-1} on top down to out, from pw = _powers(A, N)."""
-    return np.vstack([out @ P for P in reversed(pw)])
-
-
 def _toeplitz(pw: list[np.ndarray], out: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Impulse Toeplitz map of one output matrix, from pw = _powers(A, N).
 
@@ -179,11 +169,11 @@ def _rank(M: np.ndarray) -> int:
 
 
 def is_reachable(model: StateSpaceModel) -> bool:
-    return _rank(_reachability(_powers(model.A, model.n), model.B)) == model.n
+    return _rank(np.hstack([P @ model.B for P in _powers(model.A, model.n)])) == model.n
 
 
 def is_observable(model: StateSpaceModel) -> bool:
-    return _rank(_observability(_powers(model.A, model.n), model.C)) == model.n
+    return _rank(np.vstack([model.C @ P for P in _powers(model.A, model.n)])) == model.n
 
 
 @dataclass(frozen=True)
@@ -245,9 +235,10 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         pw = _powers(model.A, N)
-        R = _reachability(pw, model.B)
-        O, H = _observability(pw, model.C), _toeplitz(pw, model.C, model.B)
-        O_R, L = _observability(pw, model.D), _toeplitz(pw, model.D, model.B)
+        R = np.hstack([P @ model.B for P in pw])
+        O = np.vstack([model.C @ P for P in reversed(pw)])
+        O_R = np.vstack([model.D @ P for P in reversed(pw)])
+        H, L = _toeplitz(pw, model.C, model.B), _toeplitz(pw, model.D, model.B)
         phi = _finite(N, "I + H H^T", np.eye(N * model.p) + H @ H.T)
         psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
         phi_inv = _sym(np.linalg.inv(phi))
