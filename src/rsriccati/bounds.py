@@ -39,6 +39,8 @@ REFINE_STEP_TOL = 1e-6
 REFINE_MAX_ROUNDS = 2000
 # Entries of the Kronecker stacks one grid chunk may build (n^4 per candidate).
 _STACK_ENTRIES = 1 << 17
+# Multiples of each axis step that one pattern-search round evaluates.
+_POLISH_SCALES = (1.0, 2.0, 4.0, 8.0)
 
 
 def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
@@ -241,12 +243,17 @@ def bound_search(
     Candidates violating rho * spectral_radius(A - GC) < 1 are
     infeasible. Ties within 1e-12 go to the lexicographically smallest
     (rho, G entries), so the search is deterministic. The grid is
-    evaluated in stacked chunks of bounded size. The optional refinement
-    evaluates all 2(k+1) axis neighbours of the point (rho, G) at once,
-    moves to the best strict improvement, then tries the pattern move
+    evaluated in stacked chunks of bounded size. Each round of the optional
+    refinement evaluates, in one stacked call, the base point and its
+    8(k+1) axis neighbours base +- s h_i e_i for every step h_i of
+    (rho, G) and every scale s in _POLISH_SCALES (1, 2, 4, 8). It moves to
+    the best strict improvement, then tries the pattern move
     x + (x - x_prev); when no neighbour improves it halves every step,
     down to REFINE_STEP_TOL, for at most REFINE_MAX_ROUNDS rounds
-    (Hooke & Jeeves, J. ACM 8, 1961).
+    (Hooke & Jeeves, J. ACM 8, 1961). The stencil is a positive spanning
+    set at every scale, so this is still a pattern search (Torczon, SIAM
+    J. Optim. 7, 1997); the larger scales cover in one round what took
+    several single-step rounds.
     """
     if not is_reachable(model):
         raise DomainError("the Lyapunov bound requires a reachable pair (A, B)")
@@ -292,7 +299,8 @@ def bound_search(
             if np.max(steps) <= REFINE_STEP_TOL:
                 break
             base = x if prev is None else x + (x - prev)
-            trial = base + np.vstack([0.0 * steps, np.diag(steps), -np.diag(steps)])
+            axis = np.vstack([s * np.diag(steps) for s in _POLISH_SCALES])
+            trial = base + np.vstack([0.0 * steps, axis, -axis])
             beta = _beta_batch(model, trial[:, 1:].reshape(-1, n, p), trial[:, :1])[0][:, 0]
             if np.any(beta > fx):
                 prev, (x, fx) = x, _pick(np.where(beta > fx, beta, np.nan), trial)

@@ -16,10 +16,14 @@ for exactly this iteration, measured in the affine-invariant metric, so
 the iteration count carries meaning and no subspace ARE solver is used).
 
 `fixed_point_sweep` runs that iteration for a list of theta as one
-stacked kernel, and `fixed_point` is the kernel at batch size one. Each
-theta stops at its own step, so its result and its iteration count (the
-canonical one) are the same at any batch size; it carries the spectra
-of P* and V that the kernel's and the finish's factorizations gave.
+stacked kernel, then finishes every converged theta (validity gate at P*,
+gain, ARE residual, closed-loop spectrum) as one stacked pass;
+`fixed_point` is both at batch size one, and `verify_are` is the finish
+at batch size one. Each theta stops at its own step, so its result and
+its iteration count (the canonical one) are the same at any batch size;
+it carries the spectra of P* and V that the kernel's and the finish's
+factorizations gave. `breakdown_search` solves the midpoints of several
+bisection levels per stacked call and walks them as a plain bisection.
 
 Every inversion goes through the positivity gate `cone.require_spd`, or
 its stacked form: leaving the cone is a semantic event, never papered
@@ -102,7 +106,7 @@ def _map_step(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
 
 
 def _kalman_form(model: StateSpaceModel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, R_nu) = (A V C^T R_nu^-1, C V C^T + I)."""
+    """(K, R_nu) = (A V C^T R_nu^-1, C V C^T + I), for one V or a stack."""
     R_nu = _sym(model.C @ V @ model.C.T + np.eye(model.p))
     return model.A @ V @ model.C.T @ np.linalg.inv(R_nu), R_nu
 
@@ -135,9 +139,9 @@ def rs_gain(
 
 
 def _gain_form(model: StateSpaceModel, K: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Gain form (A-KC) V (A-KC)^T + B B^T + K K^T of the risk-sensitive update."""
+    """Gain form (A-KC) V (A-KC)^T + B B^T + K K^T of the risk-sensitive update (or a stack)."""
     F = model.A - K @ model.C
-    return _sym(F @ V @ F.T + model.B @ model.B.T + K @ K.T)
+    return _sym(F @ V @ F.swapaxes(-1, -2) + model.B @ model.B.T + K @ K.swapaxes(-1, -2))
 
 
 def block_riccati_map(block: BlockModel, P) -> np.ndarray:
@@ -262,31 +266,58 @@ class AreReport:
     closed_loop_spectral_radius: float
 
 
-def _are_report(model: StateSpaceModel, theta: float, P: np.ndarray, P_inv: np.ndarray):
-    """(K, R_nu, V's decomposition, AreReport) at P from P^-1: one validity gate, one gain."""
-    V_dec = _validity(model, theta, P_inv)
-    V = V_dec.inverse()
+def _frobenius(X: np.ndarray) -> np.ndarray:
+    """Norm of each entry of a stack, summed as np.linalg.norm sums one entry."""
+    x = X.reshape(len(X), 1, math.prod(X.shape[1:]))
+    return np.sqrt(x @ x.swapaxes(1, 2))[:, 0, 0]
+
+
+def _are_stack(model: StateSpaceModel, thetas: np.ndarray, P: np.ndarray,
+               P_inv: np.ndarray) -> list:
+    """Validity gate, gain and ARE report at every point of a stack P (with its P^-1).
+
+    V^-1 = P^-1 - theta D^T D is gated for the whole stack in one eigensolve;
+    K, R_nu, the residual and eig(A - KC) are then formed once over the
+    entries that passed. Returns per entry (K, R_nu, lambda_V, AreReport), or
+    the gate's ConeExitError; an entry's numbers do not depend on the others.
+    """
+    V_inv = P_inv - thetas[:, None, None] * (model.D.T @ model.D)
+    lam, U, errors = _require_spd_stack(V_inv, "validity violated: P^-1 - theta D^T D")
+    out = [errors.get(i) for i in range(len(thetas))]
+    ok = [i for i in range(len(thetas)) if i not in errors]
+    if not ok:
+        return out
+    lam, U, P = lam[ok], U[ok], P[ok]
+    V = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
     K, R_nu = _kalman_form(model, V)
-    residual = float(np.linalg.norm(P - _gain_form(model, K, V)))
+    residual = _frobenius(P - _gain_form(model, K, V))
+    relative = residual / (1.0 + _frobenius(P))
     eigs = np.linalg.eigvals(model.A - K @ model.C)
-    eigs = eigs[np.argsort(-np.abs(eigs))]
-    return K, R_nu, V_dec, AreReport(
-        residual=residual,
-        relative_residual=residual / (1.0 + float(np.linalg.norm(P))),
-        closed_loop_eigenvalues=eigs,
-        closed_loop_spectral_radius=float(np.max(np.abs(eigs))),
-    )
+    eigs = np.take_along_axis(eigs, np.argsort(-np.abs(eigs), axis=1), axis=1)
+    for j, i in enumerate(ok):
+        e = eigs[j] if eigs[j].imag.any() else eigs[j].real  # as eigvals gives one matrix
+        out[i] = (K[j], R_nu[j], 1.0 / lam[j, ::-1], AreReport(
+            residual=float(residual[j]),
+            relative_residual=float(relative[j]),
+            closed_loop_eigenvalues=e,
+            closed_loop_spectral_radius=float(np.max(np.abs(e))),
+        ))
+    return out
 
 
 def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
     """Frobenius residual of P = (A-KC) V (A-KC)^T + B B^T + K K^T at P."""
     P = symmetrize(P)
     check_finite("theta", theta, nonnegative=True)
-    return _are_report(model, theta, P, _inverse(P, "gain argument P"))[3]
+    P_inv = _inverse(P, "gain argument P")
+    (report,) = _are_stack(model, np.array([theta], dtype=float), P[None], P_inv[None])
+    if isinstance(report, ConeExitError):
+        raise report
+    return report[3]
 
 
 def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
-                   max_iter: int) -> list:
+                   max_iter: int, wanted=None) -> list:
     """The straight iteration for every theta at once, from one start P0.
 
     Raises only when P0 (default: identity) fails the gate or its inverse
@@ -295,7 +326,9 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     the step distance. A theta stops at its own step once that distance is
     below tol. Returns, per theta, (iterations, distance, P, decomposition of
     P) or the error `fixed_point` raises for it; the finish is left to the
-    caller.
+    caller. With `wanted`, after each step in which entries stopped,
+    wanted(out) lists the input indices still needed: the other running
+    entries are dropped, and their outcome stays None.
     """
     b, n = len(thetas), model.n
     P0 = symmetrize(P0) if P0 is not None else np.eye(n)
@@ -325,6 +358,7 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     for it in range(1, max_iter + 1):
         if not live.size:
             break
+        running = live.size
         P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
         P_next, lam, U, errors = _map_step(model, thetas[live], P_inv)
         if errors:
@@ -335,14 +369,16 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
             "distance argument Q must be positive definite: P^-1/2 Q P^-1/2")
         if errors:
             live, P_next, lam, U, lam_w = stop(errors, [live, P_next, lam, U, lam_w], False)
-        log_w = np.log(lam_w)[:, None, :]  # ||log lam_w||, summed as np.linalg.norm sums a vector
-        distance = np.sqrt(log_w @ log_w.swapaxes(1, 2))[:, 0, 0]
+        distance = _frobenius(np.log(lam_w))
         P = P_next
         done = distance < tol
         for i in np.flatnonzero(done).tolist():
             out[live[i]] = (it, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
         if done.any():
             live, P, lam, U, distance = (a[~done] for a in (live, P, lam, U, distance))
+        if wanted is not None and live.size < running:
+            keep = np.isin(live, wanted(out))
+            live, P, lam, U, distance = (a[keep] for a in (live, P, lam, U, distance))
     for i, j in enumerate(live.tolist()):
         out[j] = IterationLimitError(
             f"no fixed point within {max_iter} iterations at theta={thetas[j]:.6e}: "
@@ -353,29 +389,51 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     return out
 
 
-def _finish(model: StateSpaceModel, theta: float, it: int, distance: float,
-            P: np.ndarray, P_dec) -> FixedPointResult:
-    """Validity gate, gain, ARE report and spectra at a converged iterate."""
-    try:
-        K, R_nu, V_dec, report = _are_report(model, theta, P, P_dec.inverse())
-    except ConeExitError as exc:
-        raise ConeExitError(
-            f"fixed point reached at theta={theta:.6e} but its "
-            f"validity matrix is not positive definite",
-            lambda_min=exc.lambda_min, step=it, last_valid=P,
-        ) from exc
-    return FixedPointResult(
-        P_star=P,
-        iterations=it,
-        final_step_distance=distance,
-        K=K,
-        R_nu=R_nu,
-        closed_loop_eigenvalues=report.closed_loop_eigenvalues,
-        closed_loop_spectral_radius=report.closed_loop_spectral_radius,
-        are_residual=report.residual,
-        lambda_P=P_dec.eigenvalues,
-        lambda_V=1.0 / V_dec.eigenvalues[::-1],
-    )
+def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
+                 max_iter: int, wanted=None) -> list:
+    """Per theta: its FixedPointResult, or the error `fixed_point` raises for it.
+
+    `_iterate_stack` runs the iteration, then one `_are_stack` call finishes
+    every converged theta. A converged theta whose V at P* fails the gate
+    gets the breakdown error, carrying the gate's as its cause. With
+    `wanted` (see `_iterate_stack`), the thetas that stopped in a step are
+    finished before wanted(out) reads them.
+    """
+    def finish(out: list) -> list:
+        done = [i for i, o in enumerate(out) if isinstance(o, tuple)]  # converged, unfinished
+        if not done:
+            return out
+        P = np.array([out[i][2] for i in done])
+        lam = np.array([out[i][3].eigenvalues for i in done])
+        U = np.array([out[i][3].eigenvectors for i in done])
+        P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
+        for i, report in zip(done, _are_stack(model, thetas[done], P, P_inv)):
+            it, distance, P_i, P_dec = out[i]
+            if isinstance(report, ConeExitError):
+                out[i] = ConeExitError(
+                    f"fixed point reached at theta={thetas[i]:.6e} but its "
+                    f"validity matrix is not positive definite",
+                    lambda_min=report.lambda_min, step=it, last_valid=P_i,
+                )
+                out[i].__cause__ = report
+                continue
+            K, R_nu, lambda_V, are = report
+            out[i] = FixedPointResult(
+                P_star=P_i,
+                iterations=it,
+                final_step_distance=distance,
+                K=K,
+                R_nu=R_nu,
+                closed_loop_eigenvalues=are.closed_loop_eigenvalues,
+                closed_loop_spectral_radius=are.closed_loop_spectral_radius,
+                are_residual=are.residual,
+                lambda_P=P_dec.eigenvalues,
+                lambda_V=lambda_V,
+            )
+        return out
+
+    hook = None if wanted is None else (lambda out: wanted(finish(out)))
+    return finish(_iterate_stack(model, thetas, P0, tol, max_iter, hook))
 
 
 def fixed_point_sweep(
@@ -385,23 +443,24 @@ def fixed_point_sweep(
     tol: float = 1e-12,
     max_iter: int = 10000,
 ) -> list[FixedPointResult]:
-    """`fixed_point` at every theta of a list, as one stacked iteration.
+    """`fixed_point` at every theta of a list, as one stacked iteration and one stacked finish.
 
     Every theta iterates from the same P0 and stops at its own step, so
     its result, iteration count included, does not depend on the other
-    thetas. A NaN or negative theta anywhere raises DomainError before
-    any iteration; otherwise the error of the first theta (in input
-    order) that fails is raised, exactly as `fixed_point` raises it.
+    thetas. The finish gates V at every converged P* in one eigensolve and
+    forms the gains, ARE residuals and closed-loop spectra once over the
+    stack. A NaN or negative theta anywhere raises DomainError before any
+    iteration; otherwise the error of the first theta (in input order)
+    that fails, in the iteration or at P*, is raised, exactly as
+    `fixed_point` raises it.
     """
     thetas = list(thetas)
     for theta in thetas:
         check_finite("theta", theta, nonnegative=True)
-    thetas = np.array(thetas, dtype=float)
-    results = []
-    for theta, outcome in zip(thetas, _iterate_stack(model, thetas, P0, tol, max_iter)):
+    results = _solve_stack(model, np.array(thetas, dtype=float), P0, tol, max_iter)
+    for outcome in results:
         if isinstance(outcome, Exception):
             raise outcome
-        results.append(_finish(model, float(theta), *outcome))
     return results
 
 
@@ -429,13 +488,19 @@ def fixed_point(
     return fixed_point_sweep(model, [theta], P0, tol, max_iter)[0]
 
 
+# Bisection levels whose midpoints `breakdown_search` solves in one stacked call.
+_SPECULATIVE_LEVELS = 3
+
+
 @dataclass(frozen=True)
 class BreakdownResult:
     """Outcome of the bisection for the largest solvable risk parameter.
 
     found is False when the whole bracket was solvable (no breakdown in
     range); theta then reports the upper end of the range. evaluations
-    counts the `fixed_point` probes, the two ends included.
+    counts the points the bisection decided on: the two ends and one
+    midpoint per level walked. Midpoints solved ahead of the walk but
+    never reached are not counted.
     """
 
     theta: float
@@ -464,19 +529,30 @@ def breakdown_search(
     whose inverse overflows NumericalError, rather than reading as an
     unsolvable theta_lo. Bisection stops at width tol or adjacent floats.
     theta_hi defaults to 1/lam_1(D P*(0) D^T), P*(0) the risk-neutral fixed
-    point from P0 (that solve raises its own errors; it is not a probe).
-    No theta from there on is solvable: the map grows with theta and is
-    monotone in P, so P*(theta) >= P*(0), and V at P*(theta) is positive
-    definite only when theta * lam_1(D P*(theta) D^T) < 1.
+    point from P0 (that solve raises its own errors). No theta from there
+    on is solvable: the map grows with theta and is monotone in P, so
+    P*(theta) >= P*(0), and V at P*(theta) is positive definite only when
+    theta * lam_1(D P*(theta) D^T) < 1. So that end counts as a failed
+    probe without being solved, and a theta_lo of 0 reads the solve just made.
+
+    The probes are `fixed_point_sweep`'s stacked iteration and finish. The
+    two ends are solved in one call; after that, each call solves the
+    midpoints of the next _SPECULATIVE_LEVELS levels below the current
+    bracket, and the bisection walks them with the usual test, so every
+    midpoint, the bracket and `evaluations` are those of a one-probe-at-a-time
+    bisection. An error other than breakdown or the iteration limit is
+    raised when the walk reaches its theta.
     """
     check_finite("theta", theta_lo, nonnegative=True)
     if not tol >= 0.0:
         raise UsageError(f"bisection tol must be >= 0, got {tol}")
     P0 = symmetrize(P0) if P0 is not None else np.eye(model.n)
     _inverse(P0, "breakdown start P0")
+    verdicts = {}  # theta -> solvable, or the error to raise when the walk reads it
     if theta_hi is None:
         P_star = fixed_point(model, 0.0, P0).P_star
         theta_hi = 1.0 / spectral(_sym(model.D @ P_star @ model.D.T)).eigenvalues[0]
+        verdicts = {theta_hi: False, 0.0: True}  # by the argument above; the solve just made
     check_finite("theta", theta_hi, nonnegative=True)
     if not theta_hi > theta_lo:
         raise UsageError(
@@ -484,12 +560,58 @@ def breakdown_search(
         )
 
     def solvable(theta: float) -> bool:
-        try:
-            fixed_point(model, theta, P0)
-        except (ConeExitError, IterationLimitError):
-            return False
-        return True
+        if isinstance(verdicts[theta], Exception):
+            raise verdicts[theta]
+        return verdicts[theta]
 
+    def levels(lo: float, hi: float) -> list:
+        """The midpoints of the next _SPECULATIVE_LEVELS levels below (lo, hi), as the walk forms them."""
+        mids, brackets = [], [(lo, hi)]
+        for _ in range(_SPECULATIVE_LEVELS):
+            below = []
+            for a, b in brackets:
+                if b - a > tol and a < (m := 0.5 * (a + b)) < b:
+                    mids.append(m)
+                    below += [(a, m), (m, b)]
+            brackets = below
+        return mids
+
+    def reach(lo: float, hi: float) -> tuple:
+        """The bracket the walk from (lo, hi) gets to on the verdicts known so far."""
+        while (hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi
+               and isinstance(verdicts.get(mid), bool)):
+            lo, hi = (mid, hi) if verdicts[mid] else (lo, mid)
+        return lo, hi
+
+    def probe(thetas: list, bracket: Optional[tuple] = None) -> None:
+        """Solve the thetas that have no verdict yet in one stacked call.
+
+        From a walk at `bracket`, a probe still running once the walk can no
+        longer reach it is dropped, so one that would run to the iteration
+        limit costs nothing unless the walk needs it.
+        """
+        thetas = [t for t in thetas if t not in verdicts]
+
+        def record(out: list) -> None:
+            for theta, outcome in zip(thetas, out):
+                if outcome is None or theta in verdicts:
+                    continue
+                if isinstance(outcome, (ConeExitError, IterationLimitError)):
+                    verdicts[theta] = False
+                else:
+                    verdicts[theta] = outcome if isinstance(outcome, Exception) else True
+
+        def wanted(out: list) -> list:
+            record(out)
+            reachable = set(levels(*reach(*bracket)))
+            return [i for i, t in enumerate(thetas) if t in reachable]
+
+        if thetas:
+            # fixed_point's default tol and max_iter
+            record(_solve_stack(model, np.array(thetas), P0, 1e-12, 10000,
+                                wanted if bracket else None))
+
+    probe([theta_lo, theta_hi])
     evaluations = 2
     if not solvable(theta_lo):
         raise UsageError(
@@ -505,6 +627,8 @@ def breakdown_search(
         )
     lo, hi = theta_lo, theta_hi
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid not in verdicts:
+            probe(levels(lo, hi), (lo, hi))
         evaluations += 1
         if solvable(mid):
             lo = mid

@@ -5,8 +5,10 @@ import numpy as np
 from rsriccati import (
     ConeExitError,
     DomainError,
+    IterationLimitError,
     RiccatiStep,
     StateSpaceModel,
+    fixed_point,
     is_observable,
     is_reachable,
     rs_gain,
@@ -93,6 +95,26 @@ def fixed_point_oracle(model, theta, P0, tol=1e-12, max_iter=100_000):
             return P_next
         P = P_next
     raise AssertionError(f"oracle did not converge within {max_iter} iterations at theta={theta}")
+
+
+def sequential_bisection(model, theta_lo, theta_hi, P0, tol):
+    """(bracket, evaluations) of a plain bisection with one `fixed_point` probe per point.
+
+    Both ends count as evaluations; theta_lo must be solvable and theta_hi not.
+    """
+    def solvable(theta):
+        try:
+            fixed_point(model, theta, P0)
+        except (ConeExitError, IterationLimitError):
+            return False
+        return True
+
+    assert solvable(theta_lo) and not solvable(theta_hi)
+    lo, hi, evaluations = theta_lo, theta_hi, 2
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        evaluations += 1
+        lo, hi = (mid, hi) if solvable(mid) else (lo, mid)
+    return (lo, hi), evaluations
 
 
 def kalman_gain_oracle(model, P):

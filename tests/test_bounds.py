@@ -255,6 +255,26 @@ def test_bound_search_polish_beats_grid_and_coordinate_descent(example_model):
     assert best.beta_rho == observer_bound(example_model, best.G, best.rho).beta_rho
 
 
+# beta_rho the single-scale polish (steps h only) reached on the default grids.
+SINGLE_SCALE_BETA = 4.826206088887e-4
+
+
+def test_bound_search_multi_scale_polish_takes_few_rounds(monkeypatch, example_model):
+    # the steps h, 2h, 4h and 8h in one call per round: the single-scale
+    # polish took 516 rounds (526 kernel calls) to a lower beta
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _beta_batch(*args)
+
+    monkeypatch.setattr("rsriccati.bounds._beta_batch", counted)
+    best = bound_search(example_model)
+    assert len(calls) <= 100
+    assert best.beta_rho >= SINGLE_SCALE_BETA
+    assert 1.1 <= best.rho <= 1.5
+
+
 def test_bound_search_refine_terminates_on_singleton_grid(example_model, example_bound):
     # a singleton grid has no spacing: the polish starts from the fallback steps
     G, _, beta2 = example_bound

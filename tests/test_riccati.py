@@ -10,6 +10,7 @@ from helpers import (
     rs_riccati_gain_form,
     rs_riccati_observer_form,
     safe_theta,
+    sequential_bisection,
 )
 
 from rsriccati import (
@@ -35,6 +36,7 @@ from rsriccati import (
     spectral,
     verify_are,
 )
+from rsriccati import riccati
 from rsriccati.riccati import _iterate_stack
 
 SCALAR = '{"A": [[%s]], "B": [[1]], "C": [[1]], "D": [[1]]}'
@@ -491,8 +493,18 @@ def check_sweep(model, thetas, P0):
         record = iterate_trajectory(model, theta, got.P_star, 0)[0]
         assert np.array_equal(got.lambda_P, record.lambda_P)
         assert np.array_equal(got.lambda_V, record.lambda_V)
+        # the stacked finish against the one-point path, to the bit
+        K, R_nu, _ = rs_gain(model, theta, got.P_star)
+        assert np.array_equal(got.K, K) and np.array_equal(got.R_nu, R_nu)
+        residual = np.linalg.norm(got.P_star - rs_riccati_gain_form(model, theta, got.P_star))
+        assert got.are_residual == residual
+        eigs = np.linalg.eigvals(model.A - K @ model.C)
+        eigs = eigs[np.argsort(-np.abs(eigs))]
+        assert got.closed_loop_eigenvalues.dtype == eigs.dtype
+        assert np.array_equal(got.closed_loop_eigenvalues, eigs)
         want = fixed_point_oracle(model, theta, P0)
         assert np.linalg.norm(got.P_star - want) <= 1e-10 * np.linalg.norm(want)
+    return results
 
 
 def test_fixed_point_sweep_on_paper_grid(example_model):
@@ -505,6 +517,15 @@ def test_fixed_point_sweep_on_random_model():
     P0 = random_spd(rng, 4)
     theta_max = safe_theta(model, fixed_point(model, 0.0, P0).P_star, 0.5)
     check_sweep(model, rng.uniform(0.0, theta_max, 50), P0)
+
+
+def test_fixed_point_sweep_mixes_real_and_complex_closed_loop_spectra():
+    # eig(A - KC) turns complex part way along this grid; each theta keeps
+    # the dtype that eigvals gives its matrix alone (checked in check_sweep)
+    model = random_model(np.random.default_rng(0), n=2, m=2, p=1)
+    theta_max = safe_theta(model, fixed_point(model, 0.0, np.eye(2)).P_star, 0.9)
+    results = check_sweep(model, np.linspace(0.0, theta_max, 20), np.eye(2))
+    assert {r.closed_loop_eigenvalues.dtype.kind for r in results} == {"f", "c"}
 
 
 def test_fixed_point_sweep_raises_the_first_breakdown(example_model):
@@ -542,6 +563,20 @@ def test_fixed_point_sweep_rejects_nan_start_before_step_one(example_model):
 
 def test_fixed_point_sweep_empty(example_model):
     assert fixed_point_sweep(example_model, []) == []
+
+
+def test_fixed_point_sweep_finishes_in_one_stacked_call(monkeypatch, example_model):
+    # one eig(A - KC) for the whole sweep, not one per theta
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(X):
+        calls.append(np.shape(X))
+        return eigvals(X)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    results = fixed_point_sweep(example_model, np.linspace(0.0, 0.95e-3, 50), np.eye(2))
+    assert len(results) == 50 and calls == [(50, 2, 2)]
 
 
 # D^T D = 4 I, so theta = 1e308 overflows the inner matrix to inf and its spectrum to NaN.
@@ -663,6 +698,56 @@ def test_breakdown_default_upper_end_is_never_solvable(example_model):
         breakdown_search(unreachable, 0.0)
 
 
+def counted_kernel(monkeypatch):
+    """Record each `_iterate_stack` call's thetas and outcomes."""
+    calls = []
+
+    def counted(model, thetas, *args):
+        out = _iterate_stack(model, thetas, *args)
+        calls.append((list(thetas), out))
+        return out
+
+    monkeypatch.setattr(riccati, "_iterate_stack", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case, max_calls", [("sigma", 5), ("identity", 5), ("whittle", 19)])
+def test_breakdown_matches_sequential_bisection_in_fewer_calls(
+        monkeypatch, example_model, example_bound, case, max_calls):
+    # the speculative levels only decide which probes share a stacked call:
+    # bracket and evaluations are a one-probe-at-a-time bisection's, to the bit
+    _, Sigma2, beta2 = example_bound
+    model, lo, hi, P0, tol = {
+        "sigma": (example_model, beta2, 2e-3, Sigma2, 1e-6),
+        "identity": (example_model, beta2, 2e-3, np.eye(2), 1e-6),
+        "whittle": (load_model(SCALAR % "0.9"), 0.1, 0.9, np.eye(1), 0.0),
+    }[case]
+    bracket, evaluations = sequential_bisection(model, lo, hi, P0, tol)
+    calls = counted_kernel(monkeypatch)
+    got = breakdown_search(model, lo, hi, P0, tol)
+    assert got.found and got.bracket == bracket and got.evaluations == evaluations
+    # the ends in one call, then one call per _SPECULATIVE_LEVELS levels
+    levels = evaluations - 2
+    assert len(calls) == 1 + -(-levels // riccati._SPECULATIVE_LEVELS) <= max_calls
+
+
+def test_breakdown_drops_probes_the_walk_cannot_reach(monkeypatch, example_model):
+    # From the identity with the default end, the second round solves
+    # theta = 1.30695e-3, whose step distance stalls above tol until the
+    # iteration limit; the walk goes below 1.1365e-3 and never needs it, so
+    # it is dropped, not run 10000 steps.
+    P_star = fixed_point(example_model, 0.0).P_star
+    end = 1.0 / spectral(example_model.D @ P_star @ example_model.D.T).eigenvalues[0]
+    bracket, evaluations = sequential_bisection(example_model, 0.0, end, np.eye(2), 1e-6)
+    calls = counted_kernel(monkeypatch)
+    got = breakdown_search(example_model, 0.0)
+    assert got.bracket == bracket and got.evaluations == evaluations
+    thetas, out = calls[2]  # the theta = 0 solve for the end, then one call per round
+    assert any(1.3e-3 < t < 1.31e-3 for t in thetas)
+    assert None in out
+    assert not any(isinstance(o, IterationLimitError) for _, outcomes in calls for o in outcomes)
+
+
 @pytest.mark.parametrize("P0, error, match", [
     (-np.eye(1), ConeExitError, "breakdown start P0 not positive definite"),
     (np.array([[np.nan]]), ConeExitError, "breakdown start P0 not positive definite"),
@@ -674,5 +759,6 @@ def test_breakdown_gates_P0_before_any_probe(monkeypatch, P0, error, match):
         raise AssertionError("breakdown_search probed with an ungated P0")
 
     monkeypatch.setattr("rsriccati.riccati.fixed_point", no_probe)
+    monkeypatch.setattr("rsriccati.riccati._iterate_stack", no_probe)
     with pytest.raises(error, match=match):
         breakdown_search(load_model(SCALAR % "0.9"), 0.1, 0.9, P0)
