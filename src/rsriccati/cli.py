@@ -17,6 +17,7 @@ independent of locale.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from . import bounds as bnd
 from . import riccati as ric
 from . import statespace as ssp
 from .cone import contraction_bound, spectral
-from .errors import DomainError, IterationLimitError, NumericalError, UsageError
+from .errors import DomainError, IterationLimitError, NumericalError, UsageError, check_finite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -73,6 +74,14 @@ def _jsonable(obj):
 def _dump_json(payload, stream=None) -> None:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     print(text, file=stream or sys.stdout)
+
+
+def _write_out(path: str, write, newline=None) -> None:
+    try:
+        with open(path, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _load_model_file(path: str) -> ssp.StateSpaceModel:
@@ -129,6 +138,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _analysis_payload(model: ssp.StateSpaceModel, N: int, theta: float) -> dict:
+    check_finite("theta", theta, nonnegative=True)
     thresholds = ssp.tau_N(model, N)
     payload = {
         "model": {
@@ -167,7 +177,7 @@ def _analysis_payload(model: ssp.StateSpaceModel, N: int, theta: float) -> dict:
         payload["bound"] = None
         beta = None
     payload["conditions"] = {
-        "theta_below_tau_N": bool(0.0 <= theta < thresholds.tau_N),
+        "theta_below_tau_N": bool(theta < thresholds.tau_N),
         "theta_below_beta_rho": (
             bool(theta <= beta) if beta is not None else theta == 0.0
         ),
@@ -226,8 +236,7 @@ def _cmd_trajectory(args) -> int:
     P0 = _initial_variance_arg(model, args.p0)
     steps = ric.iterate_trajectory(model, args.theta, P0, args.steps)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _write_trajectory_csv(steps, model.n, fh)
+        _write_out(args.out, lambda fh: _write_trajectory_csv(steps, model.n, fh), newline="")
     else:
         _write_trajectory_csv(steps, model.n, sys.stdout)
     return EXIT_OK
@@ -260,8 +269,7 @@ def _cmd_fixed_point(args) -> int:
                              max_iter=args.max_iter)
     payload = _fixed_point_payload(result)
     if args.out:
-        with open(args.out, "w") as fh:
-            _dump_json(payload, fh)
+        _write_out(args.out, lambda fh: _dump_json(payload, fh))
     elif args.json:
         _dump_json(payload)
     else:
@@ -468,6 +476,7 @@ def _cmd_paper_example(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsriccati",
@@ -531,9 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # into a fresh namespace
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the input-error code
         return int(exc.code) if exc.code else EXIT_OK

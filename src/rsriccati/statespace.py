@@ -14,6 +14,9 @@ Riccati map. The thresholds computed here:
               Omega_N(theta) becomes singular, in closed form by a
               Schur complement (one eigensolve; see tau_N).
 
+Both read lam_1 from the smaller Gram of an Nq-row square-root factor,
+F = L chol(I + H^T H)^-T or [F, Y]; neither forms an Nq x Nq matrix.
+
 The theta-free block matrices (R, O, O_R, H, L, J and the Grams
 I + H H^T, I + H^T H with their inverses) come from one private builder,
 shared by `build_block_model`, which adds the theta part, `tau_N` and
@@ -249,16 +252,16 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
     return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, psi_inv, J, A_N)
 
 
-def _penalty_core(L: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
-    """M = L psi^-1 L^T with psi = I + H^T H, the theta-free part of S = -I/theta + M."""
+def _penalty_root(free: _ThetaFree) -> np.ndarray:
+    """F = L chol(psi)^-T, Nq x Nm, so that F F^T = M = L psi^-1 L^T; psi = I + H^T H >= I."""
+    return np.linalg.solve(np.linalg.cholesky(free.psi), free.L.T).T
+
+
+def _threshold(N: int, name: str, X: np.ndarray) -> float:
+    """1/lam_1(X X^T = name) from the smaller, finite Gram of X; +inf unless lam_1 > 0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _sym(L @ np.linalg.solve(psi, L.T))
-    return _finite(N, "L (I + H^T H)^-1 L^T", M)
-
-
-def _threshold(M: np.ndarray) -> float:
-    """theta_N = 1/lam_1(M); +inf only when that eigenvalue is not positive, as for tau_N."""
-    lam_1 = spectral(M).eigenvalues[0]
+        gram = _finite(N, name, X.T @ X if X.shape[0] > X.shape[1] else X @ X.T)
+    lam_1 = spectral(gram).eigenvalues[0]
     return 1.0 / lam_1 if lam_1 > 0.0 else math.inf
 
 
@@ -266,11 +269,11 @@ def theta_N(model: StateSpaceModel, N: int) -> float:
     """Positivity threshold of the whitened block input covariance.
 
     The reciprocal of the largest eigenvalue of
-    L (I + H^T H)^{-1} L^T; +inf when that eigenvalue vanishes (no
+    M = L (I + H^T H)^{-1} L^T = F F^T, read from the smaller Gram of F
+    (size min(Nq, Nm)); +inf when that eigenvalue vanishes (no
     feedthrough from the process noise to the penalty output).
     """
-    free = _theta_free(model, N)
-    return _threshold(_penalty_core(free.L, free.psi, N))
+    return _threshold(N, "L (I + H^T H)^-1 L^T", _penalty_root(_theta_free(model, N)))
 
 
 def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockModel:
@@ -293,7 +296,8 @@ def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> Blo
 
         Nq = N * model.q
         if theta > 0.0:
-            S_inv = _sym(np.linalg.inv(-np.eye(Nq) / theta + _penalty_core(L, psi, N)))
+            M = _finite(N, "L (I + H^T H)^-1 L^T", _sym(L @ np.linalg.solve(psi, L.T)))
+            S_inv = _sym(np.linalg.inv(-np.eye(Nq) / theta + M))
         else:
             S_inv = np.zeros((Nq, Nq))      # limit of S^-1 as theta -> 0
 
@@ -332,16 +336,17 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     For theta < theta_N, Omega_N(theta) = Omega_N(0) - J^T (I/theta - M)^{-1} J
     with M = L (I + H^T H)^{-1} L^T, so by a Schur complement it is
     positive definite exactly when 1/theta > lam_1(M + J Omega_N(0)^{-1} J^T).
-    tau_N is the reciprocal of that eigenvalue (+inf when it vanishes),
-    taken no larger than theta_N, which it can pass only by roundoff since
-    J Omega_N(0)^{-1} J^T is positive semidefinite. M and J Omega_N(0)^{-1} J^T
-    do not change under a change of state coordinates x -> T x, so neither
-    does tau_N. Omega_N(0) must pass the positivity gate: the pair (C, A)
-    must be observable.
+    That matrix is X X^T, X = [F, Y] with M = F F^T as in theta_N and
+    Y Y^T = J Omega_N(0)^{-1} J^T, so lam_1 comes from the smaller Gram of
+    X, of size min(Nq, Nm + n). tau_N is its reciprocal (+inf when it
+    vanishes), taken no larger than theta_N, which it can pass only by
+    roundoff. M and Y Y^T do not change under x -> T x, so neither does
+    tau_N. Omega_N(0) must pass the positivity gate: the pair (C, A) must
+    be observable.
     """
     free = _theta_free(model, N)
-    M = _penalty_core(free.L, free.psi, N)
-    th_N = _threshold(M)
+    F = _penalty_root(free)
+    th_N = _threshold(N, "L (I + H^T H)^-1 L^T", F)
     with np.errstate(over="ignore", invalid="ignore"):
         omega0 = _finite(N, "Omega_N(0)", _sym(free.O.T @ free.phi_inv @ free.O))
     require_spd(omega0, f"pair (C, A) not observable at block length N={N}: "
@@ -350,9 +355,6 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     # Omega_N(0) = Z^T Z for Z = phi^{-1/2} O, phi = I + H H^T. Working on Z
     # loses eps * sqrt(cond(Omega_N(0))), not eps * cond(Omega_N(0)).
     R = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(free.phi), free.O), mode="r")
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = np.linalg.solve(R.T, free.J.T).T
-        # passed on unnamed, so spectral can free it once symmetrized
-        lam_1 = spectral(_finite(N, "M + J Omega_N(0)^-1 J^T", M + Y @ Y.T)).eigenvalues[0]
-    tau = 1.0 / lam_1 if lam_1 > 0.0 else math.inf
+    Y = np.linalg.solve(R.T, free.J.T).T
+    tau = _threshold(N, "M + J Omega_N(0)^-1 J^T", np.hstack([F, Y]))
     return Thresholds(N=N, theta_N=th_N, tau_N=min(tau, th_N), tau_is_capped=bool(tau >= th_N))

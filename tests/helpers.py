@@ -1,5 +1,7 @@
 """Shared models, random-instance generators and plain-numpy oracles for the tests."""
 
+import math
+
 import numpy as np
 
 from rsriccati import (
@@ -8,6 +10,7 @@ from rsriccati import (
     IterationLimitError,
     RiccatiStep,
     StateSpaceModel,
+    build_block_model,
     fixed_point,
     is_observable,
     is_reachable,
@@ -134,6 +137,24 @@ def stacked_noise_gram(block):
         [np.eye(H.shape[0]) + H @ H.T, H @ L.T],
         [L @ H.T, -np.eye(L.shape[0]) / block.theta + L @ L.T],
     ])
+
+
+def dense_thresholds(model, N):
+    """(theta_N, tau_N, tau_is_capped) by the dense route, through Nq x Nq matrices.
+
+    theta_N = 1/lam_1(M), M = L (I + H^T H)^-1 L^T, and tau_N = 1/lam_1(M + Y Y^T)
+    capped at theta_N, with Y Y^T = J Omega_N(0)^-1 J^T from the QR factor of
+    (I + H H^T)^{-1/2} O; +inf where an eigenvalue is not positive.
+    """
+    block = build_block_model(model, N)
+    H, L, O, J = block.H, block.L, block.O, block.J
+    phi = np.eye(H.shape[0]) + H @ H.T
+    M = symmetrize(L @ np.linalg.solve(np.eye(H.shape[1]) + H.T @ H, L.T))
+    R = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(phi), O), mode="r")
+    Y = np.linalg.solve(R.T, J.T).T
+    theta, tau = (1.0 / lam if lam > 0.0 else math.inf
+                  for lam in (spectral(M).eigenvalues[0], spectral(M + Y @ Y.T).eigenvalues[0]))
+    return theta, min(tau, theta), bool(tau >= theta)
 
 
 def ldu_factors(block):

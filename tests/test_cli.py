@@ -1,12 +1,17 @@
+import argparse
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsriccati
 from rsriccati import load_model, tau_N
-from rsriccati.cli import _initial_variance_arg, main
+from rsriccati.cli import _initial_variance_arg, build_parser, main
 from conftest import EXAMPLE_JSON
 
 
@@ -128,6 +133,15 @@ def test_analyze_multi_output_model_without_bound(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("theta", ["nan", "-1", "inf"])
+def test_analyze_rejects_theta_outside_the_domain(capsys, model_file, theta):
+    # the JSON payload would otherwise carry NaN (not JSON) or the string "inf"
+    code, out, err = run_cli(capsys, "analyze", model_file, "--json", "--theta", theta)
+    assert code == 3
+    assert out == ""
+    assert "domain error: theta must be finite and >= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # trajectory
 
@@ -145,6 +159,15 @@ def test_trajectory_csv_contract(capsys, model_file, tmp_path):
     assert all(r[1] == "ok" for r in rows)
     lam1 = np.array([float(r[2]) for r in rows])
     assert np.all(np.diff(lam1) <= 1e-10)
+
+
+@pytest.mark.parametrize("command", ["trajectory", "fixed-point"])
+def test_unwritable_output_file_is_an_input_error(capsys, model_file, tmp_path, command):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, command, model_file, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot write output file {str(target)!r}")
 
 
 def test_trajectory_zero_steps_single_row(capsys, model_file):
@@ -334,6 +357,32 @@ def test_paper_example_unwritable_dir(capsys, tmp_path):
 def test_unknown_flag_exits_two(capsys, model_file):
     code, _, _ = run_cli(capsys, "analyze", model_file, "--bogus")
     assert code == 2
+
+
+def test_one_parser_per_process_carries_no_state(capsys, model_file, monkeypatch):
+    # three calls in one process print and exit as three processes do, and
+    # the later calls see none of the first call's flags
+    calls = [["analyze", model_file, "--theta", "1e-3", "--json"],
+             ["analyze", model_file],
+             ["analyze", model_file, "--bogus"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(rsriccati.__file__).parents[1])}
+    alone = [subprocess.run([sys.executable, "-m", "rsriccati.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=120)
+             for argv in calls]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    together = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert together == [(proc.returncode, proc.stdout) for proc in alone]
+    assert [code for code, _ in together] == [3, 0, 2]
+    assert together[1][1].startswith("model: n=2")  # text, not the first call's JSON
+    assert built.count("rsriccati") == 1
 
 
 @pytest.mark.parametrize("flag,spec", [("--gain-grid", "3:x"), ("--rho-grid", "1,2,x")])

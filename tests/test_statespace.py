@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ldu_factors, random_model, stacked_noise_gram
+from helpers import dense_thresholds, ldu_factors, random_model, stacked_noise_gram
 
 from rsriccati import (
     DomainError,
@@ -392,7 +392,8 @@ def test_block_model_reports_penalty_overflow_as_numerical_failure():
 
 
 def test_tau_reports_theta_N_from_the_same_core(example_model):
-    # tau_N and theta_N read one penalty core M, so they agree exactly;
+    # tau_N and theta_N read one square-root factor F of the penalty core
+    # M = F F^T, so they agree exactly;
     # N * p >= n keeps Omega_N(0) positive definite, as tau_N requires
     rng = np.random.default_rng(41)
     models = [example_model] + [random_model(rng, n, p=p) for n in (2, 3, 4, 6, 8) for p in (1, n)]
@@ -401,6 +402,33 @@ def test_tau_reports_theta_N_from_the_same_core(example_model):
         for N in sorted({1, 2, n, 3 * n}):
             if N * model.p >= n:
                 assert tau_N(model, N).theta_N == theta_N(model, N)
+
+
+def _penalty_models(rng):
+    """Random observable models with q > m, q = m and q < m, and one with L = 0."""
+    models = []
+    for n, m, q in [(3, 1, 3), (4, 1, 2), (2, 2, 2), (3, 3, 3), (2, 3, 1), (3, 4, 2)]:
+        for p in (1, 2) * 3:
+            base = random_model(rng, n, m=m, p=p)
+            D = rng.standard_normal((q, n))
+            models.append(StateSpaceModel(A=base.A, B=base.B, C=base.C, D=D))
+    no_feedthrough = StateSpaceModel(A=np.diag([0.5, 0.3]), B=np.array([[0.0], [1.0]]),
+                                     C=np.eye(2), D=np.array([[1.0, 0.0]]))
+    return models + [no_feedthrough]
+
+
+def test_thresholds_match_the_dense_route():
+    # theta_N and tau_N read the smaller Gram of a square-root factor; the
+    # dense route takes lam_1 of the Nq x Nq matrices M and M + Y Y^T
+    models = _penalty_models(np.random.default_rng(23))
+    assert len(models) == 37 and math.isinf(theta_N(models[-1], 3))
+    for model in models:
+        for N in (model.n, 2 * model.n):
+            thr = tau_N(model, N)
+            theta, tau, capped = dense_thresholds(model, N)
+            for value, want in ((thr.theta_N, theta), (thr.tau_N, tau)):
+                assert value == want or abs(value - want) <= 1e-12 * want
+            assert thr.tau_is_capped == capped
 
 
 def _assert_tau_brackets_singularity(model, N):
