@@ -29,7 +29,6 @@ from .cone import (
     SpectralDecomposition,
     contraction_bound,
     is_spd,
-    loewner_leq,
     riemann_distance,
     spd_inv,
     spd_sqrt,
@@ -64,6 +63,7 @@ from .statespace import (
     StateSpaceModel,
     Thresholds,
     build_block_model,
+    gramian_sweep,
     is_observable,
     is_reachable,
     load_model,
@@ -102,12 +102,12 @@ __all__ = [
     "default_rho_grid",
     "fixed_point",
     "fixed_point_sweep",
+    "gramian_sweep",
     "is_observable",
     "is_reachable",
     "is_spd",
     "iterate_trajectory",
     "load_model",
-    "loewner_leq",
     "observer_bound",
     "place_observer_gain",
     "riemann_distance",

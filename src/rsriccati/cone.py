@@ -2,15 +2,15 @@
 
 Everything here runs through a single eigendecomposition backend:
 matrix square roots and inverses, the affine-invariant (Riemann) and
-Thompson distances, the Loewner partial order, and the contraction
-coefficient bound for Riccati-type maps P -> M [P^-1 + Omega]^-1 M^T + W.
+Thompson distances, and the contraction coefficient bound for
+Riccati-type maps P -> M [P^-1 + Omega]^-1 M^T + W.
 Dimensions are small (n up to a few tens), so there is no reason to use
 anything fancier than dense symmetric eigensolvers. `require_spd` is the
 one positive-definiteness decision: relative to scale and failed by NaN.
 Its stacked form `_require_spd_stack` applies the same rule to a stack
-of matrices for the fixed-point kernel. `symmetrize` checks a caller's
-matrix for asymmetry; matrices the library forms itself are symmetric
-by construction and only have their roundoff folded away by `_sym`.
+of matrices for the fixed-point kernel and the block build. `symmetrize`
+checks a caller's matrix for asymmetry; matrices the library forms
+itself are symmetric by construction; `_sym` folds away their roundoff.
 
 All functions are pure; none mutate their arguments.
 """
@@ -193,12 +193,3 @@ def is_spd(P) -> bool:
         return bool(require_spd(P, "is_spd argument"))  # a decomposition is truthy
     except ConeExitError:
         return False
-
-
-def loewner_leq(P, Q, tol: float = 1e-10) -> bool:
-    """Loewner order check P <= Q: smallest eigenvalue of Q - P >= -tol."""
-    P = symmetrize(P)
-    Q = symmetrize(Q)
-    if P.shape != Q.shape:
-        raise UsageError(f"dimension mismatch: {P.shape[0]} vs {Q.shape[0]}")
-    return bool(spectral(Q - P).eigenvalues[-1] >= -tol)

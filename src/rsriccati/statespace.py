@@ -11,17 +11,19 @@ Riccati map. The thresholds computed here:
   theta_N  -- largest risk parameter keeping the whitened block input
               covariance positive definite,
   tau_N    -- first risk parameter at which the observability Gramian
-              Omega_N(theta) becomes singular, in closed form by a
-              Schur complement (one eigensolve; see tau_N).
+              Omega_N(theta) becomes singular, in closed form (one
+              eigensolve; see tau_N).
 
 Both read lam_1 from the smaller Gram of an Nq-row square-root factor,
 F = L chol(I + H^T H)^-T or [F, Y]; neither forms an Nq x Nq matrix.
 
 The theta-free block matrices (R, O, O_R, H, L, J and the Grams
-I + H H^T, I + H^T H with their inverses) come from one private builder,
-shared by `build_block_model`, which adds the theta part, `tau_N` and
-`theta_N`. A block matrix that overflows double precision raises
-NumericalError before any positivity gate reads it.
+I + H H^T, I + H^T H) come from one private builder, shared by
+`build_block_model`, `gramian_sweep`, `tau_N` and `theta_N`. The theta
+half reads only Q = (I + H^T H - theta L^T L)^-1, whose gate is the one
+test of theta < theta_N, through products of size Nm or smaller. A block
+matrix that overflows double precision raises NumericalError before any
+positivity gate reads it.
 
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _sym, require_spd, spectral
-from .errors import NumericalError, UsageError, check_finite
+from .cone import _cone_exit, _require_spd_stack, _sym, require_spd, spectral
+from .errors import ConeExitError, NumericalError, UsageError, check_finite
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-10
@@ -186,12 +188,11 @@ class BlockModel:
     R, O, O_R are the block reachability and observability stacks (of C
     and D), H and L the impulse Toeplitz maps to C and D, with block (i, j)
     out A^{j-i-1} B for j > i; J the penalty innovation map. These do not
-    depend on theta, and this is their one public source. Q is
-    the whitened block input covariance, Omega / W the theta-dependent
-    observability and reachability Gramians, alpha the closed-loop
-    block transition matrix, and G / G_R the block projection gains.
-    The theta part goes through the inverse Schur complement S^-1 of
-    the stacked-noise Gram matrix, which has the limit 0 at theta = 0.
+    depend on theta, and this is their one public source. Q is the
+    whitened block input covariance (I + H^T H - theta L^T L)^-1, Omega / W
+    the theta-dependent observability and reachability Gramians, alpha the
+    closed-loop block transition matrix and G_R = -theta Q L^T the block
+    gain on the penalty output, which vanishes at theta = 0.
     """
 
     N: int
@@ -206,13 +207,12 @@ class BlockModel:
     Omega: np.ndarray
     W: np.ndarray
     alpha: np.ndarray
-    G: np.ndarray
     G_R: np.ndarray
 
 
 # The theta-free N-block matrices; phi = I + H H^T is the
 # measurement-block Gram, psi = I + H^T H and A_N = A^N.
-_ThetaFree = namedtuple("_ThetaFree", "R O O_R H L phi psi phi_inv psi_inv J A_N")
+_ThetaFree = namedtuple("_ThetaFree", "R O O_R H L phi psi phi_inv J A_N")
 
 
 def _finite(N: int, name: str, X: np.ndarray) -> np.ndarray:
@@ -232,9 +232,9 @@ def _finite(N: int, name: str, X: np.ndarray) -> np.ndarray:
 def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
     """The theta-free block matrices.
 
-    I + H H^T and I + H^T H are inverted here, so they must be finite (an
-    overflow in H shows on their diagonals). The other blocks reach the
-    gates only through products that their readers check.
+    I + H H^T and I + H^T H must be finite (an overflow in H shows on their
+    diagonals); the other blocks reach the gates only through products that
+    their readers check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         pw = _powers(model.A, N)
@@ -245,11 +245,10 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
         phi = _finite(N, "I + H H^T", np.eye(N * model.p) + H @ H.T)
         psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
         phi_inv = _sym(np.linalg.inv(phi))
-        psi_inv = _sym(np.linalg.inv(psi))
         X = L @ H.T @ phi_inv           # lower LDU coupling block
         J = O_R - X @ O
         A_N = pw[-1] @ model.A
-    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, psi_inv, J, A_N)
+    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, J, A_N)
 
 
 def _penalty_root(free: _ThetaFree) -> np.ndarray:
@@ -276,43 +275,65 @@ def theta_N(model: StateSpaceModel, N: int) -> float:
     return _threshold(N, "L (I + H^T H)^-1 L^T", _penalty_root(_theta_free(model, N)))
 
 
+def _theta_half(N: int, free: _ThetaFree, thetas: np.ndarray):
+    """Stacks Q, Omega and W over a 1-D array of theta, from one stacked gate.
+
+    The first theta, in input order, whose psi - theta L^T L fails raises
+    `require_spd`'s error. By push-through the inverse Schur complement of
+    the stacked-noise Gram is S^-1 = -theta (I + theta L Q L^T), so
+    Omega = O^T phi^-1 O - theta J^T J - theta^2 (L^T J)^T Q (L^T J).
+    """
+    k = thetas[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        LtL = _finite(N, "L^T L", free.L.T @ free.L)
+        lam, U, errors = _require_spd_stack(free.psi - k * LtL, "Q_N^theta")
+        if errors:
+            i = min(errors)
+            if isinstance(errors[i], ConeExitError):
+                raise _cone_exit(f"Q_N^theta not positive definite at theta={thetas[i]:.6e} "
+                                 f"(requires theta < theta_N)", lam[i].min(), lam[i].max())
+            raise errors[i]
+        Q = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
+        LtJ = free.L.T @ free.J
+        Omega = _finite(N, "Omega_N(theta)", _sym(
+            free.O.T @ free.phi_inv @ free.O - k * (free.J.T @ free.J) - k**2 * (LtJ.T @ Q @ LtJ)))
+        W = _finite(N, "W_N(theta)", _sym(free.R @ Q @ free.R.T))
+    return Q, Omega, W
+
+
 def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockModel:
     """Assemble every N-block matrix at risk parameter theta.
 
-    The Gram matrix of the stacked noise is never inverted densely: its
-    block LDU factorization isolates the -1/theta penalty block in the
-    Schur complement S, which stays bounded for all theta in [0,
-    theta_N) and vanishes from the formulas in the limit theta -> 0.
-    Requires theta < theta_N (the whitened input covariance Q must stay
-    positive definite).
+    The theta half reads only Q = (I + H^T H - theta L^T L)^-1, whose
+    positivity gate is exactly theta < theta_N; no Schur complement of the
+    stacked-noise Gram is formed. The gain on the penalty output is
+    G_R = -theta Q L^T, and alpha = A^N - R (H^T phi^-1 O + G_R J).
     """
     check_finite("theta", theta, nonnegative=True)
-    R, O, O_R, H, L, _, psi, phi_inv, psi_inv, J, A_N = _theta_free(model, N)
-    what = f"Q_N^theta not positive definite at theta={theta:.6e} (requires theta < theta_N)"
+    free = _theta_free(model, N)
+    R, O, O_R, H, L, _, _, phi_inv, J, A_N = free
+    Q, Omega, W = (X[0] for X in _theta_half(N, free, np.array([theta])))
     with np.errstate(over="ignore", invalid="ignore"):
-        # Whitened block input covariance; positive definiteness is exactly
-        # the theta < theta_N condition.
-        Q = require_spd(psi - theta * _finite(N, "L^T L", L.T @ L), what).inverse()
+        G_R = -theta * Q @ L.T
+        alpha = _finite(N, "alpha_N(theta)", A_N - R @ (H.T @ phi_inv @ O + G_R @ J))
+    return BlockModel(N=N, theta=theta, R=R, O=O, O_R=O_R, H=H, L=L, Q=Q, J=J,
+                      Omega=Omega, W=W, alpha=alpha, G_R=G_R)
 
-        Nq = N * model.q
-        if theta > 0.0:
-            M = _finite(N, "L (I + H^T H)^-1 L^T", _sym(L @ np.linalg.solve(psi, L.T)))
-            S_inv = _sym(np.linalg.inv(-np.eye(Nq) / theta + M))
-        else:
-            S_inv = np.zeros((Nq, Nq))      # limit of S^-1 as theta -> 0
 
-        Omega = _finite(N, "Omega_N(theta)", _sym(O.T @ phi_inv @ O + J.T @ S_inv @ J))
-        W = _finite(N, "W_N(theta)", _sym(R @ Q @ R.T))
+def gramian_sweep(model: StateSpaceModel, N: int, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(Omega, W): Omega_N(theta) and W_N(theta) stacked over a 1-D array of theta.
 
-        G_risk_free = H.T @ phi_inv
-        G_R = psi_inv @ L.T @ S_inv
-        G = G_risk_free - G_R @ (L @ G_risk_free)
-        alpha = _finite(N, "alpha_N(theta)", A_N - R @ (G @ O + G_R @ O_R))
-
-    return BlockModel(
-        N=N, theta=theta, R=R, O=O, O_R=O_R, H=H, L=L, Q=Q,
-        J=J, Omega=Omega, W=W, alpha=alpha, G=G, G_R=G_R,
-    )
+    Both have shape (len(thetas), n, n) and equal `build_block_model`'s
+    Gramians at each theta, from one theta-free build and one stacked
+    positivity gate. Each theta must be finite and >= 0; the first theta,
+    in input order, at or above theta_N raises the builder's DomainError.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise UsageError(f"thetas must be a 1-D array, got shape {thetas.shape}")
+    for theta in thetas.tolist():
+        check_finite("theta", theta, nonnegative=True)
+    return _theta_half(N, _theta_free(model, N), thetas)[1:]
 
 
 @dataclass(frozen=True)

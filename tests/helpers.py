@@ -10,6 +10,7 @@ from rsriccati import (
     IterationLimitError,
     RiccatiStep,
     StateSpaceModel,
+    UsageError,
     build_block_model,
     fixed_point,
     is_observable,
@@ -51,6 +52,15 @@ def random_model(rng, n=2, m=2, p=1, radius=0.9):
         model = StateSpaceModel(A=A, B=B, C=C, D=np.eye(n))
         if is_reachable(model) and is_observable(model):
             return model
+
+
+def loewner_leq(P, Q, tol: float = 1e-10) -> bool:
+    """Loewner order check P <= Q: smallest eigenvalue of Q - P >= -tol."""
+    P = symmetrize(P)
+    Q = symmetrize(Q)
+    if P.shape != Q.shape:
+        raise UsageError(f"dimension mismatch: {P.shape[0]} vs {Q.shape[0]}")
+    return bool(spectral(Q - P).eigenvalues[-1] >= -tol)
 
 
 def safe_theta(model, P, fraction=0.25):
@@ -137,6 +147,59 @@ def stacked_noise_gram(block):
         [np.eye(H.shape[0]) + H @ H.T, H @ L.T],
         [L @ H.T, -np.eye(L.shape[0]) / block.theta + L @ L.T],
     ])
+
+
+def dense_gramians(block):
+    """(Omega, W) by the dense route through `stacked_noise_gram(block)` = K.
+
+    Omega = S^T K^-1 S with S = [O; O_R], and W = R (I - G^T K^-1 G) R^T with
+    G = [H; L], which is R Q R^T by Woodbury. At theta = 0 only the measurement
+    block I + H H^T of K remains, with S = O and G = H.
+    """
+    if block.theta > 0.0:
+        K = stacked_noise_gram(block)
+        S, G = np.vstack([block.O, block.O_R]), np.vstack([block.H, block.L])
+    else:
+        K, S, G = np.eye(block.H.shape[0]) + block.H @ block.H.T, block.O, block.H
+    W = block.R @ (np.eye(G.shape[1]) - G.T @ np.linalg.solve(K, G)) @ block.R.T
+    return S.T @ np.linalg.solve(K, S), W
+
+
+def mp_block_gains(model, N, theta):
+    """(G_R, alpha) in 50-digit arithmetic, from A, B, C, D by the Schur-complement formulas.
+
+    G_R = psi^-1 L^T S^-1 with psi = I + H^T H and S = -I/theta + L psi^-1 L^T, and
+    alpha = A^N - R (G O + G_R O_R) with G = (I - G_R L) H^T (I + H H^T)^-1; theta > 0.
+    """
+    import mpmath
+
+    def inv(X):
+        return np.array(mpmath.inverse(mpmath.matrix(X.tolist())).tolist(), dtype=object)
+
+    def eye(k):
+        return np.array(mpmath.eye(k).tolist(), dtype=object)
+
+    with mpmath.workdps(50):
+        A, B, C, D = (np.array([[mpmath.mpf(x) for x in row] for row in X], dtype=object)
+                      for X in (model.A, model.B, model.C, model.D))
+        pw = [eye(model.n)]
+        for _ in range(N):
+            pw.append(pw[-1] @ A)
+
+        def toeplitz(out):
+            zero = 0 * (out @ B)
+            return np.block([[out @ pw[j - i - 1] @ B if j > i else zero for j in range(N)]
+                             for i in range(N)])
+
+        R = np.hstack([P @ B for P in pw[:N]])
+        O, O_R = (np.vstack([X @ P for P in reversed(pw[:N])]) for X in (C, D))
+        H, L = toeplitz(C), toeplitz(D)
+        psi_inv = inv(eye(H.shape[1]) + H.T @ H)
+        S = L @ psi_inv @ L.T - eye(L.shape[0]) / mpmath.mpf(theta)
+        G_R = psi_inv @ L.T @ inv(S)
+        G = (eye(H.shape[1]) - G_R @ L) @ H.T @ inv(eye(H.shape[0]) + H @ H.T)
+        alpha = pw[N] - R @ (G @ O + G_R @ O_R)
+        return G_R.astype(float), alpha.astype(float)
 
 
 def dense_thresholds(model, N):

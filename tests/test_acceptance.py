@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 from helpers import (
+    loewner_leq,
     random_model,
     random_spd,
     rs_riccati_gain_form,
@@ -29,7 +30,6 @@ from rsriccati import (
     contraction_bound,
     fixed_point,
     iterate_trajectory,
-    loewner_leq,
     observer_bound,
     riemann_distance,
     rs_gain,

@@ -36,12 +36,12 @@ PUBLIC_API = [
     "default_rho_grid",
     "fixed_point",
     "fixed_point_sweep",
+    "gramian_sweep",
     "is_observable",
     "is_reachable",
     "is_spd",
     "iterate_trajectory",
     "load_model",
-    "loewner_leq",
     "observer_bound",
     "place_observer_gain",
     "riemann_distance",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_model, random_spd, series_sigma, spectral_radius
+from helpers import loewner_leq, random_model, random_spd, series_sigma, spectral_radius
 
 from rsriccati import (
     ConeExitError,
@@ -15,7 +15,6 @@ from rsriccati import (
     is_spd,
     iterate_trajectory,
     load_model,
-    loewner_leq,
     observer_bound,
     place_observer_gain,
     spectral,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_nnd, random_spd, spd_log, translation_coefficient
+from helpers import loewner_leq, random_nnd, random_spd, spd_log, translation_coefficient
 
 from rsriccati import (
     ConeExitError,
@@ -9,7 +9,6 @@ from rsriccati import (
     UsageError,
     contraction_bound,
     is_spd,
-    loewner_leq,
     riemann_distance,
     spd_inv,
     spd_sqrt,

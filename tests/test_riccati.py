@@ -5,6 +5,7 @@ from helpers import (
     MAP_EXIT_THETA,
     fixed_point_oracle,
     kalman_gain_oracle,
+    loewner_leq,
     random_model,
     random_spd,
     rs_riccati_gain_form,
@@ -28,7 +29,6 @@ from rsriccati import (
     fixed_point_sweep,
     iterate_trajectory,
     load_model,
-    loewner_leq,
     riemann_distance,
     rs_gain,
     rs_riccati_map,

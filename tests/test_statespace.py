@@ -3,7 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from helpers import dense_thresholds, ldu_factors, random_model, stacked_noise_gram
+from helpers import (
+    dense_gramians,
+    dense_thresholds,
+    ldu_factors,
+    loewner_leq,
+    mp_block_gains,
+    random_model,
+    stacked_noise_gram,
+)
 
 from rsriccati import (
     DomainError,
@@ -11,14 +19,15 @@ from rsriccati import (
     StateSpaceModel,
     UsageError,
     build_block_model,
+    gramian_sweep,
     is_observable,
     is_reachable,
     load_model,
-    loewner_leq,
     spectral,
     tau_N,
     theta_N,
 )
+from rsriccati import statespace
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +323,79 @@ def test_block_alpha_reduces_to_risk_neutral(example_model):
     G_rn = H.T @ np.linalg.inv(np.eye(2) + H @ H.T)
     alpha_rn = np.linalg.matrix_power(example_model.A, 2) - R @ G_rn @ O
     assert np.allclose(b0.alpha, alpha_rn, atol=1e-12)
+
+
+def _relerr(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+# The paper's 200-theta grid at N = 2, and seeded random models at theta in
+# {0, 0.1, 0.5, 0.9} tau_N.
+SWEEP_CASES = ["paper-grid"] + [(n, N) for n in (2, 3, 4, 6, 8) for N in (n, 4 * n)]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=str)
+def test_gramian_sweep_matches_the_dense_route_and_the_builder(example_model, case):
+    if case == "paper-grid":
+        model, N, thetas = example_model, 2, np.linspace(0.0, 2e-3, 200)
+    else:
+        n, N = case
+        model = random_model(np.random.default_rng(100 * n + N), n=n, m=max(1, n // 2), p=1)
+        thetas = np.array([0.0, 0.1, 0.5, 0.9]) * tau_N(model, N).tau_N
+    Omega, W = gramian_sweep(model, N, thetas)
+    assert Omega.shape == W.shape == (len(thetas), model.n, model.n)
+    for theta, got in zip(thetas.tolist(), zip(Omega, W)):
+        block = build_block_model(model, N, theta)
+        for got_X, dense_X, built_X in zip(got, dense_gramians(block), (block.Omega, block.W)):
+            assert _relerr(got_X, dense_X) < 1e-9
+            assert _relerr(got_X, built_X) < 1e-12
+
+
+@pytest.mark.parametrize("where", [0, 3, 7])
+def test_gramian_sweep_raises_the_builders_error_at_the_first_bad_theta(example_model, where):
+    th = theta_N(example_model, 2)
+    thetas = np.linspace(0.0, 0.5 * th, 8)
+    thetas[where] = 1.01 * th
+    thetas[where + 1:] = 1.02 * th  # a later failing theta does not win
+    with pytest.raises(DomainError) as built:
+        build_block_model(example_model, 2, 1.01 * th)
+    with pytest.raises(DomainError) as swept:
+        gramian_sweep(example_model, 2, thetas)
+    assert type(swept.value) is type(built.value)
+    assert str(swept.value) == str(built.value)
+    assert str(swept.value).startswith(
+        f"Q_N^theta not positive definite at theta={1.01 * th:.6e} (requires theta < theta_N)")
+
+
+def test_gramian_sweep_checks_every_theta_and_builds_once(example_model, monkeypatch):
+    builds = []
+    real = statespace._theta_free
+    monkeypatch.setattr(statespace, "_theta_free", lambda *args: builds.append(args) or real(*args))
+    for bad in (math.nan, -1e-4):
+        with pytest.raises(DomainError, match="theta must be finite and >= 0"):
+            gramian_sweep(example_model, 2, [0.0, 1e-4, bad])
+    with pytest.raises(UsageError, match="1-D"):
+        gramian_sweep(example_model, 2, [[0.0, 1e-4]])
+    assert builds == []  # no block is built before every theta passed
+    gramian_sweep(example_model, 2, np.linspace(0.0, 2e-3, 200))
+    assert len(builds) == 1
+
+
+# The worked example and seeded random models with n <= 3, at theta = 0.9 tau_N.
+MP_CASES = [("example", 2), ("example", 8), (1, 1), (1, 4), (3, 3), (3, 12)]
+
+
+@pytest.mark.parametrize("case", MP_CASES, ids=str)
+def test_block_gains_match_50_digit_arithmetic(example_model, case):
+    pytest.importorskip("mpmath")
+    name, N = case
+    model = example_model if name == "example" else random_model(
+        np.random.default_rng(40 + name), n=name, m=max(1, name - 1), p=1)
+    theta = 0.9 * tau_N(model, N).tau_N
+    block = build_block_model(model, N, theta)
+    G_R, alpha = mp_block_gains(model, N, theta)
+    assert np.linalg.norm(block.G_R - G_R) <= 1e-12 * np.linalg.norm(G_R)
+    assert np.linalg.norm(block.alpha - alpha) <= 1e-9 * np.linalg.norm(alpha)
 
 
 # ---------------------------------------------------------------------------
