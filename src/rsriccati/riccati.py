@@ -28,10 +28,15 @@ bisection levels per stacked call and walks them as a plain bisection.
 Every inversion goes through the positivity gate `cone.require_spd`, or
 its stacked form: leaving the cone is a semantic event, never papered
 over. A caller's P or P0 whose inverse overflows raises NumericalError
-at entry. The map is evaluated only in the stacked `_map_step`, which also
-gates P_next and so hands the next step its factorization; the kernel,
+at entry. The map's formula is written once: `_map_inner` forms the inner
+matrix P^-1 + C^T C - theta D^T D, and `_map_next` forms P_next from the
+inner matrix's gated decomposition and gates it, which hands the next step
+its factorization (`_map_step` is the two in sequence). The kernel,
 `rs_riccati_map` and the loop behind `iterate_trajectory` and
-`sim.run_filter` all step through it. That loop stops factorizing once
+`sim.run_filter` all step through them, with C^T C, theta D^T D and B B^T
+formed once per loop. That loop makes two stacked eigensolve calls per
+step: V^-1 and the inner matrix, both from the same P^-1, are gated as one
+(2, n, n) stack, then P_next is gated. It stops factorizing once
 its state repeats bitwise (P_{t+1}, its eigenvalues and eigenvectors
 equal to P_t's): the map contracts, so a trajectory near its fixed point
 reaches that repeat within a few steps, and every later step would
@@ -79,30 +84,52 @@ def _inverse(P, name: str) -> np.ndarray:
     return _finite_inverse(require_spd(P, f"{name} not positive definite"), name)
 
 
+_VALIDITY_GATE = "validity violated: P^-1 - theta D^T D"
+
+
 def _validity(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
     """Factor of V^-1 = P^-1 - theta D^T D, gated."""
     V_inv = P_inv - theta * (model.D.T @ model.D)
-    lam, U, errors = _require_spd_stack(V_inv[None], "validity violated: P^-1 - theta D^T D")
+    lam, U, errors = _require_spd_stack(V_inv[None], _VALIDITY_GATE)
     if errors:
         raise errors[0]
     return SpectralDecomposition(lam[0], U[0])
 
 
-def _map_step(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
-    """The risk-sensitive update of a stack: the one place the map is evaluated.
+def _map_products(model: StateSpaceModel, thetas: np.ndarray):
+    """The map's constant terms: C^T C, theta D^T D for each theta, and B B^T."""
+    return (model.C.T @ model.C, thetas[:, None, None] * (model.D.T @ model.D),
+            model.B @ model.B.T)
 
-    Gates P^-1 + C^T C - theta D^T D, forms P_next and gates it. Returns P_next,
-    its decomposition and the error of each entry that failed a gate, keyed by
-    index. An entry whose inner matrix failed was never formed: its P_next is NaN.
+
+def _map_inner(P_inv: np.ndarray, CtC: np.ndarray, thDtD: np.ndarray) -> np.ndarray:
+    """The matrix the map inverts, P^-1 + C^T C - theta D^T D."""
+    return P_inv + CtC - thDtD
+
+
+def _map_next(model: StateSpaceModel, BBt: np.ndarray, lam: np.ndarray, U: np.ndarray,
+              errors: dict):
+    """P_next = A inner^-1 A^T + B B^T from the inner matrix's gated decomposition (lam, U).
+
+    Gates P_next. Returns P_next, its decomposition and the error of each
+    entry that failed a gate, keyed by index. An entry whose inner matrix
+    failed (a key of `errors`) is never formed: its P_next is NaN.
     """
-    inner = P_inv + model.C.T @ model.C - thetas[:, None, None] * (model.D.T @ model.D)
-    lam, U, errors = _require_spd_stack(inner, "map leaves the cone: P^-1 + C^T C - theta D^T D")
     if errors:
         lam[list(errors)] = np.nan  # never divide by an eigenvalue that failed the gate
-    P_next = model.A @ ((U / lam[:, None, :]) @ U.swapaxes(1, 2)) @ model.A.T + model.B @ model.B.T
-    P_next = _sym(P_next)
+    P_next = _sym(model.A @ ((U / lam[:, None, :]) @ U.swapaxes(1, 2)) @ model.A.T + BBt)
     lam, U, left = _require_spd_stack(P_next, "iterate left the cone")
     return P_next, lam, U, {**left, **errors}
+
+
+_INNER_GATE = "map leaves the cone: P^-1 + C^T C - theta D^T D"
+
+
+def _map_step(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
+    """The risk-sensitive update of a stack: `_map_inner` gated, then `_map_next`."""
+    CtC, thDtD, BBt = _map_products(model, thetas)
+    lam, U, errors = _require_spd_stack(_map_inner(P_inv, CtC, thDtD), _INNER_GATE)
+    return _map_next(model, BBt, lam, U, errors)
 
 
 def _kalman_form(model: StateSpaceModel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,33 +205,41 @@ class RiccatiStep:
 def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
     """The one trajectory loop: yields (record, V's decomposition or None) for t = 0..T.
 
-    It ends after the first record that is not "ok". The map's gate on
-    P_{t+1} supplies the next iterate's decomposition. When P_{t+1}, its
-    eigenvalues and its eigenvectors equal P_t's bitwise, the loop state has
-    repeated, so every later step would recompute the same bits: the
-    remaining records are yielded without factorizing again, each with its
-    own copies of P, lambda_P and lambda_V, and all with the same V_dec
-    object. This is exact, not a tolerance; only period 1 is checked.
+    Each step gates V^-1 = P_t^-1 - theta D^T D and the map's inner matrix
+    (`_map_inner`) as one stack in one eigensolve call, reading V's verdict
+    first, then forms and gates P_{t+1} (`_map_next`), whose decomposition
+    the next step uses. It ends after the first record that is not "ok".
+    When P_{t+1}, its eigenvalues and its eigenvectors equal P_t's bitwise,
+    the loop state has repeated, so every later step would recompute the
+    same bits: the remaining records are yielded without factorizing again,
+    each with its own copies of P, lambda_P and lambda_V, and all with the
+    same V_dec object. This is exact, not a tolerance; only period 1 is checked.
     """
     P = symmetrize(P0)
     lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
     if not errors:
         _finite_inverse(SpectralDecomposition(lam[0], U[0]), "trajectory start P0")
-    thetas = np.array([theta], dtype=float)
+    CtC, thDtD, BBt = _map_products(model, np.array([theta], dtype=float))
+    # the loop reads only which entry failed, so one message serves both
+    what = f"{_VALIDITY_GATE}, or {_INNER_GATE}"
     for t in range(T + 1):
         if errors:
             yield RiccatiStep(t, P, "cone_exit", lam[0], None), None
             return
         P_inv = (U[0] / lam[0]) @ U[0].T
-        try:
-            V_dec = _validity(model, theta, P_inv)
-        except ConeExitError:
+        gated = np.array((P_inv - thDtD[0], _map_inner(P_inv, CtC, thDtD[0])))
+        lam_g, U_g, failed = _require_spd_stack(gated, what)
+        if 0 in failed:
+            if not isinstance(failed[0], ConeExitError):
+                raise failed[0]
             yield RiccatiStep(t, P, "v_violation", lam[0], None), None
             return
-        lam_V = 1.0 / V_dec.eigenvalues[::-1]
+        V_dec = SpectralDecomposition(lam_g[0], U_g[0])
+        lam_V = 1.0 / lam_g[0, ::-1]
         yield RiccatiStep(t, P, "ok", lam[0], lam_V), V_dec
         if t < T:
-            P_next, lam_next, U_next, errors = _map_step(model, thetas, P_inv[None])
+            P_next, lam_next, U_next, errors = _map_next(
+                model, BBt, lam_g[1:], U_g[1:], {0: failed[1]} if failed else {})
             if (np.array_equal(P_next[0], P) and np.array_equal(lam_next, lam)
                     and np.array_equal(U_next, U)):
                 for s in range(t + 1, T + 1):
@@ -282,7 +317,7 @@ def _are_stack(model: StateSpaceModel, thetas: np.ndarray, P: np.ndarray,
     the gate's ConeExitError; an entry's numbers do not depend on the others.
     """
     V_inv = P_inv - thetas[:, None, None] * (model.D.T @ model.D)
-    lam, U, errors = _require_spd_stack(V_inv, "validity violated: P^-1 - theta D^T D")
+    lam, U, errors = _require_spd_stack(V_inv, _VALIDITY_GATE)
     out = [errors.get(i) for i in range(len(thetas))]
     ok = [i for i in range(len(thetas)) if i not in errors]
     if not ok:
@@ -321,9 +356,10 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     """The straight iteration for every theta at once, from one start P0.
 
     Raises only when P0 (default: identity) fails the gate or its inverse
-    overflows. Each step runs the map's two stacked gates (`_map_step`) and a
-    third on the whitened P_next^-1/2 P P_next^-1/2, whose log spectrum gives
-    the step distance. A theta stops at its own step once that distance is
+    overflows. The map's constant products are formed once; each step runs
+    its two stacked gates (on `_map_inner`, then in `_map_next`) and a third
+    on the whitened P_next^-1/2 P P_next^-1/2, whose log spectrum gives the
+    step distance. A theta stops at its own step once that distance is
     below tol. Returns, per theta, (iterations, distance, P, decomposition of
     P) or the error `fixed_point` raises for it; the finish is left to the
     caller. With `wanted`, after each step in which entries stopped,
@@ -340,6 +376,7 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     lam = np.broadcast_to(P0_dec.eigenvalues, (b, n))
     U = np.broadcast_to(P0_dec.eigenvectors, (b, n, n))
     distance = np.full(b, math.inf)
+    CtC, thDtD, BBt = _map_products(model, thetas)
 
     def stop(errors, arrays, broke_down=True):
         """Record the entries that failed a gate; return every array without them."""
@@ -360,7 +397,8 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
             break
         running = live.size
         P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
-        P_next, lam, U, errors = _map_step(model, thetas[live], P_inv)
+        lam, U, errors = _require_spd_stack(_map_inner(P_inv, CtC, thDtD[live]), _INNER_GATE)
+        P_next, lam, U, errors = _map_next(model, BBt, lam, U, errors)
         if errors:
             live, P, P_next, lam, U = stop(errors, [live, P, P_next, lam, U])
         whiten = (U / np.sqrt(lam)[:, None, :]) @ U.swapaxes(1, 2)

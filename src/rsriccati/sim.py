@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import spd_sqrt
-from .errors import DomainError, check_finite
+from .errors import DomainError, UsageError, check_finite
 from .riccati import _kalman_form, _trajectory
 from .statespace import StateSpaceModel
 
@@ -52,7 +52,7 @@ def simulate(
     if T < 1:
         raise DomainError(f"horizon T must be >= 1, got {T}")
     n, m, p = model.n, model.m, model.p
-    x0_mean = np.zeros(n) if x0_mean is None else np.asarray(x0_mean, dtype=float).ravel()
+    x0_mean = np.zeros(n) if x0_mean is None else _state_vector("x0_mean", x0_mean, n)
     root = spd_sqrt(np.eye(n) if P0 is None else P0)
 
     ss_x0, ss_u, ss_v = np.random.SeedSequence(seed).spawn(3)
@@ -103,9 +103,55 @@ def _rmse(estimates: np.ndarray, truth) -> Optional[np.ndarray]:
     if truth is None:
         return None
     truth = np.asarray(truth, dtype=float)
+    if truth.ndim != 2 or truth.shape[1] != estimates.shape[1]:
+        raise UsageError(f"truth must have shape (T + 1, {estimates.shape[1]}), got {truth.shape}")
     rows = min(len(estimates), len(truth))
     err = estimates[:rows] - truth[:rows]
     return np.sqrt(np.mean(err**2, axis=0))
+
+
+def _state_vector(name: str, x, n: int) -> np.ndarray:
+    """A caller's length-n state vector (any shape with n entries), finite."""
+    x = np.asarray(x, dtype=float)
+    if x.size != n:
+        raise UsageError(f"{name} must have shape ({n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite, got {x.ravel()}")
+    return x.ravel()
+
+
+def _observation_record(model: StateSpaceModel, observations) -> np.ndarray:
+    """A caller's observations as a nonempty, finite (T, p) array."""
+    observations = np.asarray(observations, dtype=float)
+    if observations.ndim != 2 or observations.shape[1] != model.p:
+        raise UsageError(
+            f"observations must have shape (T, {model.p}), one row per step, "
+            f"got {observations.shape}"
+        )
+    if observations.shape[0] == 0:
+        raise DomainError("observations must be nonempty")
+    bad = np.flatnonzero(~np.isfinite(observations).all(axis=1))
+    if bad.size:
+        raise DomainError(f"observations must be finite; row {bad[0]} is {observations[bad[0]]}")
+    return observations
+
+
+def _estimate(model: StateSpaceModel, gains: list, index: list, x0_hat,
+              observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x_hat_{t+1} = A x_hat_t + gains[index[t]] (y_t - C x_hat_t) for t < len(index).
+
+    The one estimate recursion of every filter and observer: gains is a
+    list of (n, p) gains, index a list of positions in it. Returns the
+    estimates (len(index) + 1 rows) and the innovations (len(index) rows).
+    """
+    T = len(index)
+    estimates = np.empty((T + 1, model.n))
+    estimates[0] = x0_hat
+    innovations = np.empty((T, model.p))
+    for t, k in enumerate(index):
+        innovations[t] = observations[t] - model.C @ estimates[t]
+        estimates[t + 1] = model.A @ estimates[t] + gains[k] @ innovations[t]
+    return estimates, innovations
 
 
 def run_filter(
@@ -118,42 +164,43 @@ def run_filter(
 ) -> FilterRun:
     """Predicted-form filter with per-step risk-sensitive gains.
 
-    theta = 0 is the Kalman filter. P_sequence and violation_step are the
-    iterates and the final status of `iterate_trajectory` over T steps,
-    computed by the same loop. On a violation the run aborts in-band:
-    estimates computed so far are returned with violation_step set.
-    Once the loop's state repeats bitwise (see `riccati._trajectory`) it
-    hands back the same V decomposition, and the gain is formed again only
-    when that decomposition changes; every output is the same bits as a
-    per-step gain would give. The estimate recursion runs every step.
+    theta = 0 is the Kalman filter. observations has shape (T, p) and
+    must be finite; x0_hat has n entries. P_sequence and violation_step
+    are the iterates and the final status of `iterate_trajectory` over T
+    steps, computed by the same loop. On a violation the run aborts
+    in-band: estimates computed so far are returned with violation_step
+    set. The gains do not depend on the observations, so the loop only
+    keeps each distinct V decomposition it hands back (one per step until
+    its state repeats bitwise, see `riccati._trajectory`), and every gain
+    is formed in one stacked call after it; the estimate recursion then
+    runs. Every output is the same bits as a per-step gain would give.
     """
     check_finite("theta", theta, nonnegative=True)
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    if observations.shape[0] == 0:
-        raise DomainError("observations must be nonempty")
-    T = observations.shape[0]
-    estimates = np.empty((T + 1, model.n))
-    estimates[0] = np.asarray(x0_hat, dtype=float).ravel()
-    innovations = np.empty((T, model.p))
+    observations = _observation_record(model, observations)
+    x0_hat = _state_vector("x0_hat", x0_hat, model.n)
+    T, n = len(observations), model.n
+    lam, U = np.empty((T, n)), np.empty((T, n, n))  # each distinct V decomposition
+    entry = []  # step -> its decomposition's row, for each step before a violation
     P_sequence = []
-    violation = gain_dec = None
+    violation = last = None
+    k = -1
     for step, V_dec in _trajectory(model, theta, P0, T):
-        t = step.t
         P_sequence.append(step.P)
         if V_dec is None:
-            violation = t
-        elif t < T:
-            if V_dec is not gain_dec:
-                K, _ = _kalman_form(model, V_dec.inverse())
-                gain_dec = V_dec
-            innovations[t] = observations[t] - model.C @ estimates[t]
-            estimates[t + 1] = model.A @ estimates[t] + K @ innovations[t]
-    steps = T if violation is None else violation
+            violation = step.t
+        elif step.t < T:
+            if V_dec is not last:
+                k, last = k + 1, V_dec
+                lam[k], U[k] = V_dec
+            entry.append(k)
+    lam, U = lam[: k + 1], U[: k + 1]
+    K, _ = _kalman_form(model, (U / lam[:, None, :]) @ U.swapaxes(1, 2))
+    estimates, innovations = _estimate(model, list(K), entry, x0_hat, observations)
     return FilterRun(
-        estimates=estimates[: steps + 1],
-        innovations=innovations[:steps],
+        estimates=estimates,
+        innovations=innovations,
         P_sequence=P_sequence,
-        rmse=_rmse(estimates[: steps + 1], truth),
+        rmse=_rmse(estimates, truth),
         violation_step=violation,
     )
 
@@ -165,18 +212,17 @@ def run_observer(
     observations,
     truth=None,
 ) -> FilterRun:
-    """Fixed-gain suboptimal observer x_hat_{t+1} = A x_hat_t + G (y_t - C x_hat_t)."""
-    G = np.asarray(G, dtype=float).reshape(model.n, model.p)
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    if observations.shape[0] == 0:
-        raise DomainError("observations must be nonempty")
-    T = observations.shape[0]
-    estimates = np.empty((T + 1, model.n))
-    estimates[0] = np.asarray(x0_hat, dtype=float).ravel()
-    innovations = np.empty((T, model.p))
-    for t in range(T):
-        innovations[t] = observations[t] - model.C @ estimates[t]
-        estimates[t + 1] = model.A @ estimates[t] + G @ innovations[t]
+    """Fixed-gain suboptimal observer x_hat_{t+1} = A x_hat_t + G (y_t - C x_hat_t).
+
+    observations has shape (T, p) and must be finite; x0_hat has n entries.
+    """
+    G = np.asarray(G, dtype=float)
+    if G.size != model.n * model.p:
+        raise UsageError(f"G must have shape ({model.n}, {model.p}), got {G.shape}")
+    G = G.reshape(model.n, model.p)
+    observations = _observation_record(model, observations)
+    x0_hat = _state_vector("x0_hat", x0_hat, model.n)
+    estimates, innovations = _estimate(model, [G], [0] * len(observations), x0_hat, observations)
     return FilterRun(
         estimates=estimates,
         innovations=innovations,

@@ -13,6 +13,7 @@ from helpers import (
 from rsriccati import (
     DomainError,
     StateSpaceModel,
+    UsageError,
     build_block_model,
     fixed_point,
     iterate_trajectory,
@@ -143,6 +144,62 @@ def test_filter_rejects_empty_observations(example_model):
         run_filter(example_model, 0.0, np.eye(2), np.zeros(2), np.zeros((0, 1)))
 
 
+STREAMS = {
+    "run_filter": lambda model, x0, y, truth=None: run_filter(
+        model, 0.0, np.eye(model.n), x0, y, truth),
+    "run_observer": lambda model, x0, y, truth=None: run_observer(
+        model, np.zeros((model.n, model.p)), x0, y, truth),
+}
+
+
+SHAPE = r"observations must have shape \(T, 1\), one row per step, got "
+BAD_STREAM_INPUTS = {
+    # (x0_hat, observations, truth, error, message)
+    # a length-T vector at p = 1 is not read as one observation of width T
+    "1-D observations": (np.zeros(2), np.zeros(20), None, UsageError, SHAPE + r"\(20,\)"),
+    "observations too wide": (np.zeros(2), np.zeros((20, 2)), None, UsageError,
+                              SHAPE + r"\(20, 2\)"),
+    "x0_hat too long": (np.zeros(3), np.zeros((20, 1)), None, UsageError,
+                        r"x0_hat must have shape \(2,\), got \(3,\)"),
+    "NaN x0_hat": (np.array([0.0, np.nan]), np.zeros((20, 1)), None, DomainError,
+                   "x0_hat must be finite"),
+    "truth too wide": (np.zeros(2), np.zeros((20, 1)), np.zeros((21, 3)), UsageError,
+                       r"truth must have shape \(T \+ 1, 2\), got \(21, 3\)"),
+}
+
+
+@pytest.mark.parametrize("stream", list(STREAMS))
+@pytest.mark.parametrize("case", list(BAD_STREAM_INPUTS))
+def test_stream_rejects_a_malformed_input(example_model, stream, case):
+    x0, y, truth, error, message = BAD_STREAM_INPUTS[case]
+    with pytest.raises(error, match=message):
+        STREAMS[stream](example_model, x0, y, truth)
+
+
+@pytest.mark.parametrize("stream", list(STREAMS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_stream_rejects_non_finite_observations(example_model, stream, value):
+    # one bad observation would otherwise reach every later estimate
+    y = simulate(example_model, 20, seed=1).observations
+    y[7, 0] = value
+    with pytest.raises(DomainError, match="observations must be finite; row 7"):
+        STREAMS[stream](example_model, np.zeros(2), y)
+
+
+def test_observer_rejects_a_gain_of_the_wrong_shape(example_model):
+    with pytest.raises(UsageError, match=r"G must have shape \(2, 1\), got \(3,\)"):
+        run_observer(example_model, np.zeros(3), np.zeros(2), np.zeros((20, 1)))
+
+
+@pytest.mark.parametrize("x0_mean, error, message", [
+    (np.zeros(3), UsageError, r"x0_mean must have shape \(2,\), got \(3,\)"),
+    (np.array([0.0, np.inf]), DomainError, "x0_mean must be finite"),
+])
+def test_simulate_rejects_a_bad_initial_mean(example_model, x0_mean, error, message):
+    with pytest.raises(error, match=message):
+        simulate(example_model, 10, seed=0, x0_mean=x0_mean)
+
+
 @pytest.mark.parametrize("theta", [np.nan, -1.0])
 def test_filter_rejects_bad_theta(example_model, theta):
     # a NaN or negative risk parameter is an input error, not an in-band violation
@@ -188,6 +245,9 @@ def shortcut_cases(example_model):
         "worked example theta=0": (example_model, 0.0, np.eye(2), 300, True),
         "n=4 theta=0": (n4, 0.0, np.eye(4), 400, False),
         "n=4 theta>0": (n4, n4_theta, np.eye(4), 400, False),
+        # the length of a filter-stream workload run, where one stacked call forms 2,000 gains
+        "n=4 theta=0 T=2000": (n4, 0.0, np.eye(4), 2000, False),
+        "n=4 theta>0 T=2000": (n4, n4_theta, np.eye(4), 2000, False),
         "v_violation": (example_model, 2e-3, np.eye(2), 60, False),
         "cone_exit": (load_model(MAP_EXIT_JSON), MAP_EXIT_THETA, np.eye(2), 5, False),
     }
@@ -195,7 +255,8 @@ def shortcut_cases(example_model):
 
 @pytest.mark.parametrize("case", [
     "two-state theta=0", "two-state theta>0", "two-state theta=0 from P*",
-    "worked example theta=0", "n=4 theta=0", "n=4 theta>0", "v_violation", "cone_exit",
+    "worked example theta=0", "n=4 theta=0", "n=4 theta>0", "n=4 theta=0 T=2000",
+    "n=4 theta>0 T=2000", "v_violation", "cone_exit",
 ])
 def test_filter_and_trajectory_match_the_always_factorizing_loop(shortcut_cases, case):
     model, theta, P0, T, repeats = shortcut_cases[case]
@@ -220,12 +281,8 @@ def test_filter_and_trajectory_match_the_always_factorizing_loop(shortcut_cases,
             assert np.array_equal(step.lambda_V, want.lambda_V)
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.02])
-def test_no_factorization_after_the_state_repeats(monkeypatch, theta):
-    T = 2000
-    observations = simulate(TWO_STATE, T, seed=4).observations
-    r = first_repeat(reference_filter(TWO_STATE, theta, np.eye(2), np.zeros(2), observations)[0])
-    assert r is not None and r < 100
+def _count_factorizations(monkeypatch):
+    """Record every np.linalg eigh and inv call made from now on, by name."""
     calls = []
 
     def counting(name):
@@ -238,18 +295,41 @@ def test_no_factorization_after_the_state_repeats(monkeypatch, theta):
 
     for name in ("eigh", "inv"):
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02])
+def test_no_factorization_after_the_state_repeats(monkeypatch, theta):
+    T = 2000
+    observations = simulate(TWO_STATE, T, seed=4).observations
+    r = first_repeat(reference_filter(TWO_STATE, theta, np.eye(2), np.zeros(2), observations)[0])
+    assert r is not None and r < 100
+    calls = _count_factorizations(monkeypatch)
     steps = iterate_trajectory(TWO_STATE, theta, np.eye(2), T)
-    # the start, then V's gate and the map's two gates on steps 0..r; none after
-    assert calls == ["eigh"] * (1 + 3 * (r + 1))
+    # the start, then one stacked gate (V^-1 and the map's inner matrix) and
+    # the gate of P_next on steps 0..r; none after
+    assert calls == ["eigh"] * (1 + 2 * (r + 1))
     calls.clear()
     run_filter(TWO_STATE, theta, np.eye(2), np.zeros(2), observations)
-    # and one gain (one inverse of R_nu) per step up to r
-    assert calls.count("eigh") == 1 + 3 * (r + 1) and calls.count("inv") == r + 1
+    # and every gain from one inverse of the stacked R_nu
+    assert calls.count("eigh") == 1 + 2 * (r + 1) and calls.count("inv") == 1
     # the repeated records are still distinct arrays
     last, before = steps[-1], steps[-2]
     for a, b in ((last.P, before.P), (last.lambda_P, before.lambda_P),
                  (last.lambda_V, before.lambda_V)):
         assert not np.shares_memory(a, b)
+
+
+def test_two_eigensolve_calls_per_step_without_a_repeat(monkeypatch, shortcut_cases):
+    model, theta, P0, T, _ = shortcut_cases["n=4 theta>0"]
+    observations = simulate(model, T, seed=4).observations
+    calls = _count_factorizations(monkeypatch)
+    iterate_trajectory(model, theta, P0, T)
+    # the start, two calls on each of steps 0..T-1, and the stacked gate at step T
+    assert calls == ["eigh"] * (2 * T + 2)
+    calls.clear()
+    run_filter(model, theta, P0, np.zeros(model.n), observations)
+    assert calls == ["eigh"] * (2 * T + 2) + ["inv"]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +343,19 @@ def test_observer_zero_gain_is_open_loop(example_model):
     for t in range(1, 21):
         xt = example_model.A @ xt
         assert np.allclose(out.estimates[t], xt, atol=1e-12)
+
+
+def test_observer_is_the_plain_fixed_gain_recursion_bitwise(example_model):
+    G = place_observer_gain(example_model, [0.3, -0.2])
+    x0 = np.array([0.5, -1.0])
+    y = simulate(example_model, 200, seed=21).observations
+    out = run_observer(example_model, G, x0, y)
+    x = x0
+    for t in range(200):
+        nu = y[t] - example_model.C @ x
+        assert np.array_equal(out.innovations[t], nu)
+        x = example_model.A @ x + G @ nu
+        assert np.array_equal(out.estimates[t + 1], x)
 
 
 def test_observer_error_variance_bounded_by_lyapunov(example_model):
