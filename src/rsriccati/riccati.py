@@ -35,12 +35,19 @@ its factorization (`_map_step` is the two in sequence). The kernel,
 `rs_riccati_map` and the loop behind `iterate_trajectory` and
 `sim.run_filter` all step through them, with C^T C, theta D^T D and B B^T
 formed once per loop. That loop makes two stacked eigensolve calls per
-step: V^-1 and the inner matrix, both from the same P^-1, are gated as one
-(2, n, n) stack, then P_next is gated. It stops factorizing once
-its state repeats bitwise (P_{t+1}, its eigenvalues and eigenvectors
-equal to P_t's): the map contracts, so a trajectory near its fixed point
-reaches that repeat within a few steps, and every later step would
-recompute the same bits. The shortcut is exact; no tolerance decides it.
+step: V^-1 and the inner matrix, both from the same P^-1, and the
+whitened P_t^-1/2 P_{t-1} P_t^-1/2 that gives the step distance, are
+gated as one (3, n, n) stack, then P_next is gated.
+
+Both loops share one stopping rule at the roundoff floor (`_stalled`): a
+step whose distance d_k is at least d_{k-1} and below c * eps * cond(P_k)
+has stopped contracting and only wanders at roundoff. The kernel stops a
+theta there, as at d_k < tol. The trajectory loop stops factorizing there,
+or once its state repeats bitwise (P_{t+1}, its eigenvalues and
+eigenvectors equal to P_t's), whichever comes first. The repeat is exact:
+every later step would recompute the same bits. After a stall the
+remaining records are copies of the last one, within the floor of what a
+step-by-step iteration gives.
 """
 
 from __future__ import annotations
@@ -79,9 +86,48 @@ def _finite_inverse(dec: SpectralDecomposition, name: str) -> np.ndarray:
     return P_inv
 
 
-def _inverse(P, name: str) -> np.ndarray:
-    """P^-1 of a caller's matrix through the positivity gate (see `_finite_inverse`)."""
+def _caller_matrix(P, n: int, name: str) -> np.ndarray:
+    """A caller's P or P0, symmetrized; UsageError unless it is n x n."""
+    P = symmetrize(P)
+    if P.shape != (n, n):
+        raise UsageError(f"{name} must have shape ({n}, {n}), got {P.shape}")
+    return P
+
+
+def _inverse(P, n: int, name: str) -> np.ndarray:
+    """P^-1 of a caller's n x n matrix through the positivity gate (see `_finite_inverse`)."""
+    P = _caller_matrix(P, n, name)
     return _finite_inverse(require_spd(P, f"{name} not positive definite"), name)
+
+
+# c * eps in the roundoff floor of the step distance, c * eps * cond(P), with
+# c = 16 (see `_stalled`).
+_FLOOR = 16.0 * np.finfo(float).eps
+
+
+def _step_whitened(P: np.ndarray, lam: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """P_next^-1/2 P P_next^-1/2 from P_next's decomposition (lam, U), for one P or a stack.
+
+    The log of its spectrum is the step distance from P to P_next.
+    """
+    whiten = (U / np.sqrt(lam)[..., None, :]) @ U.swapaxes(-1, -2)
+    return whiten @ P @ whiten
+
+
+def _stalled(distance, previous, lam: np.ndarray):
+    """Whether a step has stalled at its roundoff floor, for one step or a stack.
+
+    True when d_k >= d_{k-1} and d_k < c * eps * cond(P_k), where lam holds
+    P_k's eigenvalues (decreasing). The map contracts, so the step distance
+    falls geometrically until it reaches about eps * cond(P_k); from there
+    roundoff only moves it about (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002). Of c in {4, 16, 64, 256}, 16 is the
+    smallest with which the fixed-point kernel stopped in all of 20 seeded
+    congruences x -> Tx of the worked example at cond(T) = 1e2 and 1e3, at
+    theta = 0 and 5e-4 (c = 4 missed 3 of those 80 runs). NaN compares
+    false, so a step never stalls on it.
+    """
+    return (distance >= previous) & (distance * lam[..., -1] < _FLOOR * lam[..., 0])
 
 
 _VALIDITY_GATE = "validity violated: P^-1 - theta D^T D"
@@ -145,7 +191,7 @@ def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
     definite (the map leaves the cone).
     """
     check_finite("theta", theta, nonnegative=True)
-    P_inv = _inverse(P, "riccati map argument P")
+    P_inv = _inverse(P, model.n, "riccati map argument P")
     P_next, _, _, errors = _map_step(model, np.array([theta], dtype=float), P_inv[None])
     if np.isnan(P_next).all():  # the inner matrix failed its gate
         raise errors[0]
@@ -161,7 +207,7 @@ def rs_gain(
     to exist; otherwise a "validity violated" ConeExitError is raised.
     """
     check_finite("theta", theta, nonnegative=True)
-    V = _validity(model, theta, _inverse(P, "gain argument P")).inverse()
+    V = _validity(model, theta, _inverse(P, model.n, "gain argument P")).inverse()
     return (*_kalman_form(model, V), V)
 
 
@@ -177,7 +223,7 @@ def block_riccati_map(block: BlockModel, P) -> np.ndarray:
     Coincides with the N-fold composition of the one-step map at the
     same risk parameter.
     """
-    P_inv = _inverse(P, "block map argument P")
+    P_inv = _inverse(P, len(block.alpha), "block map argument P")
     middle = require_spd(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega").inverse()
     return _sym(block.alpha @ middle @ block.alpha.T + block.W)
 
@@ -208,27 +254,36 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
     Each step gates V^-1 = P_t^-1 - theta D^T D and the map's inner matrix
     (`_map_inner`) as one stack in one eigensolve call, reading V's verdict
     first, then forms and gates P_{t+1} (`_map_next`), whose decomposition
-    the next step uses. It ends after the first record that is not "ok".
-    When P_{t+1}, its eigenvalues and its eigenvectors equal P_t's bitwise,
-    the loop state has repeated, so every later step would recompute the
-    same bits: the remaining records are yielded without factorizing again,
-    each with its own copies of P, lambda_P and lambda_V, and all with the
-    same V_dec object. This is exact, not a tolerance; only period 1 is checked.
+    the next step uses. From step 1 on, the whitened P_t^-1/2 P_{t-1} P_t^-1/2
+    is a third entry of the first stack; its log spectrum gives the step
+    distance, and a failure of that entry only means no distance at that
+    step. It ends after the first record that is not "ok". After record t
+    the loop settles when P_{t+1}, its eigenvalues and its eigenvectors
+    equal P_t's bitwise (the state has repeated, so every later step would
+    recompute the same bits; only period 1 is checked), or when step t has
+    stalled at its roundoff floor (`_stalled`) and P_{t+1} passed its gate.
+    P_{t+1} is formed first, so the exact repeat keeps precedence. The
+    remaining records are then yielded without factorizing again, as copies
+    of record t: each with its own copies of P, lambda_P and lambda_V, and
+    all with the same V_dec object.
     """
-    P = symmetrize(P0)
+    P = _caller_matrix(P0, model.n, "P0")
     lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
     if not errors:
         _finite_inverse(SpectralDecomposition(lam[0], U[0]), "trajectory start P0")
     CtC, thDtD, BBt = _map_products(model, np.array([theta], dtype=float))
-    # the loop reads only which entry failed, so one message serves both
-    what = f"{_VALIDITY_GATE}, or {_INNER_GATE}"
+    # the loop reads only which entry failed, so one message serves all three
+    what = f"{_VALIDITY_GATE}, or {_INNER_GATE}, or the whitened step"
+    P_prev, distance = None, math.nan  # NaN: no distance, so no stall
     for t in range(T + 1):
         if errors:
             yield RiccatiStep(t, P, "cone_exit", lam[0], None), None
             return
         P_inv = (U[0] / lam[0]) @ U[0].T
-        gated = np.array((P_inv - thDtD[0], _map_inner(P_inv, CtC, thDtD[0])))
-        lam_g, U_g, failed = _require_spd_stack(gated, what)
+        gated = [P_inv - thDtD[0], _map_inner(P_inv, CtC, thDtD[0])]
+        if P_prev is not None:
+            gated.append(_step_whitened(P_prev, lam[0], U[0]))
+        lam_g, U_g, failed = _require_spd_stack(np.array(gated), what)
         if 0 in failed:
             if not isinstance(failed[0], ConeExitError):
                 raise failed[0]
@@ -237,16 +292,21 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
         V_dec = SpectralDecomposition(lam_g[0], U_g[0])
         lam_V = 1.0 / lam_g[0, ::-1]
         yield RiccatiStep(t, P, "ok", lam[0], lam_V), V_dec
-        if t < T:
-            P_next, lam_next, U_next, errors = _map_next(
-                model, BBt, lam_g[1:], U_g[1:], {0: failed[1]} if failed else {})
-            if (np.array_equal(P_next[0], P) and np.array_equal(lam_next, lam)
-                    and np.array_equal(U_next, U)):
-                for s in range(t + 1, T + 1):
-                    yield RiccatiStep(s, P.copy(), "ok", lam[0].copy(), lam_V.copy()), V_dec
-                return
-            # a view of P_next would keep one more array alive per record
-            P, lam, U = P_next[0].copy(), lam_next, U_next
+        if t == T:
+            return
+        previous, distance = distance, math.nan
+        if P_prev is not None and not failed:
+            distance = float(np.linalg.norm(np.log(lam_g[2])))
+        P_next, lam_next, U_next, errors = _map_next(
+            model, BBt, lam_g[1:2], U_g[1:2], {0: failed[1]} if 1 in failed else {})
+        repeated = (np.array_equal(P_next[0], P) and np.array_equal(lam_next, lam)
+                    and np.array_equal(U_next, U))
+        if repeated or (not errors and _stalled(distance, previous, lam[0])):
+            for s in range(t + 1, T + 1):
+                yield RiccatiStep(s, P.copy(), "ok", lam[0].copy(), lam_V.copy()), V_dec
+            return
+        # a view of P_next would keep one more array alive per record
+        P_prev, P, lam, U = P, P_next[0].copy(), lam_next, U_next
 
 
 def iterate_trajectory(
@@ -258,9 +318,11 @@ def iterate_trajectory(
     after recording a step whose status flags the event. A map that
     leaves the cone ends it with a "cone_exit" record whose P and
     lambda_P are NaN, because that iterate was never formed. Once the
-    iterate repeats bitwise, the remaining records are copies of the last
-    one (with their own t), produced without factorizing again; they are
-    the same bits a step-by-step iteration gives.
+    iterate repeats bitwise, or its step distance stalls at the roundoff
+    floor c * eps * cond(P) (see the module docstring), the remaining
+    records are copies of the last one (with their own t), produced without
+    factorizing again. They are the same bits a step-by-step iteration
+    gives until the stall rule fires, and within that floor after.
     """
     check_finite("theta", theta, nonnegative=True)
     if T < 0:
@@ -342,9 +404,9 @@ def _are_stack(model: StateSpaceModel, thetas: np.ndarray, P: np.ndarray,
 
 def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
     """Frobenius residual of P = (A-KC) V (A-KC)^T + B B^T + K K^T at P."""
-    P = symmetrize(P)
+    P = _caller_matrix(P, model.n, "gain argument P")
     check_finite("theta", theta, nonnegative=True)
-    P_inv = _inverse(P, "gain argument P")
+    P_inv = _inverse(P, model.n, "gain argument P")
     (report,) = _are_stack(model, np.array([theta], dtype=float), P[None], P_inv[None])
     if isinstance(report, ConeExitError):
         raise report
@@ -360,14 +422,15 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     its two stacked gates (on `_map_inner`, then in `_map_next`) and a third
     on the whitened P_next^-1/2 P P_next^-1/2, whose log spectrum gives the
     step distance. A theta stops at its own step once that distance is
-    below tol. Returns, per theta, (iterations, distance, P, decomposition of
-    P) or the error `fixed_point` raises for it; the finish is left to the
-    caller. With `wanted`, after each step in which entries stopped,
-    wanted(out) lists the input indices still needed: the other running
-    entries are dropped, and their outcome stays None.
+    below tol or has stalled at its roundoff floor (`_stalled`). Returns,
+    per theta, (iterations, distance, P, decomposition of P) or the error
+    `fixed_point` raises for it; the finish is left to the caller. With
+    `wanted`, after each step in which entries stopped, wanted(out) lists
+    the input indices still needed: the other running entries are dropped,
+    and their outcome stays None.
     """
     b, n = len(thetas), model.n
-    P0 = symmetrize(P0) if P0 is not None else np.eye(n)
+    P0 = _caller_matrix(P0, n, "P0") if P0 is not None else np.eye(n)
     P0_dec = require_spd(P0, "fixed-point start P0 not positive definite")
     _finite_inverse(P0_dec, "fixed-point start P0")
     out = [None] * b
@@ -400,16 +463,16 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
         lam, U, errors = _require_spd_stack(_map_inner(P_inv, CtC, thDtD[live]), _INNER_GATE)
         P_next, lam, U, errors = _map_next(model, BBt, lam, U, errors)
         if errors:
-            live, P, P_next, lam, U = stop(errors, [live, P, P_next, lam, U])
-        whiten = (U / np.sqrt(lam)[:, None, :]) @ U.swapaxes(1, 2)
+            live, P, P_next, lam, U, distance = stop(errors, [live, P, P_next, lam, U, distance])
         lam_w, _, errors = _require_spd_stack(
-            whiten @ P @ whiten,
+            _step_whitened(P, lam, U),
             "distance argument Q must be positive definite: P^-1/2 Q P^-1/2")
         if errors:
-            live, P_next, lam, U, lam_w = stop(errors, [live, P_next, lam, U, lam_w], False)
-        distance = _frobenius(np.log(lam_w))
+            live, P_next, lam, U, lam_w, distance = stop(
+                errors, [live, P_next, lam, U, lam_w, distance], False)
+        previous, distance = distance, _frobenius(np.log(lam_w))
         P = P_next
-        done = distance < tol
+        done = (distance < tol) | _stalled(distance, previous, lam)
         for i in np.flatnonzero(done).tolist():
             out[live[i]] = (it, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
         if done.any():
@@ -512,7 +575,9 @@ def fixed_point(
     """Fixed point of the risk-sensitive update by straight iteration.
 
     Iterates from P0 (default: identity) until the affine-invariant
-    distance between consecutive iterates drops below tol. Every
+    distance between consecutive iterates drops below tol, or stops
+    falling at its roundoff floor c * eps * cond(P) (see the module
+    docstring), which a tol below that floor would never reach. Every
     iterate must stay inside the cone for the map to be applied again;
     the validity matrix is checked AT the converged point, where losing
     positive definiteness is the breakdown event. (Whether transient
@@ -584,8 +649,8 @@ def breakdown_search(
     check_finite("theta", theta_lo, nonnegative=True)
     if not tol >= 0.0:
         raise UsageError(f"bisection tol must be >= 0, got {tol}")
-    P0 = symmetrize(P0) if P0 is not None else np.eye(model.n)
-    _inverse(P0, "breakdown start P0")
+    P0 = _caller_matrix(P0, model.n, "P0") if P0 is not None else np.eye(model.n)
+    _inverse(P0, model.n, "breakdown start P0")
     verdicts = {}  # theta -> solvable, or the error to raise when the walk reads it
     if theta_hi is None:
         P_star = fixed_point(model, 0.0, P0).P_star

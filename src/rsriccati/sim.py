@@ -171,9 +171,11 @@ def run_filter(
     in-band: estimates computed so far are returned with violation_step
     set. The gains do not depend on the observations, so the loop only
     keeps each distinct V decomposition it hands back (one per step until
-    its state repeats bitwise, see `riccati._trajectory`), and every gain
-    is formed in one stacked call after it; the estimate recursion then
-    runs. Every output is the same bits as a per-step gain would give.
+    its state repeats bitwise or its step distance stalls at the roundoff
+    floor, see `riccati._trajectory`), and every gain is formed in one
+    stacked call after it; the estimate recursion then runs. Every output
+    is the same bits as a per-step gain would give until the stall rule
+    fires, and within the floor c * eps * cond(P) after.
     """
     check_finite("theta", theta, nonnegative=True)
     observations = _observation_record(model, observations)

@@ -430,6 +430,78 @@ def test_fixed_point_breakdown_above_threshold(example_model):
         fixed_point(example_model, 1.5e-3, np.eye(2))
 
 
+@pytest.mark.parametrize("theta", [1.31e-3, 1.32e-3])
+def test_fixed_point_stops_at_the_roundoff_floor_near_breakdown(example_model, theta):
+    # just above breakdown the step distance stalls at 6e-12 and 1.5e-11,
+    # above tol = 1e-12; without the stall rule both ran all 10,000 iterations
+    with pytest.raises(ConeExitError, match="validity matrix is not positive definite") as info:
+        fixed_point(example_model, theta, np.eye(2), max_iter=1000)
+    assert info.value.step <= 1000
+
+
+def test_fixed_point_sweep_iteration_total_on_the_paper_grid(example_model):
+    results = fixed_point_sweep(example_model, np.linspace(0.0, 0.95e-3, 200), np.eye(2))
+    assert sum(r.iterations for r in results) == 20006
+    # so on this grid tol, not the roundoff floor, ends every theta
+    assert max(r.final_step_distance for r in results) < 1e-12
+
+
+def _congruent(model, T):
+    """The model in the state coordinates x -> T x."""
+    T_inv = np.linalg.inv(T)
+    return StateSpaceModel(A=T @ model.A @ T_inv, B=T @ model.B, C=model.C @ T_inv,
+                           D=model.D @ T_inv)
+
+
+def _transforms():
+    """20 seeded T per cond(T) in {1, 1e2, 1e3}, then 1e-6 I and 1e6 I."""
+    out = []
+    for cond in (1.0, 1e2, 1e3):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            Q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            Q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            out.append(Q1 @ np.diag([cond, 1.0]) @ Q2)
+    return out + [1e-6 * np.eye(2), 1e6 * np.eye(2)]
+
+
+# P* in the coordinates x -> T x is within CONGRUENCE_K * eps * cond(P*) of
+# T P* T^T, relative in the Frobenius norm. Measured: at most 51, at
+# cond(T) = 1e3 and theta = 5e-4; at most 12 under T = c I.
+CONGRUENCE_K = 100
+
+
+def test_fixed_point_moves_by_congruence_under_a_change_of_coordinates(example_model):
+    thetas = [0.0, 5e-4]  # 5e-4 is below breakdown, at about 1.307e-3
+    P_star = [r.P_star for r in fixed_point_sweep(example_model, thetas, np.eye(2))]
+    eps = np.finfo(float).eps
+    for T in _transforms():
+        # from the image of the identity; the floor, not tol, ends 72 of these 124 runs
+        results = fixed_point_sweep(_congruent(example_model, T), thetas, T @ T.T)
+        for got, P in zip(results, P_star):
+            want = T @ P @ T.T
+            cond = got.lambda_P[0] / got.lambda_P[-1]
+            err = np.linalg.norm(got.P_star - want) / np.linalg.norm(want)
+            assert err <= CONGRUENCE_K * eps * cond
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, P: iterate_trajectory(m, 0.0, P, 5),
+    lambda m, P: run_filter(m, 0.0, P, np.zeros(2), np.zeros((5, 1))),
+    lambda m, P: fixed_point(m, 0.0, P),
+    lambda m, P: fixed_point_sweep(m, [0.0, 1e-4], P),
+    lambda m, P: breakdown_search(m, 0.0, P0=P),
+    lambda m, P: rs_riccati_map(m, 0.0, P),
+    lambda m, P: rs_gain(m, 0.0, P),
+    lambda m, P: verify_are(m, 0.0, P),
+    lambda m, P: block_riccati_map(build_block_model(m, 2, 0.0), P),
+], ids=["iterate_trajectory", "run_filter", "fixed_point", "fixed_point_sweep",
+        "breakdown_search", "rs_riccati_map", "rs_gain", "verify_are", "block_riccati_map"])
+def test_a_matrix_of_the_wrong_size_is_a_usage_error(example_model, entry):
+    with pytest.raises(UsageError, match=r"P0? must have shape \(2, 2\), got \(3, 3\)"):
+        entry(example_model, np.eye(3))
+
+
 def test_verify_are_at_and_off_the_fixed_point(example_model, example_bound):
     _, Sigma2, beta2 = example_bound
     res = fixed_point(example_model, beta2, Sigma2)
