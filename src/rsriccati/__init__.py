@@ -30,7 +30,6 @@ from .cone import (
     contraction_bound,
     is_spd,
     riemann_distance,
-    spd_inv,
     spd_sqrt,
     spectral,
     symmetrize,
@@ -116,7 +115,6 @@ __all__ = [
     "run_filter",
     "run_observer",
     "simulate",
-    "spd_inv",
     "spd_sqrt",
     "spectral",
     "symmetrize",

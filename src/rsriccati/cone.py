@@ -138,11 +138,6 @@ def spd_sqrt(P) -> np.ndarray:
     return (U * np.sqrt(lam)) @ U.T
 
 
-def spd_inv(P) -> np.ndarray:
-    """Inverse of an SPD matrix through its eigendecomposition."""
-    return require_spd(P, "spd_inv input must be positive definite").inverse()
-
-
 def _whiten(P, Q, what: str) -> np.ndarray:
     """P^-1/2 Q P^-1/2 for a positive definite P (gated with `what`) and any symmetric Q."""
     lam_p, U = require_spd(P, what)
@@ -176,15 +171,17 @@ def thompson_distance(P, Q) -> float:
 def contraction_bound(M, Omega, W) -> float:
     """Contraction coefficient bound for P -> M [P^-1 + Omega]^-1 M^T + W.
 
-    Returns lam_1(M Omega^-1 M^T) / (lam_n(W) + lam_1(M Omega^-1 M^T)),
-    which is < 1 whenever Omega and W are positive definite.
+    Returns b / (1 + b), with b = lam_1(W^-1/2 M Omega^-1 M^T W^-1/2), which
+    is < 1 whenever Omega and W are positive definite. This is Bougerol's
+    translation lemma in the coordinates where W = I; the congruence by
+    W^-1/2 is an isometry of the metric, so the bound does not depend on
+    the state coordinates.
     """
-    M = np.asarray(M, dtype=float)
-    Omega_inv = spd_inv(Omega)
-    lam_w = require_spd(W, "contraction_bound W must be positive definite").eigenvalues
-    top = spectral(_sym(M @ Omega_inv @ M.T)).eigenvalues[0]
-    top = max(top, 0.0)
-    return top / (lam_w[-1] + top)
+    lam_o, U_o = require_spd(Omega, "contraction_bound Omega must be positive definite")
+    lam_w, U_w = require_spd(W, "contraction_bound W must be positive definite")
+    X = (U_w / np.sqrt(lam_w)) @ U_w.T @ np.asarray(M, dtype=float) @ (U_o / np.sqrt(lam_o))
+    b = max(spectral(_sym(X @ X.T)).eigenvalues[0], 0.0)
+    return b / (1.0 + b)
 
 
 def is_spd(P) -> bool:

@@ -414,7 +414,7 @@ def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
 
 
 def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
-                   max_iter: int, wanted=None) -> list:
+                   max_iter: int) -> list:
     """The straight iteration for every theta at once, from one start P0.
 
     Raises only when P0 (default: identity) fails the gate or its inverse
@@ -424,10 +424,7 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     step distance. A theta stops at its own step once that distance is
     below tol or has stalled at its roundoff floor (`_stalled`). Returns,
     per theta, (iterations, distance, P, decomposition of P) or the error
-    `fixed_point` raises for it; the finish is left to the caller. With
-    `wanted`, after each step in which entries stopped, wanted(out) lists
-    the input indices still needed: the other running entries are dropped,
-    and their outcome stays None.
+    `fixed_point` raises for it; the finish is left to the caller.
     """
     b, n = len(thetas), model.n
     P0 = _caller_matrix(P0, n, "P0") if P0 is not None else np.eye(n)
@@ -458,7 +455,6 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        running = live.size
         P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
         lam, U, errors = _require_spd_stack(_map_inner(P_inv, CtC, thDtD[live]), _INNER_GATE)
         P_next, lam, U, errors = _map_next(model, BBt, lam, U, errors)
@@ -477,9 +473,6 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
             out[live[i]] = (it, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
         if done.any():
             live, P, lam, U, distance = (a[~done] for a in (live, P, lam, U, distance))
-        if wanted is not None and live.size < running:
-            keep = np.isin(live, wanted(out))
-            live, P, lam, U, distance = (a[keep] for a in (live, P, lam, U, distance))
     for i, j in enumerate(live.tolist()):
         out[j] = IterationLimitError(
             f"no fixed point within {max_iter} iterations at theta={thetas[j]:.6e}: "
@@ -491,58 +484,59 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
 
 
 def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
-                 max_iter: int, wanted=None) -> list:
+                 max_iter: int) -> list:
     """Per theta: its FixedPointResult, or the error `fixed_point` raises for it.
 
     `_iterate_stack` runs the iteration, then one `_are_stack` call finishes
-    every converged theta. A converged theta whose V at P* fails the gate
-    gets the breakdown error, carrying the gate's as its cause. With
-    `wanted` (see `_iterate_stack`), the thetas that stopped in a step are
-    finished before wanted(out) reads them.
+    every converged theta, in place in the list the iteration returned. A
+    converged theta whose V at P* fails the gate gets the breakdown error,
+    carrying the gate's as its cause.
     """
-    def finish(out: list) -> list:
-        done = [i for i, o in enumerate(out) if isinstance(o, tuple)]  # converged, unfinished
-        if not done:
-            return out
-        P = np.array([out[i][2] for i in done])
-        lam = np.array([out[i][3].eigenvalues for i in done])
-        U = np.array([out[i][3].eigenvectors for i in done])
-        P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
-        for i, report in zip(done, _are_stack(model, thetas[done], P, P_inv)):
-            it, distance, P_i, P_dec = out[i]
-            if isinstance(report, ConeExitError):
-                out[i] = ConeExitError(
-                    f"fixed point reached at theta={thetas[i]:.6e} but its "
-                    f"validity matrix is not positive definite",
-                    lambda_min=report.lambda_min, step=it, last_valid=P_i,
-                )
-                out[i].__cause__ = report
-                continue
-            K, R_nu, lambda_V, are = report
-            out[i] = FixedPointResult(
-                P_star=P_i,
-                iterations=it,
-                final_step_distance=distance,
-                K=K,
-                R_nu=R_nu,
-                closed_loop_eigenvalues=are.closed_loop_eigenvalues,
-                closed_loop_spectral_radius=are.closed_loop_spectral_radius,
-                are_residual=are.residual,
-                lambda_P=P_dec.eigenvalues,
-                lambda_V=lambda_V,
-            )
+    out = _iterate_stack(model, thetas, P0, tol, max_iter)
+    done = [i for i, o in enumerate(out) if isinstance(o, tuple)]  # converged, unfinished
+    if not done:
         return out
+    P = np.array([out[i][2] for i in done])
+    lam = np.array([out[i][3].eigenvalues for i in done])
+    U = np.array([out[i][3].eigenvectors for i in done])
+    P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
+    for i, report in zip(done, _are_stack(model, thetas[done], P, P_inv)):
+        it, distance, P_i, P_dec = out[i]
+        if isinstance(report, ConeExitError):
+            out[i] = ConeExitError(
+                f"fixed point reached at theta={thetas[i]:.6e} but its "
+                f"validity matrix is not positive definite",
+                lambda_min=report.lambda_min, step=it, last_valid=P_i,
+            )
+            out[i].__cause__ = report
+            continue
+        K, R_nu, lambda_V, are = report
+        out[i] = FixedPointResult(
+            P_star=P_i,
+            iterations=it,
+            final_step_distance=distance,
+            K=K,
+            R_nu=R_nu,
+            closed_loop_eigenvalues=are.closed_loop_eigenvalues,
+            closed_loop_spectral_radius=are.closed_loop_spectral_radius,
+            are_residual=are.residual,
+            lambda_P=P_dec.eigenvalues,
+            lambda_V=lambda_V,
+        )
+    return out
 
-    hook = None if wanted is None else (lambda out: wanted(finish(out)))
-    return finish(_iterate_stack(model, thetas, P0, tol, max_iter, hook))
+
+# `fixed_point`'s default tol and max_iter, which `breakdown_search`'s probes share.
+_TOL = 1e-12
+_MAX_ITER = 10000
 
 
 def fixed_point_sweep(
     model: StateSpaceModel,
     thetas,
     P0=None,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> list[FixedPointResult]:
     """`fixed_point` at every theta of a list, as one stacked iteration and one stacked finish.
 
@@ -569,15 +563,15 @@ def fixed_point(
     model: StateSpaceModel,
     theta: float = 0.0,
     P0=None,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> FixedPointResult:
     """Fixed point of the risk-sensitive update by straight iteration.
 
     Iterates from P0 (default: identity) until the affine-invariant
     distance between consecutive iterates drops below tol, or stops
     falling at its roundoff floor c * eps * cond(P) (see the module
-    docstring), which a tol below that floor would never reach. Every
+    docstring), which a tol below that floor could never meet. Every
     iterate must stay inside the cone for the map to be applied again;
     the validity matrix is checked AT the converged point, where losing
     positive definiteness is the breakdown event. (Whether transient
@@ -641,8 +635,9 @@ def breakdown_search(
     The probes are `fixed_point_sweep`'s stacked iteration and finish. The
     two ends are solved in one call; after that, each call solves the
     midpoints of the next _SPECULATIVE_LEVELS levels below the current
-    bracket, and the bisection walks them with the usual test, so every
-    midpoint, the bracket and `evaluations` are those of a one-probe-at-a-time
+    bracket, each to its own stop (`_stalled` ends those near breakdown),
+    and the bisection walks them with the usual test, so every midpoint,
+    the bracket and `evaluations` are those of a one-probe-at-a-time
     bisection. An error other than breakdown or the iteration limit is
     raised when the walk reaches its theta.
     """
@@ -679,40 +674,17 @@ def breakdown_search(
             brackets = below
         return mids
 
-    def reach(lo: float, hi: float) -> tuple:
-        """The bracket the walk from (lo, hi) gets to on the verdicts known so far."""
-        while (hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi
-               and isinstance(verdicts.get(mid), bool)):
-            lo, hi = (mid, hi) if verdicts[mid] else (lo, mid)
-        return lo, hi
-
-    def probe(thetas: list, bracket: Optional[tuple] = None) -> None:
-        """Solve the thetas that have no verdict yet in one stacked call.
-
-        From a walk at `bracket`, a probe still running once the walk can no
-        longer reach it is dropped, so one that would run to the iteration
-        limit costs nothing unless the walk needs it.
-        """
+    def probe(thetas: list) -> None:
+        """Solve the thetas that have no verdict yet in one stacked call."""
         thetas = [t for t in thetas if t not in verdicts]
-
-        def record(out: list) -> None:
-            for theta, outcome in zip(thetas, out):
-                if outcome is None or theta in verdicts:
-                    continue
-                if isinstance(outcome, (ConeExitError, IterationLimitError)):
-                    verdicts[theta] = False
-                else:
-                    verdicts[theta] = outcome if isinstance(outcome, Exception) else True
-
-        def wanted(out: list) -> list:
-            record(out)
-            reachable = set(levels(*reach(*bracket)))
-            return [i for i, t in enumerate(thetas) if t in reachable]
-
-        if thetas:
-            # fixed_point's default tol and max_iter
-            record(_solve_stack(model, np.array(thetas), P0, 1e-12, 10000,
-                                wanted if bracket else None))
+        if not thetas:
+            return
+        for theta, outcome in zip(thetas, _solve_stack(model, np.array(thetas), P0,
+                                                       _TOL, _MAX_ITER)):
+            if isinstance(outcome, (ConeExitError, IterationLimitError)):
+                verdicts[theta] = False
+            else:
+                verdicts[theta] = outcome if isinstance(outcome, Exception) else True
 
     probe([theta_lo, theta_hi])
     evaluations = 2
@@ -731,7 +703,7 @@ def breakdown_search(
     lo, hi = theta_lo, theta_hi
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in verdicts:
-            probe(levels(lo, hi), (lo, hi))
+            probe(levels(lo, hi))
         evaluations += 1
         if solvable(mid):
             lo = mid

@@ -63,6 +63,11 @@ def loewner_leq(P, Q, tol: float = 1e-10) -> bool:
     return bool(spectral(Q - P).eigenvalues[-1] >= -tol)
 
 
+def spd_inv(P) -> np.ndarray:
+    """Inverse of an SPD matrix through its gated eigendecomposition."""
+    return require_spd(P, "spd_inv input must be positive definite").inverse()
+
+
 def safe_theta(model, P, fraction=0.25):
     """A risk parameter keeping P^-1 - theta D^T D comfortably positive."""
     lam_min_Pinv = 1.0 / np.max(np.linalg.eigvalsh(P))

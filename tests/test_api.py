@@ -50,7 +50,6 @@ PUBLIC_API = [
     "run_filter",
     "run_observer",
     "simulate",
-    "spd_inv",
     "spd_sqrt",
     "spectral",
     "symmetrize",
@@ -62,7 +61,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_the_listed_names():
-    assert len(PUBLIC_API) == 50
+    assert len(PUBLIC_API) == 49
     assert sorted(rsriccati.__all__) == PUBLIC_API
 
 

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import loewner_leq, random_nnd, random_spd, spd_log, translation_coefficient
+from helpers import (
+    loewner_leq,
+    random_nnd,
+    random_spd,
+    spd_inv,
+    spd_log,
+    translation_coefficient,
+)
 
 from rsriccati import (
     ConeExitError,
@@ -10,7 +17,6 @@ from rsriccati import (
     contraction_bound,
     is_spd,
     riemann_distance,
-    spd_inv,
     spd_sqrt,
     spectral,
     symmetrize,

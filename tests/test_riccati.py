@@ -34,6 +34,7 @@ from rsriccati import (
     rs_riccati_map,
     run_filter,
     spectral,
+    tau_N,
     verify_are,
 )
 from rsriccati import riccati
@@ -453,16 +454,16 @@ def _congruent(model, T):
                            D=model.D @ T_inv)
 
 
-def _transforms():
-    """20 seeded T per cond(T) in {1, 1e2, 1e3}, then 1e-6 I and 1e6 I."""
+def _transforms(n=2, conds=(1.0, 1e2, 1e3)):
+    """20 seeded n x n T per cond(T) in conds, then 1e-6 I and 1e6 I."""
     out = []
-    for cond in (1.0, 1e2, 1e3):
+    for cond in conds:
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            Q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-            Q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-            out.append(Q1 @ np.diag([cond, 1.0]) @ Q2)
-    return out + [1e-6 * np.eye(2), 1e6 * np.eye(2)]
+            Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            out.append(Q1 @ np.diag(np.geomspace(cond, 1.0, n)) @ Q2)
+    return out + [1e-6 * np.eye(n), 1e6 * np.eye(n)]
 
 
 # P* in the coordinates x -> T x is within CONGRUENCE_K * eps * cond(P*) of
@@ -483,6 +484,43 @@ def test_fixed_point_moves_by_congruence_under_a_change_of_coordinates(example_m
             cond = got.lambda_P[0] / got.lambda_P[-1]
             err = np.linalg.norm(got.P_star - want) / np.linalg.norm(want)
             assert err <= CONGRUENCE_K * eps * cond
+
+
+def _block_bound(model, N, theta):
+    block = build_block_model(model, N, theta)
+    return contraction_bound(block.alpha, block.Omega, block.W)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.3e-4])
+def test_contraction_bound_does_not_depend_on_the_state_coordinates(example_model, theta):
+    # the bound is read in W-whitened coordinates, so x -> T x moves it only by
+    # roundoff: at most 1.3e-10 relative here
+    want = _block_bound(example_model, 2, theta)
+    for T in _transforms(conds=(1e2, 1e3)):
+        assert abs(_block_bound(_congruent(example_model, T), 2, theta) - want) <= 1e-9 * want
+
+
+# Forming a model in coordinates x -> T x rounds it by about eps * cond(T)^2
+# relative, which can move the bound by more than 1e-9: it moved by up to
+# 5.8e3 * eps * cond(T)^2 (1.3e-6 at cond(T) = 1e3) over 75 seeded cases.
+INVARIANCE_K = 1e4
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])  # None: the worked example at N = 8
+def test_contraction_bound_moves_by_roundoff_only_on_random_models(example_model, seed):
+    if seed is None:
+        cases = [(example_model, 8, 0.0)]
+    else:
+        model = random_model(np.random.default_rng(seed), n=3, m=2, p=1)
+        cases = [(model, N, theta) for N in (3, 6)
+                 for theta in (0.0, 0.5 * tau_N(model, N).tau_N)]
+    eps = np.finfo(float).eps
+    for model, N, theta in cases:
+        want = _block_bound(model, N, theta)
+        for T in _transforms(model.n, conds=(1e2, 1e3)):
+            s = np.linalg.svd(T, compute_uv=False)
+            got = _block_bound(_congruent(model, T), N, theta)
+            assert abs(got - want) <= INVARIANCE_K * eps * (s[0] / s[-1]) ** 2 * want
 
 
 @pytest.mark.parametrize("entry", [
@@ -803,11 +841,11 @@ def test_breakdown_matches_sequential_bisection_in_fewer_calls(
     assert len(calls) == 1 + -(-levels // riccati._SPECULATIVE_LEVELS) <= max_calls
 
 
-def test_breakdown_drops_probes_the_walk_cannot_reach(monkeypatch, example_model):
+def test_breakdown_probes_near_the_top_end_as_a_validity_breakdown(monkeypatch, example_model):
     # From the identity with the default end, the second round solves
-    # theta = 1.30695e-3, whose step distance stalls above tol until the
-    # iteration limit; the walk goes below 1.1365e-3 and never needs it, so
-    # it is dropped, not run 10000 steps.
+    # theta = 1.30695e-3, above the breakdown the walk goes on to bracket. The
+    # stall rule ends it as the validity breakdown at P* (at step 101), so every
+    # probe runs to its own stop and none to the iteration limit.
     P_star = fixed_point(example_model, 0.0).P_star
     end = 1.0 / spectral(example_model.D @ P_star @ example_model.D.T).eigenvalues[0]
     bracket, evaluations = sequential_bisection(example_model, 0.0, end, np.eye(2), 1e-6)
@@ -815,9 +853,12 @@ def test_breakdown_drops_probes_the_walk_cannot_reach(monkeypatch, example_model
     got = breakdown_search(example_model, 0.0)
     assert got.bracket == bracket and got.evaluations == evaluations
     thetas, out = calls[2]  # the theta = 0 solve for the end, then one call per round
-    assert any(1.3e-3 < t < 1.31e-3 for t in thetas)
-    assert None in out
-    assert not any(isinstance(o, IterationLimitError) for _, outcomes in calls for o in outcomes)
+    (i,) = [i for i, t in enumerate(thetas) if 1.3e-3 < t < 1.31e-3]
+    assert isinstance(out[i], ConeExitError) and out[i].step < 1000
+    assert "validity matrix is not positive definite" in str(out[i])
+    outcomes = [o for _, call in calls for o in call]
+    assert None not in outcomes
+    assert not any(isinstance(o, IterationLimitError) for o in outcomes)
 
 
 @pytest.mark.parametrize("P0, error, match", [
