@@ -104,7 +104,10 @@ def _initial_variance_arg(model: ssp.StateSpaceModel, spec: str) -> np.ndarray:
         raise UsageError(f"cannot read initial-variance file {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"initial-variance file {spec!r} is not valid JSON") from exc
-    P0 = np.asarray(doc, dtype=float)
+    try:
+        P0 = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"initial-variance file {spec!r} is not a numeric matrix") from exc
     if P0.shape != (model.n, model.n):
         raise UsageError(
             f"initial variance must be {model.n}x{model.n}, got {P0.shape}"

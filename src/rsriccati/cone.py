@@ -47,6 +47,9 @@ def symmetrize(X) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {X.shape}")
     scale = np.linalg.norm(X)
+    if not np.isfinite(scale):
+        # a NaN or inf entry: nothing to measure, and an inf fails every gate as NaN does
+        return _sym(np.where(np.isinf(X), np.nan, X))
     if scale > 0.0:
         asym = np.linalg.norm(X - X.T) / scale
         if asym > ASYM_RTOL:

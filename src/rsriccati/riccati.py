@@ -34,15 +34,20 @@ inner matrix's gated decomposition and gates it, which hands the next step
 its factorization (`_map_step` is the two in sequence). The kernel,
 `rs_riccati_map` and the loop behind `iterate_trajectory` and
 `sim.run_filter` all step through them, with C^T C, theta D^T D and B B^T
-formed once per loop. That loop makes two stacked eigensolve calls per
-step: V^-1 and the inner matrix, both from the same P^-1, and the
-whitened P_t^-1/2 P_{t-1} P_t^-1/2 that gives the step distance, are
-gated as one (3, n, n) stack, then P_next is gated.
+formed once per loop. Both Riccati loops, the kernel and the trajectory
+loop, make the same two stacked eigensolve calls per step. `_gate_step`
+gates the inner matrix (with V^-1 from the same P^-1, in the trajectory
+loop) together with the whitened P_t^-1/2 P_{t-1} P_t^-1/2 that gives the
+step distance d_t, then P_next is gated. A step distance is a
+measurement, never a verdict: only the inner matrix and P_next decide a
+cone exit, and a whitened entry that fails the gate only means that step
+has no distance (NaN, which neither stops nor stalls a loop).
 
 Both loops share one stopping rule at the roundoff floor (`_stalled`): a
 step whose distance d_k is at least d_{k-1} and below c * eps * cond(P_k)
 has stopped contracting and only wanders at roundoff. The kernel stops a
-theta there, as at d_k < tol. The trajectory loop stops factorizing there,
+theta there, as at d_k < tol, and drops the error its next inner matrix
+may have had in the same call. The trajectory loop stops factorizing there,
 or once its state repeats bitwise (P_{t+1}, its eigenvalues and
 eigenvectors equal to P_t's), whichever comes first. The repeat is exact:
 every later step would recompute the same bits. After a stall the
@@ -105,13 +110,26 @@ def _inverse(P, n: int, name: str) -> np.ndarray:
 _FLOOR = 16.0 * np.finfo(float).eps
 
 
-def _step_whitened(P: np.ndarray, lam: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """P_next^-1/2 P P_next^-1/2 from P_next's decomposition (lam, U), for one P or a stack.
+def _gate_step(X: np.ndarray, P_prev, lam: np.ndarray, U: np.ndarray, what: str):
+    """Gate a stack X together with the whitened steps P_prev -> P, in one eigensolve call.
 
-    The log of its spectrum is the step distance from P to P_next.
+    (lam, U) is the stack P's decomposition; the log spectrum of the whitened
+    P^-1/2 P_prev P^-1/2 is the step distance. Returns X's eigenvalues,
+    eigenvectors and errors (keyed by index, as `_require_spd_stack` gives
+    them) and the step distances, one per entry of P. A distance is a
+    measurement, never a verdict: it is NaN where there is no P_prev or its
+    whitened entry failed the gate, so it neither stops nor stalls a loop.
     """
-    whiten = (U / np.sqrt(lam)[..., None, :]) @ U.swapaxes(-1, -2)
-    return whiten @ P @ whiten
+    if P_prev is None:
+        return (*_require_spd_stack(X, what), np.full(len(lam), np.nan))
+    b = len(X)
+    whiten = (U / np.sqrt(lam)[:, None, :]) @ U.swapaxes(1, 2)
+    lam_g, U_g, errors = _require_spd_stack(np.concatenate([X, whiten @ P_prev @ whiten]), what)
+    lam_w = lam_g[b:]
+    if errors:
+        lam_w[[i - b for i in errors if i >= b]] = np.nan  # no log of a failed spectrum
+        errors = {i: exc for i, exc in errors.items() if i < b}
+    return lam_g[:b], U_g[:b], errors, _frobenius(np.log(lam_w))
 
 
 def _stalled(distance, previous, lam: np.ndarray):
@@ -252,38 +270,34 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
     """The one trajectory loop: yields (record, V's decomposition or None) for t = 0..T.
 
     Each step gates V^-1 = P_t^-1 - theta D^T D and the map's inner matrix
-    (`_map_inner`) as one stack in one eigensolve call, reading V's verdict
-    first, then forms and gates P_{t+1} (`_map_next`), whose decomposition
-    the next step uses. From step 1 on, the whitened P_t^-1/2 P_{t-1} P_t^-1/2
-    is a third entry of the first stack; its log spectrum gives the step
-    distance, and a failure of that entry only means no distance at that
-    step. It ends after the first record that is not "ok". After record t
-    the loop settles when P_{t+1}, its eigenvalues and its eigenvectors
-    equal P_t's bitwise (the state has repeated, so every later step would
-    recompute the same bits; only period 1 is checked), or when step t has
-    stalled at its roundoff floor (`_stalled`) and P_{t+1} passed its gate.
-    P_{t+1} is formed first, so the exact repeat keeps precedence. The
-    remaining records are then yielded without factorizing again, as copies
-    of record t: each with its own copies of P, lambda_P and lambda_V, and
-    all with the same V_dec object.
+    (`_map_inner`) with the whitened step from P_{t-1} in one eigensolve
+    call (`_gate_step`), reading V's verdict first, then forms and gates
+    P_{t+1} (`_map_next`), whose decomposition the next step uses. It ends
+    after the first record that is not "ok". After record t the loop
+    settles when P_{t+1}, its eigenvalues and its eigenvectors equal P_t's
+    bitwise (the state has repeated, so every later step would recompute
+    the same bits; only period 1 is checked), or when step t has stalled at
+    its roundoff floor (`_stalled`) and P_{t+1} passed its gate. P_{t+1} is
+    formed first, so the exact repeat keeps precedence. The remaining
+    records are then yielded without factorizing again, as copies of record
+    t: each with its own copies of P, lambda_P and lambda_V, and all with
+    the same V_dec object.
     """
     P = _caller_matrix(P0, model.n, "P0")
     lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
     if not errors:
         _finite_inverse(SpectralDecomposition(lam[0], U[0]), "trajectory start P0")
     CtC, thDtD, BBt = _map_products(model, np.array([theta], dtype=float))
-    # the loop reads only which entry failed, so one message serves all three
-    what = f"{_VALIDITY_GATE}, or {_INNER_GATE}, or the whitened step"
+    # the loop reads only which entry failed, so one message serves both
+    what = f"{_VALIDITY_GATE}, or {_INNER_GATE}"
     P_prev, distance = None, math.nan  # NaN: no distance, so no stall
     for t in range(T + 1):
         if errors:
             yield RiccatiStep(t, P, "cone_exit", lam[0], None), None
             return
         P_inv = (U[0] / lam[0]) @ U[0].T
-        gated = [P_inv - thDtD[0], _map_inner(P_inv, CtC, thDtD[0])]
-        if P_prev is not None:
-            gated.append(_step_whitened(P_prev, lam[0], U[0]))
-        lam_g, U_g, failed = _require_spd_stack(np.array(gated), what)
+        lam_g, U_g, failed, step = _gate_step(
+            np.array([P_inv - thDtD[0], _map_inner(P_inv, CtC, thDtD[0])]), P_prev, lam, U, what)
         if 0 in failed:
             if not isinstance(failed[0], ConeExitError):
                 raise failed[0]
@@ -294,9 +308,7 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
         yield RiccatiStep(t, P, "ok", lam[0], lam_V), V_dec
         if t == T:
             return
-        previous, distance = distance, math.nan
-        if P_prev is not None and not failed:
-            distance = float(np.linalg.norm(np.log(lam_g[2])))
+        previous, distance = distance, float(step[0])
         P_next, lam_next, U_next, errors = _map_next(
             model, BBt, lam_g[1:2], U_g[1:2], {0: failed[1]} if 1 in failed else {})
         repeated = (np.array_equal(P_next[0], P) and np.array_equal(lam_next, lam)
@@ -418,13 +430,15 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     """The straight iteration for every theta at once, from one start P0.
 
     Raises only when P0 (default: identity) fails the gate or its inverse
-    overflows. The map's constant products are formed once; each step runs
-    its two stacked gates (on `_map_inner`, then in `_map_next`) and a third
-    on the whitened P_next^-1/2 P P_next^-1/2, whose log spectrum gives the
-    step distance. A theta stops at its own step once that distance is
-    below tol or has stalled at its roundoff floor (`_stalled`). Returns,
-    per theta, (iterations, distance, P, decomposition of P) or the error
-    `fixed_point` raises for it; the finish is left to the caller.
+    overflows. The map's constant products are formed once. A step makes the
+    trajectory loop's two stacked eigensolve calls: `_gate_step` gates the
+    inner matrix (`_map_inner`) of each P_t together with the whitened step
+    from P_{t-1}, whose distance d_t is read first, then `_map_next` forms
+    and gates P_{t+1}. A theta stops at P_t once d_t is below tol or has
+    stalled at its roundoff floor (`_stalled`); the error of its step-(t+1)
+    inner matrix is then dropped, not reported. Returns, per theta,
+    (iterations, distance, P, decomposition of P) or the error `fixed_point`
+    raises for it; the finish is left to the caller.
     """
     b, n = len(thetas), model.n
     P0 = _caller_matrix(P0, n, "P0") if P0 is not None else np.eye(n)
@@ -432,16 +446,27 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
     _finite_inverse(P0_dec, "fixed-point start P0")
     out = [None] * b
     live = np.arange(b)  # input index of each running entry
-    P = np.broadcast_to(P0, (b, n, n))
+    P_prev, P = None, np.broadcast_to(P0, (b, n, n))
     lam = np.broadcast_to(P0_dec.eigenvalues, (b, n))
     U = np.broadcast_to(P0_dec.eigenvectors, (b, n, n))
-    distance = np.full(b, math.inf)
+    distance = np.full(b, math.nan)
     CtC, thDtD, BBt = _map_products(model, thetas)
-
-    def stop(errors, arrays, broke_down=True):
-        """Record the entries that failed a gate; return every array without them."""
+    for it in range(1, max_iter + 2):
+        P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
+        lam_in, U_in, errors, step = _gate_step(
+            _map_inner(P_inv, CtC, thDtD[live]), P_prev, lam, U, _INNER_GATE)
+        previous, distance = distance, step
+        done = (distance < tol) | _stalled(distance, previous, lam)
+        for i in np.flatnonzero(done).tolist():
+            out[live[i]] = (it - 1, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
+        if done.any():
+            errors = {j: errors[i] for j, i in enumerate(np.flatnonzero(~done)) if i in errors}
+            live, P, lam_in, U_in, distance = (a[~done] for a in (live, P, lam_in, U_in, distance))
+        if it > max_iter or not live.size:
+            break
+        P_next, lam, U, errors = _map_next(model, BBt, lam_in, U_in, errors)
         for i, exc in errors.items():
-            if broke_down and isinstance(exc, ConeExitError):
+            if isinstance(exc, ConeExitError):
                 err = ConeExitError(
                     f"risk-sensitive iteration broke down at step {it} "
                     f"(theta={thetas[live[i]]:.6e}): {exc}",
@@ -449,30 +474,10 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
                 )
                 err.__cause__, exc = exc, err
             out[live[i]] = exc
-        keep = np.setdiff1d(np.arange(len(live)), list(errors))
-        return [a[keep] for a in arrays]
-
-    for it in range(1, max_iter + 1):
-        if not live.size:
-            break
-        P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
-        lam, U, errors = _require_spd_stack(_map_inner(P_inv, CtC, thDtD[live]), _INNER_GATE)
-        P_next, lam, U, errors = _map_next(model, BBt, lam, U, errors)
         if errors:
-            live, P, P_next, lam, U, distance = stop(errors, [live, P, P_next, lam, U, distance])
-        lam_w, _, errors = _require_spd_stack(
-            _step_whitened(P, lam, U),
-            "distance argument Q must be positive definite: P^-1/2 Q P^-1/2")
-        if errors:
-            live, P_next, lam, U, lam_w, distance = stop(
-                errors, [live, P_next, lam, U, lam_w, distance], False)
-        previous, distance = distance, _frobenius(np.log(lam_w))
-        P = P_next
-        done = (distance < tol) | _stalled(distance, previous, lam)
-        for i in np.flatnonzero(done).tolist():
-            out[live[i]] = (it, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
-        if done.any():
-            live, P, lam, U, distance = (a[~done] for a in (live, P, lam, U, distance))
+            keep = np.setdiff1d(np.arange(len(live)), list(errors))
+            live, P, P_next, lam, U, distance = (a[keep] for a in (live, P, P_next, lam, U, distance))
+        P_prev, P = P, P_next
     for i, j in enumerate(live.tolist()):
         out[j] = IterationLimitError(
             f"no fixed point within {max_iter} iterations at theta={thetas[j]:.6e}: "

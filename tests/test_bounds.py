@@ -74,6 +74,11 @@ def test_place_rejects_multi_output():
         place_observer_gain(model, [0.0, 0.0])
 
 
+def test_place_rejects_the_wrong_number_of_poles(example_model):
+    with pytest.raises(UsageError, match="need exactly n=2 desired poles"):
+        place_observer_gain(example_model, [0.0])
+
+
 def test_place_rejects_unobservable():
     model = StateSpaceModel(
         A=np.diag([0.5, 0.5]), B=np.eye(2), C=np.array([[1.0, 0.0]]), D=np.eye(2)
@@ -214,6 +219,13 @@ def test_bound_search_reports_infeasible():
         bound_search(model, rho_grid=[2.0], gain_grid=[np.array([0.0])], refine=False)
 
 
+def test_bound_search_rejects_an_unreachable_pair():
+    model = StateSpaceModel(A=np.diag([0.5, 0.3]), B=np.array([[0.0], [1.0]]),
+                            C=np.array([[1.0, 1.0]]), D=np.eye(2))
+    with pytest.raises(DomainError, match="reachable pair"):
+        bound_search(model)
+
+
 def test_bound_search_rejects_empty_grid(example_model):
     with pytest.raises(UsageError):
         bound_search(example_model, rho_grid=[], gain_grid=None)
@@ -224,6 +236,23 @@ def test_default_gain_grid_shape(example_model):
     assert len(grids) == 2
     assert all(len(g) == 41 for g in grids)
     assert grids[0][0] == -grids[0][-1]
+
+
+def test_default_gain_grid_falls_back_to_the_norm_of_A_for_two_outputs():
+    # no single-output placement: +-10 ||A||_F for each of the n p = 4 gain entries
+    A = np.array([[0.5, 0.1], [0.0, 0.4]])
+    model = StateSpaceModel(A=A, B=np.eye(2), C=np.eye(2), D=np.eye(2))
+    half = 10.0 * np.linalg.norm(A)
+    grids = default_gain_grid(model, points=5)
+    assert len(grids) == 4
+    for g in grids:
+        assert np.array_equal(g, np.linspace(-half, half, 5))
+
+
+def test_best_rho_for_gain_without_a_feasible_rho(example_model, example_bound):
+    G, _, _ = example_bound
+    with pytest.raises(DomainError, match="no rho in the grid"):
+        best_rho_for_gain(example_model, G, [0.5, 0.9])
 
 
 def test_best_rho_for_gain(example_model, example_bound):

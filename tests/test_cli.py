@@ -236,6 +236,31 @@ def test_fixed_point_breakdown_exit_code(capsys, model_file):
     assert code in (3, 4)
 
 
+def test_fixed_point_text_output(capsys, model_file):
+    code, out, _ = run_cli(capsys, "fixed-point", model_file)
+    assert code == 0
+    assert out.splitlines()[0].startswith("fixed point after ")
+    assert "iterations (final step distance " in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("hi, p0, first", [
+    ("2e-3", "sigma", "breakdown theta = "),
+    ("2e-4", "identity", "no breakdown in range: theta = 2.000000e-04 still solvable"),
+])
+def test_breakdown_text_output(capsys, model_file, hi, p0, first):
+    code, out, _ = run_cli(capsys, "breakdown", model_file, "--lo", "1e-4", "--hi", hi,
+                           "--tol", "1e-5", "--p0", p0)
+    assert code == 0
+    assert out.splitlines()[0].startswith(first)
+
+
+def test_bound_search_text_output(capsys, model_file):
+    code, out, _ = run_cli(capsys, "bound-search", model_file, "--rho-grid", "1.2:1.4:3",
+                           "--gain-grid", "1.0:5", "--no-refine")
+    assert code == 0
+    assert out.splitlines()[0].startswith("beta_rho maximized at G = ")
+
+
 def test_breakdown_command(capsys, model_file):
     code, out, _ = run_cli(capsys, "breakdown", model_file,
                            "--lo", "2.3e-4", "--hi", "2e-3",
@@ -278,6 +303,19 @@ def test_breakdown_missing_p0_file(capsys, model_file, tmp_path):
                            "--p0", str(tmp_path / "missing.json"))
     assert code == 2
     assert "cannot read initial-variance file" in err
+
+
+@pytest.mark.parametrize("document", [
+    '[["a", 0], [0, "b"]]',
+    "[[1, 0], [0]]",
+    '{"P0": [[1, 0], [0, 1]]}',
+], ids=["string_entries", "ragged_rows", "json_object"])
+def test_malformed_p0_file_is_an_input_error(capsys, model_file, tmp_path, document):
+    p0 = tmp_path / "p0.json"
+    p0.write_text(document)
+    code, _, err = run_cli(capsys, "fixed-point", model_file, "--p0", str(p0))
+    assert code == 2
+    assert "is not a numeric matrix" in err
 
 
 def test_initial_variance_arg_named_starts(example_model, example_bound):

@@ -15,14 +15,20 @@ from rsriccati import (
     NumericalError,
     UsageError,
     contraction_bound,
+    fixed_point,
     is_spd,
+    iterate_trajectory,
+    load_model,
     riemann_distance,
+    rs_gain,
+    simulate,
     spd_sqrt,
     spectral,
     symmetrize,
     thompson_distance,
 )
 from rsriccati.cone import _require_spd_stack, require_spd
+from conftest import EXAMPLE_JSON
 
 
 def test_symmetrize_folds_roundoff():
@@ -81,6 +87,35 @@ def test_spd_sqrt_rejects_indefinite():
 def test_spd_sqrt_rejects_nan():
     with pytest.raises(DomainError, match="eigenvalue"):
         spd_sqrt(np.full((2, 2), np.nan))
+
+
+def _verdict(entry, M):
+    """What entry(M) returns, or the type and message of the domain error it raises."""
+    try:
+        return entry(M)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", [
+    is_spd,
+    lambda M: tuple(spectral(M)),
+    lambda M: riemann_distance(M, np.eye(2)),
+    lambda M: riemann_distance(np.eye(2), M),
+    lambda M: fixed_point(load_model(EXAMPLE_JSON), 0.0, M),
+    lambda M: [step.status for step in iterate_trajectory(load_model(EXAMPLE_JSON), 0.0, M, 3)],
+    lambda M: rs_gain(load_model(EXAMPLE_JSON), 0.0, M),
+    lambda M: simulate(load_model(EXAMPLE_JSON), 3, 0, P0=M),
+], ids=["is_spd", "spectral", "riemann_distance_P", "riemann_distance_Q", "fixed_point",
+        "iterate_trajectory", "rs_gain", "simulate"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+def test_an_infinite_entry_is_rejected_as_nan_is(entry, value, where):
+    # no RuntimeWarning (tier-1 makes one an error) and the verdict NaN gets there
+    M, N = np.eye(2), np.eye(2)
+    M[where], N[where] = value, np.nan
+    np.testing.assert_equal(_verdict(entry, M), _verdict(entry, N))
+    assert _verdict(is_spd, M) is False
 
 
 def test_distances_are_scale_free():

@@ -447,6 +447,37 @@ def test_fixed_point_sweep_iteration_total_on_the_paper_grid(example_model):
     assert max(r.final_step_distance for r in results) < 1e-12
 
 
+@pytest.mark.parametrize("theta, iterations", [(0.0, 97), (5e-4, 100)])
+def test_fixed_point_kernel_makes_two_eigensolve_calls_per_step(
+        monkeypatch, example_model, theta, iterations):
+    # per step: the inner matrix with the previous step's whitening, then
+    # P_next; besides those, the start's gate, the last distance and the finish
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(X):
+        calls.append(np.shape(X))
+        return eigh(X)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    res = fixed_point(example_model, theta)
+    assert res.iterations == iterations
+    assert len(calls) <= 2 * iterations + 4
+
+
+def test_an_ill_conditioned_start_converges_where_its_whitened_step_fails_the_gate():
+    # From P0 = diag(1e-8, 1) the first whitened step has a spectrum spread
+    # beyond the gate's 1e12. That step has no distance, but the iteration
+    # goes on: the distance measures contraction, it decides no cone exit.
+    model = StateSpaceModel(A=np.array([[0.5, 0.2], [0.0, 0.3]]), B=1e-3 * np.eye(2),
+                            C=np.array([[1.0, 0.0]]), D=np.eye(2))
+    P0 = np.diag([1e-8, 1.0])
+    reference = fixed_point(model, 0.0).P_star
+    assert riemann_distance(fixed_point(model, 0.0, P0).P_star, reference) < 1e-12
+    assert iterate_trajectory(model, 0.0, P0, 50)[-1].status == "ok"
+    assert breakdown_search(model, 0.0, None, P0).found
+
+
 def _congruent(model, T):
     """The model in the state coordinates x -> T x."""
     T_inv = np.linalg.inv(T)
@@ -548,6 +579,12 @@ def test_verify_are_at_and_off_the_fixed_point(example_model, example_bound):
     assert report.closed_loop_spectral_radius < 1.0
     off = verify_are(example_model, beta2, Sigma2)
     assert off.residual > 1.0
+
+
+def test_verify_are_rejects_a_point_whose_validity_matrix_fails(example_model):
+    # D = I, so V^-1 = P^-1 - theta D^T D is zero at theta = 1, P = I
+    with pytest.raises(ConeExitError, match="validity violated"):
+        verify_are(example_model, 1.0, np.eye(2))
 
 
 def test_verify_are_risk_neutral_reduction():
