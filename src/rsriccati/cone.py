@@ -17,6 +17,7 @@ All functions are pure; none mutate their arguments.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -40,18 +41,22 @@ def symmetrize(X) -> np.ndarray:
     """Return (X + X^T)/2 of a caller's square matrix, rejecting genuinely asymmetric input.
 
     Roundoff-level asymmetry is silently folded away; relative asymmetry
-    above ASYM_RTOL (Frobenius) raises UsageError. Matrices the library
-    forms itself skip this check and go through `_sym`.
+    above ASYM_RTOL (Frobenius, measured on X scaled exactly by the power
+    of two above max|X|, so no finite X overflows) raises UsageError.
+    Matrices the library forms itself skip this check and go through `_sym`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {X.shape}")
-    scale = np.linalg.norm(X)
-    if not np.isfinite(scale):
+    top = np.abs(X).max(initial=0.0)  # NaN or inf exactly when an entry is
+    if not np.isfinite(top):
         # a NaN or inf entry: nothing to measure, and an inf fails every gate as NaN does
         return _sym(np.where(np.isinf(X), np.nan, X))
+    # scaled by the power of two above max|X|: exact, so the same ratio, and no overflow
+    X_s = np.ldexp(X, -math.frexp(top)[1])
+    scale = np.linalg.norm(X_s)
     if scale > 0.0:
-        asym = np.linalg.norm(X - X.T) / scale
+        asym = np.linalg.norm(X_s - X_s.T) / scale
         if asym > ASYM_RTOL:
             raise UsageError(
                 f"matrix is not symmetric: relative asymmetry {asym:.3e} "

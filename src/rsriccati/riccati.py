@@ -58,6 +58,7 @@ step-by-step iteration gives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -549,11 +550,16 @@ def fixed_point_sweep(
     its result, iteration count included, does not depend on the other
     thetas. The finish gates V at every converged P* in one eigensolve and
     forms the gains, ARE residuals and closed-loop spectra once over the
-    stack. A NaN or negative theta anywhere raises DomainError before any
-    iteration; otherwise the error of the first theta (in input order)
-    that fails, in the iteration or at P*, is raised, exactly as
-    `fixed_point` raises it.
+    stack. A tol that is not >= 0 or a max_iter that is not an integer
+    >= 1 raises UsageError, and a NaN or negative theta anywhere
+    DomainError, before any iteration; otherwise the error of the first
+    theta (in input order) that fails, in the iteration or at P*, is
+    raised, exactly as `fixed_point` raises it.
     """
+    if not tol >= 0.0:
+        raise UsageError(f"fixed-point tol must be >= 0, got {tol}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise UsageError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     thetas = list(thetas)
     for theta in thetas:
         check_finite("theta", theta, nonnegative=True)

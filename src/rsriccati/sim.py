@@ -47,7 +47,10 @@ def simulate(
 
     x_0 is drawn from N(x0_mean, P0) by coloring a standard normal draw
     with the symmetric square root of P0; u_t and v_t are independent
-    standard normal.
+    standard normal. Every B u_t is formed in one stacked call before the
+    loop and every C x_t + v_t in one after it, so the loop carries only
+    x_{t+1} = A x_t + (B u_t); each row is the same gemv, and so the same
+    bits, as the per-step product.
     """
     if T < 1:
         raise DomainError(f"horizon T must be >= 1, got {T}")
@@ -64,12 +67,15 @@ def simulate(
     v = gen_v.standard_normal((T, p))
     z0 = gen_x0.standard_normal(n)
 
+    # a stacked (T, m, 1) product is one gemv per row, the bits of B @ u[t]
+    Bu = (model.B @ u[:, :, None])[..., 0]
     states = np.empty((T + 1, n))
-    states[0] = x0_mean + root @ z0
-    observations = np.empty((T, p))
+    states[0] = x = x0_mean + root @ z0
+    A = model.A
     for t in range(T):
-        observations[t] = model.C @ states[t] + v[t]
-        states[t + 1] = model.A @ states[t] + model.B @ u[t]
+        # ndarray.dot is the gemv of A @ x, the same bits, at less cost per call
+        states[t + 1] = x = A.dot(x) + Bu[t]
+    observations = (model.C @ states[:T, :, None])[..., 0] + v
     return SimulationRun(
         seed=seed,
         T=T,
@@ -141,16 +147,20 @@ def _estimate(model: StateSpaceModel, gains: list, index: list, x0_hat,
     """x_hat_{t+1} = A x_hat_t + gains[index[t]] (y_t - C x_hat_t) for t < len(index).
 
     The one estimate recursion of every filter and observer: gains is a
-    list of (n, p) gains, index a list of positions in it. Returns the
-    estimates (len(index) + 1 rows) and the innovations (len(index) rows).
+    list of (n, p) gains, index a list of positions in it. The loop carries
+    x_hat and the innovation nu_t = y_t - C x_hat_t in locals and writes
+    each into its row. Returns the estimates (len(index) + 1 rows) and the
+    innovations (len(index) rows).
     """
     T = len(index)
     estimates = np.empty((T + 1, model.n))
-    estimates[0] = x0_hat
+    estimates[0] = x = x0_hat
     innovations = np.empty((T, model.p))
-    for t, k in enumerate(index):
-        innovations[t] = observations[t] - model.C @ estimates[t]
-        estimates[t + 1] = model.A @ estimates[t] + gains[k] @ innovations[t]
+    A, C = model.A, model.C
+    for t, (y, k) in enumerate(zip(observations, index)):
+        # ndarray.dot is the gemv of M @ x, the same bits, at less cost per call
+        innovations[t] = nu = y - C.dot(x)
+        estimates[t + 1] = x = A.dot(x) + gains[k].dot(nu)
     return estimates, innovations
 
 
@@ -172,7 +182,10 @@ def run_filter(
     set. The gains do not depend on the observations, so the loop only
     keeps each distinct V decomposition it hands back (one per step until
     its state repeats bitwise or its step distance stalls at the roundoff
-    floor, see `riccati._trajectory`), and every gain is formed in one
+    floor, see `riccati._trajectory`). It stops reading at the first
+    copied record, the first whose decomposition is the previous one's
+    object, and fills the rest of P_sequence with copies of its P and the
+    rest of the gain index with its row. Every gain is formed in one
     stacked call after it; the estimate recursion then runs. Every output
     is the same bits as a per-step gain would give until the stall rule
     fires, and within the floor c * eps * cond(P) after.
@@ -181,21 +194,25 @@ def run_filter(
     observations = _observation_record(model, observations)
     x0_hat = _state_vector("x0_hat", x0_hat, model.n)
     T, n = len(observations), model.n
-    lam, U = np.empty((T, n)), np.empty((T, n, n))  # each distinct V decomposition
+    lams, Us = [], []  # each distinct V decomposition of a step before T
     entry = []  # step -> its decomposition's row, for each step before a violation
     P_sequence = []
     violation = last = None
-    k = -1
     for step, V_dec in _trajectory(model, theta, P0, T):
         P_sequence.append(step.P)
         if V_dec is None:
             violation = step.t
+        elif V_dec is last:
+            # the loop has settled: every later record is a copy of this one
+            P_sequence += [step.P.copy() for _ in range(step.t, T)]
+            entry += [entry[-1]] * (T - step.t)
+            break
         elif step.t < T:
-            if V_dec is not last:
-                k, last = k + 1, V_dec
-                lam[k], U[k] = V_dec
-            entry.append(k)
-    lam, U = lam[: k + 1], U[: k + 1]
+            last = V_dec
+            entry.append(len(lams))
+            lams.append(V_dec.eigenvalues)
+            Us.append(V_dec.eigenvectors)
+    lam, U = np.reshape(lams, (-1, n)), np.reshape(Us, (-1, n, n))
     K, _ = _kalman_form(model, (U / lam[:, None, :]) @ U.swapaxes(1, 2))
     estimates, innovations = _estimate(model, list(K), entry, x0_hat, observations)
     return FilterRun(

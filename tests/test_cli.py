@@ -230,6 +230,15 @@ def test_fixed_point_iteration_cap_exit_code(capsys, model_file):
     assert "iteration limit" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-iter", "-3"), ("--max-iter", "0"), ("--tol", "nan"), ("--tol", "-1"),
+])
+def test_fixed_point_bad_tol_or_max_iter_is_an_input_error(capsys, model_file, flag, value):
+    code, out, err = run_cli(capsys, "fixed-point", model_file, flag, value)
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
 def test_fixed_point_breakdown_exit_code(capsys, model_file):
     code, _, err = run_cli(capsys, "fixed-point", model_file,
                            "--theta", "1.5e-3", "--p0", "identity")

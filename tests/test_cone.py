@@ -42,6 +42,14 @@ def test_symmetrize_rejects_asymmetric():
         symmetrize(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1.0])
+def test_symmetrize_rejects_asymmetry_at_any_finite_scale(scale):
+    # unscaled, the Frobenius norm overflows at 1e200 and underflows to 0 at 1e-200
+    with pytest.raises(UsageError, match="relative asymmetry 8.165e-01"):
+        symmetrize(scale * np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(UsageError):
         symmetrize(np.zeros((2, 3)))

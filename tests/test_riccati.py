@@ -398,6 +398,23 @@ def test_fixed_point_iteration_limit():
     assert exc.value.last_distance > 0
 
 
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda m, **kw: fixed_point(m, 0.0, **kw), id="fixed_point"),
+    pytest.param(lambda m, **kw: fixed_point_sweep(m, [0.0, 1e-4], **kw), id="fixed_point_sweep"),
+])
+@pytest.mark.parametrize("kwargs", [
+    {"tol": np.nan}, {"tol": -1.0}, {"max_iter": -3}, {"max_iter": 0}, {"max_iter": 2.5},
+], ids=["tol=nan", "tol=-1", "max_iter=-3", "max_iter=0", "max_iter=2.5"])
+def test_fixed_point_rejects_a_bad_tol_or_max_iter_before_any_solve(
+        monkeypatch, example_model, solve, kwargs):
+    def no_solve(*args):
+        raise AssertionError("solved before checking its arguments")
+
+    monkeypatch.setattr(riccati, "_solve_stack", no_solve)
+    with pytest.raises(UsageError):
+        solve(example_model, **kwargs)
+
+
 def test_fixed_point_rejects_nan_start():
     model = load_model(SCALAR % "1")
     with pytest.raises(DomainError, match="not positive definite"):

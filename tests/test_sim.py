@@ -23,6 +23,7 @@ from rsriccati import (
     run_observer,
     simulate,
 )
+from rsriccati import riccati, sim
 
 
 def test_seed_replay_is_bit_identical(example_model):
@@ -47,6 +48,19 @@ def test_states_satisfy_recursion_exactly(example_model):
             assert np.linalg.norm(lhs - rhs) < 1e-12
             obs = example_model.C @ run.states[t] + run.measurement_noise[t]
             assert np.linalg.norm(run.observations[t] - obs) < 1e-12
+
+
+@pytest.mark.parametrize("which", ["worked example", "n=4 m=2"])
+def test_simulated_records_are_the_per_step_products_bitwise(example_model, which):
+    # the worked example's states grow like 1.2^t; the seeded model is stable
+    model = (example_model if which == "worked example"
+             else random_model(np.random.default_rng(5), n=4, m=2, p=2))
+    run = simulate(model, 300, seed=9, x0_mean=np.arange(model.n, dtype=float))
+    for t in range(run.T):
+        assert np.array_equal(run.states[t + 1],
+                              model.A @ run.states[t] + model.B @ run.process_noise[t])
+        assert np.array_equal(run.observations[t],
+                              model.C @ run.states[t] + run.measurement_noise[t])
 
 
 def test_simulate_rejects_indefinite_p0(example_model):
@@ -366,6 +380,56 @@ def test_two_eigensolve_calls_per_step_without_a_repeat(monkeypatch, shortcut_ca
     calls.clear()
     run_filter(model, theta, P0, np.zeros(model.n), observations)
     assert calls == ["eigh"] * (1 + 2 * (s + 1)) + ["inv"]
+
+
+@pytest.mark.parametrize("case", ["two-state theta>0", "n=4 theta=0 T=2000",
+                                  "n=4 theta>0 T=2000"])
+def test_filter_builds_no_record_past_the_settle_step(monkeypatch, shortcut_cases, case):
+    model, theta, P0, _, _ = shortcut_cases[case]
+    T = 2000
+    observations = simulate(model, T, seed=4).observations
+    steps = iterate_trajectory(model, theta, P0, T)
+    s = first_repeat(steps)  # the records from step s + 1 on are copies of record s
+    assert s is not None and s < 100
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return riccati_step(*args)
+
+    riccati_step = riccati.RiccatiStep
+    monkeypatch.setattr(riccati, "RiccatiStep", counting)
+    out = run_filter(model, theta, P0, np.zeros(model.n), observations)
+    # records 0..s and the first copy, which marks the settle
+    assert built == list(range(s + 2))
+    assert len(out.P_sequence) == T + 1 and out.violation_step is None
+    for P, step in zip(out.P_sequence, steps):
+        assert np.array_equal(P, step.P)
+    # the tail's variances are distinct arrays: mutating one leaves the next unchanged
+    tail = out.P_sequence[s:]
+    for a, b in zip(tail, tail[1:]):
+        assert not np.shares_memory(a, b)
+    tail[-2][0, 0] += 1.0
+    assert np.array_equal(tail[-1], steps[-1].P)
+
+
+def test_filter_with_a_violation_at_step_zero_forms_no_gain(monkeypatch, example_model):
+    observations = simulate(example_model, 20, seed=2).observations
+    stacks = []
+
+    def recording(model, V):
+        stacks.append(V.shape)
+        return kalman_form(model, V)
+
+    kalman_form = sim._kalman_form
+    monkeypatch.setattr(sim, "_kalman_form", recording)
+    out = run_filter(example_model, 10.0, np.eye(2), np.zeros(2), observations)
+    assert stacks == [(0, 2, 2)]
+    steps = iterate_trajectory(example_model, 10.0, np.eye(2), 20)
+    assert [step.status for step in steps] == ["v_violation"]
+    assert out.violation_step == 0
+    assert out.innovations.shape == (0, 1) and out.estimates.shape == (1, 2)
+    assert len(out.P_sequence) == 1 and np.array_equal(out.P_sequence[0], steps[0].P)
 
 
 # ---------------------------------------------------------------------------
