@@ -19,6 +19,7 @@ from rsriccati import (
     place_observer_gain,
     spectral,
 )
+from rsriccati import bounds
 from rsriccati.bounds import REFINE_MAX_ROUNDS, _beta_batch
 
 
@@ -148,6 +149,31 @@ def test_lyapunov_sigma_rejects_expansive_rho(example_model, example_bound):
         observer_bound(model, np.array([[0.0]]), 1.2)  # 1.2 * 0.9 > 1
 
 
+def _inflated_solves(monkeypatch):
+    """Scale every Kronecker solution by 1 + 1e-6, past the 1e-10 residual contract.
+
+    Returns the list of stacks solved, one entry per call.
+    """
+    solve_each, calls = bounds._solve_each, []
+
+    def inflated(M, rhs):
+        calls.append(len(M))
+        return solve_each(M, rhs) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(bounds, "_solve_each", inflated)
+    return calls
+
+
+@pytest.mark.parametrize("rho", [2.0, 1.05])
+def test_observer_bound_raises_a_missed_residual_contract(monkeypatch, example_model,
+                                                          example_bound, rho):
+    G, _, _ = example_bound
+    _inflated_solves(monkeypatch)
+    with pytest.raises(NumericalError) as info:
+        observer_bound(example_model, G, rho)
+    assert str(info.value) == f"Lyapunov residual 3.800e-04 exceeds tolerance at rho={rho}"
+
+
 # ---------------------------------------------------------------------------
 # risk bound
 
@@ -231,6 +257,11 @@ def test_bound_search_rejects_empty_grid(example_model):
         bound_search(example_model, rho_grid=[], gain_grid=None)
 
 
+def test_bound_search_needs_one_gain_grid_per_gain_entry(example_model):
+    with pytest.raises(UsageError, match=r"one gain grid per gain entry \(2\), got 1"):
+        bound_search(example_model, gain_grid=[np.linspace(-1.0, 1.0, 3)])
+
+
 def test_default_gain_grid_shape(example_model):
     grids = default_gain_grid(example_model)
     assert len(grids) == 2
@@ -259,6 +290,17 @@ def test_best_rho_for_gain(example_model, example_bound):
     G, _, beta2 = example_bound
     best = best_rho_for_gain(example_model, G)
     assert best.beta_rho >= beta2 - 1e-15  # the scan includes rho = 2
+
+
+@pytest.mark.parametrize("grid, rho", [(None, 1.05), ([0.5, 2.0, 1.5], 2.0)])
+def test_best_rho_for_gain_raises_the_first_failed_rho(monkeypatch, example_model,
+                                                       example_bound, grid, rho):
+    # every feasible rho misses the contract; the first one above 1 in grid order is named
+    G, _, _ = example_bound
+    _inflated_solves(monkeypatch)
+    with pytest.raises(NumericalError) as info:
+        best_rho_for_gain(example_model, G, grid)
+    assert str(info.value) == f"Lyapunov residual 3.800e-04 exceeds tolerance at rho={rho}"
 
 
 def test_bound_search_deterministic(example_model):
