@@ -95,15 +95,19 @@ def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
     """Stacked Sigma_rho and beta_rho for every candidate pair (G[i], rho[i, j]).
 
-    G has shape (b, n, p) and rho shape (b, m). Each Lyapunov equation is
-    solved in Kronecker form, (I - rho^2 F (x) F) vec Sigma = vec(BB^T + GG^T),
-    and must meet the residual contract
+    G has shape (b, n, p) and rho shape (b, m). A candidate is feasible when
+    rho > 1 and rho * spectral_radius(A - G[i] C) < 1; only feasible
+    candidates are solved. Each Lyapunov equation is solved in Kronecker
+    form, (I - rho^2 F (x) F) vec Sigma = vec(BB^T + GG^T), and must meet
+    the residual contract
     ||Sigma - rho^2 F Sigma F^T - BB^T - GG^T|| <= 1e-10 max(1, ||Sigma||).
-    Returns (beta, Sigma, radius, residual) with shapes (b, m), (b, m, n, n),
-    (b,) and (b, m); radius is spectral_radius(A - G[i] C), and a
-    non-finite F raises NumericalError for the whole stack. beta is NaN (no
-    value) where rho <= 1, rho * radius >= 1 or the solve fails. Sigma is
-    NaN where the solve fails, residual where it is singular or not run.
+    Returns (beta, Sigma, radius, errors) with shapes (b, m), (b, m, n, n)
+    and (b,), and a dict; radius is spectral_radius(A - G[i] C), and a
+    non-finite F raises NumericalError for the whole stack. beta and Sigma
+    are NaN (no value) where the candidate is infeasible or its solve
+    failed. errors maps (i, j) to the NumericalError of each feasible
+    candidate whose system was singular or whose solution missed the
+    contract; it is empty when every solve met it.
     """
     n = model.n
     F = model.A - G @ model.C
@@ -111,9 +115,9 @@ def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
         radius = np.abs(np.linalg.eigvals(F)).max(axis=-1, initial=0.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on a {n}x{n} matrix") from exc
-    beta, residual = np.full(rho.shape, np.nan), np.full(rho.shape, np.nan)
+    beta = np.full(rho.shape, np.nan)
     Sigma = np.full(rho.shape + (n, n), np.nan)
-    i, j = np.nonzero(rho * radius[:, None] < 1.0)
+    i, j = np.nonzero((rho > 1.0) & (rho * radius[:, None] < 1.0))
     Fi, r2 = F[i], rho[i, j, None, None] ** 2
     Q = model.B @ model.B.T + G[i] @ G[i].swapaxes(1, 2)
     M = np.einsum("bik,bjl->bijkl", Fi, Fi).reshape(-1, n * n, n * n)
@@ -122,14 +126,19 @@ def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
     X = _solve_each(M, Q.reshape(-1, n * n, 1)).reshape(-1, n, n)
     S = 0.5 * (X + X.swapaxes(1, 2))
     res = np.linalg.norm(S - r2 * (Fi @ S @ Fi.swapaxes(1, 2)) - Q, axis=(1, 2))
-    residual[i, j] = res
     ok = res <= 1e-10 * np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
+    errors = {} if ok.all() else {  # a singular system's NaN solution has a NaN residual
+        (a, b): NumericalError(
+            f"singular Lyapunov system at rho={rho[a, b]}, spectral radius {radius[a]:.6f}"
+            if np.isnan(r) else f"Lyapunov residual {r:.3e} exceeds tolerance at rho={rho[a, b]}")
+        for a, b, r in zip(i[~ok].tolist(), j[~ok].tolist(), res[~ok])
+    }
     i, j, S = i[ok], j[ok], S[ok]
     Sigma[i, j] = S
     lam_1 = np.linalg.eigvalsh(model.D @ S @ model.D.T)[:, -1]
     rho_ok = rho[i, j]
-    beta[i, j] = np.where(rho_ok > 1.0, (rho_ok**2 - 1.0) / (rho_ok**2 * lam_1), np.nan)
-    return beta, Sigma, radius, residual
+    beta[i, j] = (rho_ok**2 - 1.0) / (rho_ok**2 * lam_1)
+    return beta, Sigma, radius, errors
 
 
 @dataclass(frozen=True)
@@ -150,24 +159,21 @@ def observer_bound(model: StateSpaceModel, G, rho: float) -> ObserverBound:
     F = A - GC, solved as the dense n^2 x n^2 Kronecker system and held to a
     residual of 1e-10 max(1, ||Sigma||); reachability of (A, B) makes it
     positive definite. Raises DomainError unless rho is finite, rho > 1 and
-    rho * spectral_radius(F) < 1, and NumericalError when the system is
-    singular or the solution misses its residual contract.
+    rho * spectral_radius(F) < 1, and the kernel's NumericalError when the
+    system is singular or the solution misses its residual contract.
     """
     check_finite("rho", rho)
     if rho <= 1.0:
         raise DomainError(f"the risk bound needs rho > 1, got rho={rho}")
     G = np.asarray(G, dtype=float).reshape(model.n, model.p)
-    beta, Sigma, (r,), residual = _beta_batch(model, G[None], np.array([[rho]], dtype=float))
+    beta, Sigma, (r,), errors = _beta_batch(model, G[None], np.array([[rho]], dtype=float))
     if rho * r >= 1.0:
         raise DomainError(
             f"rho * spectral_radius(A - GC) = {rho * r:.6f} >= 1; "
             f"the Lyapunov bound requires rho < 1/r = {1.0 / r if r > 0 else np.inf:.6f}"
         )
-    if np.isnan(residual[0, 0]):
-        raise NumericalError(f"singular Lyapunov system at rho={rho}, spectral radius {r:.6f}")
-    if np.isnan(Sigma[0, 0, 0, 0]):
-        raise NumericalError(f"Lyapunov residual {residual[0, 0]:.3e} exceeds tolerance "
-                             f"at rho={rho}")
+    if errors:
+        raise errors[0, 0]
     return ObserverBound(G=G, rho=rho, spectral_radius_F=r, Sigma_rho=Sigma[0, 0],
                          beta_rho=float(beta[0, 0]))
 
@@ -206,15 +212,15 @@ def best_rho_for_gain(
 ) -> ObserverBound:
     """Maximize beta_rho over rho for a fixed gain (one stacked scan of the rho grid).
 
-    The first maximizer in grid order wins; a feasible rho whose solve
-    fails raises its error, as observer_bound would.
+    The first maximizer in grid order wins. If any feasible rho's solve
+    failed, the first such rho in grid order raises the error the kernel
+    built for it, the one observer_bound raises; no rho is solved twice.
     """
     rhos = _grid("rho grid", rho_grid if rho_grid is not None else default_rho_grid())
     G = np.asarray(G, dtype=float).reshape(model.n, model.p)
-    (beta,), (Sigma,), (r,), _ = _beta_batch(model, G[None], rhos[None])
-    failed = (rhos > 1.0) & (rhos * r < 1.0) & np.isnan(beta)
-    if failed.any():
-        observer_bound(model, G, rhos[np.argmax(failed)])
+    (beta,), (Sigma,), (r,), errors = _beta_batch(model, G[None], rhos[None])
+    if errors:
+        raise errors[min(errors)]
     if np.all(np.isnan(beta)):
         raise DomainError(
             f"no rho in the grid satisfies 1 < rho < 1/spectral_radius = "

@@ -42,8 +42,10 @@ def symmetrize(X) -> np.ndarray:
 
     Roundoff-level asymmetry is silently folded away; relative asymmetry
     above ASYM_RTOL (Frobenius, measured on X scaled exactly by the power
-    of two above max|X|, so no finite X overflows) raises UsageError.
-    Matrices the library forms itself skip this check and go through `_sym`.
+    of two above max|X|, so no finite X overflows) raises UsageError. A
+    finite X is averaged as X/2 + X^T/2, which cannot overflow and is the
+    same bits as (X + X^T)/2 wherever no half is subnormal. Matrices the
+    library forms itself skip this check and go through `_sym`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -62,7 +64,7 @@ def symmetrize(X) -> np.ndarray:
                 f"matrix is not symmetric: relative asymmetry {asym:.3e} "
                 f"exceeds {ASYM_RTOL:.1e}"
             )
-    return _sym(X)
+    return 0.5 * X + 0.5 * X.T  # halves first: no finite X overflows
 
 
 class SpectralDecomposition(NamedTuple):

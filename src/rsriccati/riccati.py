@@ -47,12 +47,12 @@ Both loops share one stopping rule at the roundoff floor (`_stalled`): a
 step whose distance d_k is at least d_{k-1} and below c * eps * cond(P_k)
 has stopped contracting and only wanders at roundoff. The kernel stops a
 theta there, as at d_k < tol, and drops the error its next inner matrix
-may have had in the same call. The trajectory loop stops factorizing there,
-or once its state repeats bitwise (P_{t+1}, its eigenvalues and
+may have had in the same call. The trajectory loop ends at that record, or
+at the one where its state repeats bitwise (P_{t+1}, its eigenvalues and
 eigenvectors equal to P_t's), whichever comes first. The repeat is exact:
-every later step would recompute the same bits. After a stall the
-remaining records are copies of the last one, within the floor of what a
-step-by-step iteration gives.
+every later step would recompute the same bits. `iterate_trajectory` and
+`sim.run_filter` fill the remaining records with copies of the last one,
+within the floor of what a step-by-step iteration gives after a stall.
 """
 
 from __future__ import annotations
@@ -268,21 +268,20 @@ class RiccatiStep:
 
 
 def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
-    """The one trajectory loop: yields (record, V's decomposition or None) for t = 0..T.
+    """The one trajectory loop: yields (record, V's decomposition or None) for t = 0, 1, ...
 
     Each step gates V^-1 = P_t^-1 - theta D^T D and the map's inner matrix
     (`_map_inner`) with the whitened step from P_{t-1} in one eigensolve
     call (`_gate_step`), reading V's verdict first, then forms and gates
     P_{t+1} (`_map_next`), whose decomposition the next step uses. It ends
-    after the first record that is not "ok". After record t the loop
-    settles when P_{t+1}, its eigenvalues and its eigenvectors equal P_t's
-    bitwise (the state has repeated, so every later step would recompute
-    the same bits; only period 1 is checked), or when step t has stalled at
-    its roundoff floor (`_stalled`) and P_{t+1} passed its gate. P_{t+1} is
-    formed first, so the exact repeat keeps precedence. The remaining
-    records are then yielded without factorizing again, as copies of record
-    t: each with its own copies of P, lambda_P and lambda_V, and all with
-    the same V_dec object.
+    after the first record that is not "ok", after record T, or after the
+    record t at which it settles: when P_{t+1}, its eigenvalues and its
+    eigenvectors equal P_t's bitwise (the state has repeated, so every later
+    step would recompute the same bits; only period 1 is checked), or when
+    step t has stalled at its roundoff floor (`_stalled`) and P_{t+1} passed
+    its gate. P_{t+1} is formed first, so the exact repeat keeps precedence.
+    So a last record that is "ok" with t < T marks a settled loop, and
+    records t + 1..T would each repeat it.
     """
     P = _caller_matrix(P0, model.n, "P0")
     lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
@@ -305,8 +304,7 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
             yield RiccatiStep(t, P, "v_violation", lam[0], None), None
             return
         V_dec = SpectralDecomposition(lam_g[0], U_g[0])
-        lam_V = 1.0 / lam_g[0, ::-1]
-        yield RiccatiStep(t, P, "ok", lam[0], lam_V), V_dec
+        yield RiccatiStep(t, P, "ok", lam[0], 1.0 / lam_g[0, ::-1]), V_dec
         if t == T:
             return
         previous, distance = distance, float(step[0])
@@ -315,8 +313,6 @@ def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
         repeated = (np.array_equal(P_next[0], P) and np.array_equal(lam_next, lam)
                     and np.array_equal(U_next, U))
         if repeated or (not errors and _stalled(distance, previous, lam[0])):
-            for s in range(t + 1, T + 1):
-                yield RiccatiStep(s, P.copy(), "ok", lam[0].copy(), lam_V.copy()), V_dec
             return
         # a view of P_next would keep one more array alive per record
         P_prev, P, lam, U = P, P_next[0].copy(), lam_next, U_next
@@ -332,15 +328,21 @@ def iterate_trajectory(
     leaves the cone ends it with a "cone_exit" record whose P and
     lambda_P are NaN, because that iterate was never formed. Once the
     iterate repeats bitwise, or its step distance stalls at the roundoff
-    floor c * eps * cond(P) (see the module docstring), the remaining
-    records are copies of the last one (with their own t), produced without
-    factorizing again. They are the same bits a step-by-step iteration
-    gives until the stall rule fires, and within that floor after.
+    floor c * eps * cond(P) (see the module docstring), the loop ends at
+    that record and the remaining ones are appended as its copies: each
+    with its own t and its own copies of P, lambda_P and lambda_V, produced
+    without factorizing again. They are the same bits a step-by-step
+    iteration gives until the stall rule fires, and within that floor after.
     """
     check_finite("theta", theta, nonnegative=True)
     if T < 0:
         raise DomainError(f"horizon T must be >= 0, got {T}")
-    return [step for step, _ in _trajectory(model, theta, P0, T)]
+    steps = [step for step, _ in _trajectory(model, theta, P0, T)]
+    last = steps[-1]
+    if last.status == "ok":  # settled at last.t, or ran to T (no copies)
+        steps += [RiccatiStep(s, last.P.copy(), "ok", last.lambda_P.copy(), last.lambda_V.copy())
+                  for s in range(last.t + 1, T + 1)]
+    return steps
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import spd_sqrt
-from .errors import DomainError, UsageError, check_finite
+from .errors import DomainError, NumericalError, UsageError, check_finite
 from .riccati import _kalman_form, _trajectory
 from .statespace import StateSpaceModel
 
@@ -50,7 +50,9 @@ def simulate(
     standard normal. Every B u_t is formed in one stacked call before the
     loop and every C x_t + v_t in one after it, so the loop carries only
     x_{t+1} = A x_t + (B u_t); each row is the same gemv, and so the same
-    bits, as the per-step product.
+    bits, as the per-step product. An unstable A whose states, or their
+    observations, overflow double precision raises NumericalError naming
+    the first such step.
     """
     if T < 1:
         raise DomainError(f"horizon T must be >= 1, got {T}")
@@ -72,10 +74,13 @@ def simulate(
     states = np.empty((T + 1, n))
     states[0] = x = x0_mean + root @ z0
     A = model.A
-    for t in range(T):
-        # ndarray.dot is the gemv of A @ x, the same bits, at less cost per call
-        states[t + 1] = x = A.dot(x) + Bu[t]
-    observations = (model.C @ states[:T, :, None])[..., 0] + v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            # ndarray.dot is the gemv of A @ x, the same bits, at less cost per call
+            states[t + 1] = x = A.dot(x) + Bu[t]
+        observations = (model.C @ states[:T, :, None])[..., 0] + v
+    _finite_rows("simulated state", states)
+    _finite_rows("simulated observation", observations)
     return SimulationRun(
         seed=seed,
         T=T,
@@ -116,6 +121,20 @@ def _rmse(estimates: np.ndarray, truth) -> Optional[np.ndarray]:
     return np.sqrt(np.mean(err**2, axis=0))
 
 
+def _finite_rows(what: str, X: np.ndarray) -> np.ndarray:
+    """X, or NumericalError naming its first non-finite row (a step).
+
+    X is filled under np.errstate from finite inputs, so a non-finite row
+    can only come from a recursion that overflowed; this one check after
+    the loop reports it.
+    """
+    if not np.isfinite(X).all():
+        t = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+        raise NumericalError(f"{what} is not finite at step {t}: "
+                             f"the recursion overflows double precision")
+    return X
+
+
 def _state_vector(name: str, x, n: int) -> np.ndarray:
     """A caller's length-n state vector (any shape with n entries), finite."""
     x = np.asarray(x, dtype=float)
@@ -150,18 +169,20 @@ def _estimate(model: StateSpaceModel, gains: list, index: list, x0_hat,
     list of (n, p) gains, index a list of positions in it. The loop carries
     x_hat and the innovation nu_t = y_t - C x_hat_t in locals and writes
     each into its row. Returns the estimates (len(index) + 1 rows) and the
-    innovations (len(index) rows).
+    innovations (len(index) rows); NumericalError, naming the first step,
+    when an unstable recursion overflows double precision.
     """
     T = len(index)
     estimates = np.empty((T + 1, model.n))
     estimates[0] = x = x0_hat
     innovations = np.empty((T, model.p))
     A, C = model.A, model.C
-    for t, (y, k) in enumerate(zip(observations, index)):
-        # ndarray.dot is the gemv of M @ x, the same bits, at less cost per call
-        innovations[t] = nu = y - C.dot(x)
-        estimates[t + 1] = x = A.dot(x) + gains[k].dot(nu)
-    return estimates, innovations
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (y, k) in enumerate(zip(observations, index)):
+            # ndarray.dot is the gemv of M @ x, the same bits, at less cost per call
+            innovations[t] = nu = y - C.dot(x)
+            estimates[t + 1] = x = A.dot(x) + gains[k].dot(nu)
+    return _finite_rows("state estimate", estimates), innovations
 
 
 def run_filter(
@@ -180,41 +201,36 @@ def run_filter(
     steps, computed by the same loop. On a violation the run aborts
     in-band: estimates computed so far are returned with violation_step
     set. The gains do not depend on the observations, so the loop only
-    keeps each distinct V decomposition it hands back (one per step until
-    its state repeats bitwise or its step distance stalls at the roundoff
-    floor, see `riccati._trajectory`). It stops reading at the first
-    copied record, the first whose decomposition is the previous one's
-    object, and fills the rest of P_sequence with copies of its P and the
-    rest of the gain index with its row. Every gain is formed in one
-    stacked call after it; the estimate recursion then runs. Every output
-    is the same bits as a per-step gain would give until the stall rule
-    fires, and within the floor c * eps * cond(P) after.
+    keeps the V decomposition of each step it yields before T (one per
+    step until its state repeats bitwise or its step distance stalls at
+    the roundoff floor, where it ends, see `riccati._trajectory`). Without
+    a violation, the rest of P_sequence is filled with copies of the last
+    P and the rest of the gain index with its row. Every gain is formed in
+    one stacked call after it; the estimate recursion then runs. Every
+    output is the same bits as a per-step gain would give until the stall
+    rule fires, and within the floor c * eps * cond(P) after.
     """
     check_finite("theta", theta, nonnegative=True)
     observations = _observation_record(model, observations)
     x0_hat = _state_vector("x0_hat", x0_hat, model.n)
     T, n = len(observations), model.n
-    lams, Us = [], []  # each distinct V decomposition of a step before T
-    entry = []  # step -> its decomposition's row, for each step before a violation
+    lams, Us = [], []  # the V decomposition of each step before T
     P_sequence = []
-    violation = last = None
+    violation = None
     for step, V_dec in _trajectory(model, theta, P0, T):
         P_sequence.append(step.P)
         if V_dec is None:
             violation = step.t
-        elif V_dec is last:
-            # the loop has settled: every later record is a copy of this one
-            P_sequence += [step.P.copy() for _ in range(step.t, T)]
-            entry += [entry[-1]] * (T - step.t)
-            break
         elif step.t < T:
-            last = V_dec
-            entry.append(len(lams))
             lams.append(V_dec.eigenvalues)
             Us.append(V_dec.eigenvectors)
+    index = list(range(len(lams)))  # step -> its decomposition's row
+    if violation is None:  # settled or at T: every later step repeats the last
+        P_sequence += [P_sequence[-1].copy() for _ in range(len(P_sequence), T + 1)]
+        index += [index[-1]] * (T - len(index))
     lam, U = np.reshape(lams, (-1, n)), np.reshape(Us, (-1, n, n))
     K, _ = _kalman_form(model, (U / lam[:, None, :]) @ U.swapaxes(1, 2))
-    estimates, innovations = _estimate(model, list(K), entry, x0_hat, observations)
+    estimates, innovations = _estimate(model, list(K), index, x0_hat, observations)
     return FilterRun(
         estimates=estimates,
         innovations=innovations,

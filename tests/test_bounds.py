@@ -297,10 +297,11 @@ def test_best_rho_for_gain_raises_the_first_failed_rho(monkeypatch, example_mode
                                                        example_bound, grid, rho):
     # every feasible rho misses the contract; the first one above 1 in grid order is named
     G, _, _ = example_bound
-    _inflated_solves(monkeypatch)
+    calls = _inflated_solves(monkeypatch)
     with pytest.raises(NumericalError) as info:
         best_rho_for_gain(example_model, G, grid)
     assert str(info.value) == f"Lyapunov residual 3.800e-04 exceeds tolerance at rho={rho}"
+    assert len(calls) == 1  # the failed rho is not solved again
 
 
 def test_bound_search_deterministic(example_model):
@@ -480,6 +481,22 @@ def test_singular_candidate_does_not_fail_its_batch():
     assert beta[0, 2] == observer_bound(model, G[0], 1.2).beta_rho
     with pytest.raises(NumericalError, match="singular"):
         observer_bound(model, G[0], rho)
+
+
+def test_beta_batch_returns_each_failed_solve_as_its_error(example_model):
+    f, rho = 0.49857673861949003, 2.0057092971663733
+    model = load_model(f'{{"A": [[{f!r}]], "B": [[1]], "C": [[1]], "D": [[1]]}}')
+    G = np.zeros((2, 1, 1))
+    _, _, _, errors = _beta_batch(model, G, np.array([[1.5, rho], [rho, 0.5]]))
+    assert list(errors) == [(0, 1), (1, 0)]
+    with pytest.raises(NumericalError) as info:
+        observer_bound(model, G[0], rho)
+    assert str(info.value) == str(errors[1, 0]) == (
+        f"singular Lyapunov system at rho={rho}, spectral radius {f:.6f}")
+    gains = np.stack(np.meshgrid(*default_gain_grid(example_model)), axis=-1).reshape(-1, 2, 1)
+    rhos = np.broadcast_to(np.linspace(1.05, 3.0, 40), (len(gains), 40))
+    beta, _, _, errors = _beta_batch(example_model, gains, rhos)
+    assert errors == {} and np.count_nonzero(~np.isnan(beta)) > 200
 
 
 def test_lyapunov_sigma_meets_contract_on_high_gain_loop():

@@ -327,6 +327,18 @@ def test_malformed_p0_file_is_an_input_error(capsys, model_file, tmp_path, docum
     assert "is not a numeric matrix" in err
 
 
+@pytest.mark.parametrize("document, message", [
+    ("{not json", "initial-variance file {path!r} is not valid JSON"),
+    ("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "initial variance must be 2x2, got (3, 3)"),
+], ids=["invalid_json", "wrong_shape"])
+def test_unusable_p0_file_is_an_input_error(capsys, model_file, tmp_path, document, message):
+    p0 = tmp_path / "p0.json"
+    p0.write_text(document)
+    code, _, err = run_cli(capsys, "fixed-point", model_file, "--p0", str(p0))
+    assert code == 2
+    assert message.format(path=str(p0)) in err
+
+
 def test_initial_variance_arg_named_starts(example_model, example_bound):
     _, Sigma2, _ = example_bound
     assert np.array_equal(_initial_variance_arg(example_model, "sigma"), Sigma2)
@@ -397,6 +409,15 @@ def test_paper_example_unwritable_dir(capsys, tmp_path):
     assert code == 2
 
 
+def test_paper_example_out_dir_under_a_regular_file(capsys, tmp_path):
+    # unlike directory permissions, a file in the path stops root too
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_cli(capsys, "paper-example", "--out-dir", str(blocker / "sub"))
+    assert code == 2
+    assert "is not writable" in err
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -451,3 +472,13 @@ def test_grid_without_finite_points_exits_two(capsys, model_file, flag, spec):
     code, _, err = run_cli(capsys, "bound-search", model_file, flag, spec)
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--rho-grid", "1:2:0", "grid count must be >= 1, got 0"),
+    ("--gain-grid", "3", "gain grid spec must be span:points, got '3'"),
+])
+def test_grid_with_no_points_or_no_count_exits_two(capsys, model_file, flag, spec, message):
+    code, _, err = run_cli(capsys, "bound-search", model_file, flag, spec)
+    assert code == 2
+    assert message in err

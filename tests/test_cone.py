@@ -27,7 +27,7 @@ from rsriccati import (
     symmetrize,
     thompson_distance,
 )
-from rsriccati.cone import _require_spd_stack, require_spd
+from rsriccati.cone import _require_spd_stack, _sym, require_spd
 from conftest import EXAMPLE_JSON
 
 
@@ -48,6 +48,24 @@ def test_symmetrize_rejects_asymmetry_at_any_finite_scale(scale):
     # unscaled, the Frobenius norm overflows at 1e200 and underflows to 0 at 1e-200
     with pytest.raises(UsageError, match="relative asymmetry 8.165e-01"):
         symmetrize(scale * np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetrize_does_not_overflow_at_the_top_of_the_double_range():
+    X = np.diag([1e308, 1e308])
+    assert np.array_equal(symmetrize(X), X)
+    assert np.array_equal(spectral(X).eigenvalues, [1e308, 1e308])
+    assert is_spd(X)
+
+
+def test_symmetrize_keeps_the_bits_of_the_sum_form():
+    # X/2 + X^T/2 rounds as (X + X^T)/2 does wherever no half is subnormal
+    rng = np.random.default_rng(23)
+    for exponent in range(-150, 151, 10):
+        for n in (1, 2, 3, 5, 8):
+            M = rng.standard_normal((n, n))
+            X = (M + M.T + 1e-13 * rng.standard_normal((n, n))) * 10.0**exponent
+            assert np.array_equal(symmetrize(X), _sym(X))
 
 
 def test_symmetrize_rejects_nonsquare():

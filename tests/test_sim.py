@@ -12,6 +12,7 @@ from helpers import (
 
 from rsriccati import (
     DomainError,
+    NumericalError,
     StateSpaceModel,
     UsageError,
     build_block_model,
@@ -66,6 +67,27 @@ def test_simulated_records_are_the_per_step_products_bitwise(example_model, whic
 def test_simulate_rejects_indefinite_p0(example_model):
     with pytest.raises(DomainError):
         simulate(example_model, 10, seed=0, P0=np.diag([1.0, -1.0]))
+
+
+def test_simulate_rejects_a_horizon_below_one(example_model):
+    with pytest.raises(DomainError, match="horizon T must be >= 1, got 0"):
+        simulate(example_model, 0, seed=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_recursion_is_a_numerical_error(example_model):
+    # the worked example's A has spectral radius 1.2: 1.2^t passes 1e308 near t = 3,900
+    with pytest.raises(NumericalError, match="simulated state is not finite at step 3913"):
+        simulate(example_model, 5000, seed=1)
+    # every state is finite, but C = [10, 10] takes y_3897 past 1e308
+    loud = StateSpaceModel(A=example_model.A, B=example_model.B, C=np.array([[10.0, 10.0]]),
+                           D=example_model.D)
+    with pytest.raises(NumericalError, match="simulated observation is not finite at step 3897"):
+        simulate(loud, 3905, seed=1)
+    # the gain [10, 10] leaves A - GC unstable
+    observations = simulate(example_model, 2000, seed=1).observations
+    with pytest.raises(NumericalError, match="state estimate is not finite at step 1216"):
+        run_observer(example_model, [[10.0], [10.0]], np.zeros(2), observations)
 
 
 def test_process_noise_sample_covariance():
@@ -400,8 +422,8 @@ def test_filter_builds_no_record_past_the_settle_step(monkeypatch, shortcut_case
     riccati_step = riccati.RiccatiStep
     monkeypatch.setattr(riccati, "RiccatiStep", counting)
     out = run_filter(model, theta, P0, np.zeros(model.n), observations)
-    # records 0..s and the first copy, which marks the settle
-    assert built == list(range(s + 2))
+    # records 0..s: the loop ends at the settle step
+    assert built == list(range(s + 1))
     assert len(out.P_sequence) == T + 1 and out.violation_step is None
     for P, step in zip(out.P_sequence, steps):
         assert np.array_equal(P, step.P)

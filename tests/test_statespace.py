@@ -71,6 +71,35 @@ def test_model_rejects_nonfinite():
         StateSpaceModel(A=np.array([[np.nan]]), B=np.eye(1), C=np.eye(1), D=np.eye(1))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(A=np.zeros(2)), "field 'A' must be a 2-D matrix"),
+    (dict(A=np.zeros((2, 3))), r"field 'A' must be square, got \(2, 3\)"),
+    (dict(B=np.eye(3)), r"field 'B' must have 2 rows to match A, got \(3, 3\)"),
+    (dict(D=np.eye(3)[:2]), r"field 'D' must have 2 columns to match A, got \(2, 3\)"),
+    (dict(D=np.ones((3, 2))), "field 'D' must have at most 2 rows, got 3"),
+], ids=["one_dimensional", "non_square_A", "B_rows", "D_columns", "D_rows"])
+def test_model_rejects_mismatched_shapes(fields, message):
+    with pytest.raises(UsageError, match=message):
+        StateSpaceModel(**{**dict(A=np.eye(2), B=np.eye(2), C=np.eye(2), D=np.eye(2)), **fields})
+
+
+@pytest.mark.parametrize("document, message", [
+    ("[1, 2]", "model document must be a JSON object"),
+    ('{"A": [["x"]], "B": [[1]], "C": [[1]]}', "field 'A' is not a numeric matrix"),
+], ids=["json_array", "non_numeric_field"])
+def test_load_rejects_a_malformed_document(document, message):
+    with pytest.raises(UsageError, match=message):
+        load_model(document)
+
+
+def test_load_accepts_a_parsed_document():
+    doc = {"A": [[0.5, 0.0], [0.0, 0.3]], "B": [[1.0], [1.0]], "C": [[1.0, 0.0]]}
+    model, parsed = load_model(doc), load_model(json.dumps(doc))
+    for name in ("A", "B", "C", "D"):
+        assert np.array_equal(getattr(model, name), getattr(parsed, name))
+    assert np.array_equal(model.D, np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # block matrices
 
