@@ -18,7 +18,10 @@ observer poles to zero is a good first guess but not always the maximizer.
 
 Every Sigma_rho and beta_rho comes from one stacked kernel, `_beta_batch`:
 `observer_bound` runs it for one pair, `best_rho_for_gain` over a rho grid
-and `bound_search` over (G, rho) grids.
+and `bound_search` over (G, rho) grids. The kernel sums the series
+Sigma_rho = sum_k (rho F)^k Q (rho F)^kT by squared Smith doubling: a sum
+of positive semidefinite terms, with no linear solve and n^2 entries per
+candidate.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import _whiten, is_spd, spectral
+from .cone import _sym, _whiten, is_spd, spectral
 from .errors import DomainError, NumericalError, UsageError, check_finite
 from .statespace import RANK_RTOL, StateSpaceModel, _powers, is_reachable
 
@@ -37,8 +40,21 @@ REFINE_STEP_TOL = 1e-6
 # Pattern-search rounds after which it stops anyway: where beta_rho's
 # supremum lies at rho -> infinity the steps never shrink.
 REFINE_MAX_ROUNDS = 2000
-# Entries of the Kronecker stacks one grid chunk may build (n^4 per candidate).
-_STACK_ENTRIES = 1 << 17
+# Entries of the Sigma stacks one grid chunk may hold (n^2 per candidate).
+_STACK_ENTRIES = 1 << 15
+# Relative residual every Lyapunov sum may keep, and the least relative
+# gain in beta_rho that a polish round counts as an improvement.
+_LYAP_RTOL = 1e-10
+# The rounding floor's share of the residual contract, c eps with c = 256,
+# a multiple of eps rho^2 ||F||_2^2: on the worked example moved by 20
+# seeded T with cond(T) = 1e3 the worst residual was 100 such floors.
+_SMITH_FLOOR = 256 * np.finfo(float).eps
+# Doubling cap of the squared Smith sum. A feasible candidate has
+# fl(rho r(F)) <= 1 - 2^-53, the largest double below 1, where the term
+# (rho F)^(2^k) Q (rho F)^(2^k)T falls below eps of the sum only after 58
+# doublings (the 59th changes no bit); 64 leaves room for the transient
+# growth of a non-normal F.
+_SMITH_DOUBLINGS = 64
 # Multiples of each axis step that one pattern-search round evaluates.
 _POLISH_SCALES = (1.0, 2.0, 4.0, 8.0)
 
@@ -82,14 +98,24 @@ def place_observer_gain(model: StateSpaceModel, desired_poles) -> np.ndarray:
     return phi @ np.linalg.solve(obs, e_n)
 
 
-def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked solve in which a singular system gives NaN instead of failing its stack."""
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return np.full(rhs.shape, np.nan)
-        return np.concatenate([_solve_each(M[i:i + 1], rhs[i:i + 1]) for i in range(len(M))])
+def _smith(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Squared Smith sum Sigma = sum_k A^k Q A^kT over a stack; NaN where it failed.
+
+    Each doubling adds A S A^T to S and squares A, so after k doublings S
+    holds the first 2^k terms (Smith, SIAM J. Appl. Math. 16, 1968). Every
+    term is positive semidefinite: no linear solve, nothing singular. The
+    whole stack steps until a doubling changes no bit of any entry; an
+    entry still changing at the cap, or not finite, failed. Run it under
+    np.errstate: a sum that overflows is a failure, not a warning.
+    """
+    S = Q
+    for _ in range(_SMITH_DOUBLINGS):
+        S, S_prev = S + A @ S @ A.swapaxes(1, 2), S
+        if (S == S_prev).all():
+            break
+        A = A @ A
+    settled = ((S == S_prev) & np.isfinite(S)).all(axis=(1, 2))
+    return np.where(settled[:, None, None], _sym(S), np.nan)
 
 
 def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
@@ -97,17 +123,18 @@ def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
 
     G has shape (b, n, p) and rho shape (b, m). A candidate is feasible when
     rho > 1 and rho * spectral_radius(A - G[i] C) < 1; only feasible
-    candidates are solved. Each Lyapunov equation is solved in Kronecker
-    form, (I - rho^2 F (x) F) vec Sigma = vec(BB^T + GG^T), and must meet
-    the residual contract
-    ||Sigma - rho^2 F Sigma F^T - BB^T - GG^T|| <= 1e-10 max(1, ||Sigma||).
+    candidates are solved. Each Lyapunov equation is summed by `_smith`
+    from A = rho F and Q = BB^T + GG^T, and its sum must settle and meet the
+    residual contract ||Sigma - rho^2 F Sigma F^T - Q|| <= tol max(1, ||Sigma||)
+    with tol = max(1e-10, 256 eps rho^2 ||F||_2^2): the flat term, or a
+    multiple of the residual that rounding the exact Sigma alone leaves.
     Returns (beta, Sigma, radius, errors) with shapes (b, m), (b, m, n, n)
     and (b,), and a dict; radius is spectral_radius(A - G[i] C), and a
     non-finite F raises NumericalError for the whole stack. beta and Sigma
-    are NaN (no value) where the candidate is infeasible or its solve
+    are NaN (no value) where the candidate is infeasible or its sum
     failed. errors maps (i, j) to the NumericalError of each feasible
-    candidate whose system was singular or whose solution missed the
-    contract; it is empty when every solve met it.
+    candidate whose sum did not settle to finite values or missed the
+    contract; it is empty when every sum met it.
     """
     n = model.n
     F = model.A - G @ model.C
@@ -118,26 +145,26 @@ def _beta_batch(model: StateSpaceModel, G: np.ndarray, rho: np.ndarray):
     beta = np.full(rho.shape, np.nan)
     Sigma = np.full(rho.shape + (n, n), np.nan)
     i, j = np.nonzero((rho > 1.0) & (rho * radius[:, None] < 1.0))
-    Fi, r2 = F[i], rho[i, j, None, None] ** 2
+    Fi, r = F[i], rho[i, j, None, None]
     Q = model.B @ model.B.T + G[i] @ G[i].swapaxes(1, 2)
-    M = np.einsum("bik,bjl->bijkl", Fi, Fi).reshape(-1, n * n, n * n)
-    M *= -r2
-    M += np.eye(n * n)  # I - rho^2 F (x) F, in place: one n^4 stack in memory
-    X = _solve_each(M, Q.reshape(-1, n * n, 1)).reshape(-1, n, n)
-    S = 0.5 * (X + X.swapaxes(1, 2))
-    res = np.linalg.norm(S - r2 * (Fi @ S @ Fi.swapaxes(1, 2)) - Q, axis=(1, 2))
-    ok = res <= 1e-10 * np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
-    errors = {} if ok.all() else {  # a singular system's NaN solution has a NaN residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _smith(r * Fi, Q)
+        res = np.linalg.norm(S - r**2 * (Fi @ S @ Fi.swapaxes(1, 2)) - Q, axis=(1, 2))
+        scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
+        ok = res <= _LYAP_RTOL * scale
+        # Rounding Sigma alone leaves a residual near eps rho^2 ||F||_2^2 ||Sigma||.
+        if not ok.all():
+            floor = _SMITH_FLOOR * (r[~ok, 0, 0] * np.linalg.norm(Fi[~ok], 2, axis=(1, 2))) ** 2
+            ok[~ok] = res[~ok] <= floor * scale[~ok]
+    errors = {} if ok.all() else {  # a failed sum's NaN Sigma has a NaN residual
         (a, b): NumericalError(
-            f"singular Lyapunov system at rho={rho[a, b]}, spectral radius {radius[a]:.6f}"
-            if np.isnan(r) else f"Lyapunov residual {r:.3e} exceeds tolerance at rho={rho[a, b]}")
-        for a, b, r in zip(i[~ok].tolist(), j[~ok].tolist(), res[~ok])
+            f"Lyapunov sum did not settle at rho={rho[a, b]}, spectral radius {radius[a]:.6f}"
+            if np.isnan(e) else f"Lyapunov residual {e:.3e} exceeds tolerance at rho={rho[a, b]}")
+        for a, b, e in zip(i[~ok].tolist(), j[~ok].tolist(), res[~ok])
     }
-    i, j, S = i[ok], j[ok], S[ok]
+    i, j, S, r2 = i[ok], j[ok], S[ok], r[ok, 0, 0] ** 2
     Sigma[i, j] = S
-    lam_1 = np.linalg.eigvalsh(model.D @ S @ model.D.T)[:, -1]
-    rho_ok = rho[i, j]
-    beta[i, j] = (rho_ok**2 - 1.0) / (rho_ok**2 * lam_1)
+    beta[i, j] = (r2 - 1.0) / (r2 * np.linalg.eigvalsh(model.D @ S @ model.D.T)[:, -1])
     return beta, Sigma, radius, errors
 
 
@@ -156,11 +183,11 @@ def observer_bound(model: StateSpaceModel, G, rho: float) -> ObserverBound:
     """Sigma_rho and beta_rho for one pair (G, rho): the stacked kernel at batch size one.
 
     Sigma_rho is the unique solution of Sigma = rho^2 F Sigma F^T + BB^T + GG^T,
-    F = A - GC, solved as the dense n^2 x n^2 Kronecker system and held to a
-    residual of 1e-10 max(1, ||Sigma||); reachability of (A, B) makes it
-    positive definite. Raises DomainError unless rho is finite, rho > 1 and
+    F = A - GC, summed by squared Smith doubling and held to the residual
+    contract of `_beta_batch`; reachability of (A, B) makes it positive
+    definite. Raises DomainError unless rho is finite, rho > 1 and
     rho * spectral_radius(F) < 1, and the kernel's NumericalError when the
-    system is singular or the solution misses its residual contract.
+    sum does not settle to finite values or misses its residual contract.
     """
     check_finite("rho", rho)
     if rho <= 1.0:
@@ -274,15 +301,15 @@ def bound_search(
 
     # Grid pass: keep only the candidates within the tie window of the best so far.
     shape = tuple(g.size for g in grids)
-    total, chunk = int(np.prod(shape)), max(1, _STACK_ENTRIES // (rhos.size * n**4))
+    total, chunk = int(np.prod(shape)), max(1, _STACK_ENTRIES // (rhos.size * n**2))
     points, betas, feasible = np.empty((0, k + 1)), np.empty(0), 0
     for start in range(0, total, chunk):
         idx = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
         gains = np.column_stack([g[i] for g, i in zip(grids, idx)])
-        beta, _, radius, _ = _beta_batch(model, gains.reshape(-1, n, p),
+        beta, _, _, errors = _beta_batch(model, gains.reshape(-1, n, p),
                                          np.broadcast_to(rhos, (len(gains), rhos.size)))
-        feasible += np.count_nonzero((rhos > 1.0) & (rhos * radius[:, None] < 1.0))
         gi, rj = np.nonzero(~np.isnan(beta))
+        feasible += gi.size + len(errors)
         points = np.vstack([points, np.column_stack([rhos[rj], gains[gi]])])
         betas = np.concatenate([betas, beta[gi, rj]])
         near = betas >= np.max(betas, initial=-np.inf) - 1e-12
@@ -308,8 +335,8 @@ def bound_search(
             axis = np.vstack([s * np.diag(steps) for s in _POLISH_SCALES])
             trial = base + np.vstack([0.0 * steps, axis, -axis])
             beta = _beta_batch(model, trial[:, 1:].reshape(-1, n, p), trial[:, :1])[0][:, 0]
-            if np.any(beta > fx):
-                prev, (x, fx) = x, _pick(np.where(beta > fx, beta, np.nan), trial)
+            if (better := beta > fx * (1.0 + _LYAP_RTOL)).any():
+                prev, (x, fx) = x, _pick(np.where(better, beta, np.nan), trial)
             elif prev is not None:
                 prev = None
             else:

@@ -54,6 +54,25 @@ def random_model(rng, n=2, m=2, p=1, radius=0.9):
             return model
 
 
+def congruent(model, T):
+    """The model in the state coordinates x -> T x."""
+    T_inv = np.linalg.inv(T)
+    return StateSpaceModel(A=T @ model.A @ T_inv, B=T @ model.B, C=model.C @ T_inv,
+                           D=model.D @ T_inv)
+
+
+def transforms(n=2, conds=(1.0, 1e2, 1e3)):
+    """20 seeded n x n T per cond(T) in conds, then 1e-6 I and 1e6 I."""
+    out = []
+    for cond in conds:
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            out.append(Q1 @ np.diag(np.geomspace(cond, 1.0, n)) @ Q2)
+    return out + [1e-6 * np.eye(n), 1e6 * np.eye(n)]
+
+
 def loewner_leq(P, Q, tol: float = 1e-10) -> bool:
     """Loewner order check P <= Q: smallest eigenvalue of Q - P >= -tol."""
     P = symmetrize(P)
@@ -97,6 +116,26 @@ def series_sigma(F, Q, rho):
         term = rho**2 * (F @ term @ F.T)
         total += term
     return total
+
+
+def mp_sigma(model, G, rho):
+    """Sigma = rho^2 F Sigma F^T + BB^T + GG^T, F = A - GC, in 50-digit arithmetic.
+
+    Solved as the Kronecker system (I - rho^2 F (x) F) vec Sigma = vec Q from
+    the double inputs taken exactly, then rounded to double.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        A, B, C, G = (mpmath.matrix(np.asarray(X, dtype=float).tolist())
+                      for X in (model.A, model.B, model.C, G))
+        F, Q, n = A - G * C, B * B.T + G * G.T, model.n
+        r2 = mpmath.mpf(float(rho)) ** 2
+        M = mpmath.matrix(n * n, n * n)
+        for i, j, k, l in np.ndindex(n, n, n, n):
+            M[i * n + j, k * n + l] = (i == k and j == l) - r2 * F[i, k] * F[j, l]
+        x = mpmath.lu_solve(M, mpmath.matrix([Q[i, j] for i, j in np.ndindex(n, n)]))
+        return np.array([float(v) for v in x]).reshape(n, n)
 
 
 def fixed_point_oracle(model, theta, P0, tol=1e-12, max_iter=100_000):
@@ -324,3 +363,4 @@ def first_repeat(records):
     """First t with records[t + 1].P bitwise equal to records[t].P, or None."""
     return next((t for t, (a, b) in enumerate(zip(records, records[1:]))
                  if np.array_equal(a.P, b.P)), None)
+

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
-from helpers import loewner_leq, random_model, random_spd, series_sigma, spectral_radius
+from helpers import (
+    congruent,
+    loewner_leq,
+    mp_sigma,
+    random_model,
+    random_spd,
+    series_sigma,
+    spectral_radius,
+    transforms,
+)
 
 from rsriccati import (
     ConeExitError,
@@ -150,17 +159,17 @@ def test_lyapunov_sigma_rejects_expansive_rho(example_model, example_bound):
 
 
 def _inflated_solves(monkeypatch):
-    """Scale every Kronecker solution by 1 + 1e-6, past the 1e-10 residual contract.
+    """Scale every Smith sum by 1 + 1e-6, past the 1e-10 residual contract.
 
-    Returns the list of stacks solved, one entry per call.
+    Returns the list of stacks summed, one entry per call.
     """
-    solve_each, calls = bounds._solve_each, []
+    smith, calls = bounds._smith, []
 
-    def inflated(M, rhs):
-        calls.append(len(M))
-        return solve_each(M, rhs) * (1.0 + 1e-6)
+    def inflated(A, Q):
+        calls.append(len(A))
+        return smith(A, Q) * (1.0 + 1e-6)
 
-    monkeypatch.setattr(bounds, "_solve_each", inflated)
+    monkeypatch.setattr(bounds, "_smith", inflated)
     return calls
 
 
@@ -471,38 +480,79 @@ def test_beta_batch_matches_scipy():
 
 
 def test_singular_candidate_does_not_fail_its_batch():
-    # 1 - rho^2 f^2 rounds to exactly 0 although rho * f < 1
+    # fl(rho f) = 1 - 2^-53 < 1, where 1 - rho^2 f^2 rounds to exactly 0; the
+    # sum still settles, at Sigma near 2^52
     f, rho = 0.49857673861949003, 2.0057092971663733
     model = load_model(f'{{"A": [[{f!r}]], "B": [[1]], "C": [[1]], "D": [[1]]}}')
     G = np.zeros((1, 1, 1))
-    beta, Sigma, _, _ = _beta_batch(model, G, np.array([[1.5, rho, 1.2]]))
-    assert np.isnan(beta[0, 1]) and np.isnan(Sigma[0, 1]).all()
+    beta, _, _, errors = _beta_batch(model, G, np.array([[1.5, rho, 1.2]]))
+    a = rho * f
+    assert a == 1.0 - 2.0**-53 and errors == {}
+    # (rho^2 - 1)(1 - a^2)/rho^2 at a = fl(rho f) is 1.66849031415e-16; the exact
+    # input's 9.1e-17 differs only through the rounding of a, since cond is near 1e16
+    assert beta[0, 1] == 1.6684903265646875e-16
+    assert abs(beta[0, 1] - (rho**2 - 1.0) * (1.0 - a) * (1.0 + a) / rho**2) <= 1e-8 * beta[0, 1]
+    assert beta[0, 1] == observer_bound(model, G[0], rho).beta_rho
     assert beta[0, 0] == observer_bound(model, G[0], 1.5).beta_rho
     assert beta[0, 2] == observer_bound(model, G[0], 1.2).beta_rho
-    with pytest.raises(NumericalError, match="singular"):
-        observer_bound(model, G[0], rho)
+
+
+# A12 = 1e200 overflows the Lyapunov sum; A12 = 1e100 does not.
+OVERFLOW_JSON = '{{"A": [[0.5, {}], [0, 0.5]], "B": [[1, 0], [0, 1]], "C": [[1, 0]]}}'
 
 
 def test_beta_batch_returns_each_failed_solve_as_its_error(example_model):
-    f, rho = 0.49857673861949003, 2.0057092971663733
-    model = load_model(f'{{"A": [[{f!r}]], "B": [[1]], "C": [[1]], "D": [[1]]}}')
-    G = np.zeros((2, 1, 1))
-    _, _, _, errors = _beta_batch(model, G, np.array([[1.5, rho], [rho, 0.5]]))
-    assert list(errors) == [(0, 1), (1, 0)]
+    model = load_model(OVERFLOW_JSON.format("1e200"))
+    G = np.zeros((2, 2, 1))
+    _, _, _, errors = _beta_batch(model, G, np.array([[1.5, 0.5], [3.0, 1.5]]))
+    assert list(errors) == [(0, 0), (1, 1)]
     with pytest.raises(NumericalError) as info:
-        observer_bound(model, G[0], rho)
-    assert str(info.value) == str(errors[1, 0]) == (
-        f"singular Lyapunov system at rho={rho}, spectral radius {f:.6f}")
+        observer_bound(model, G[0], 1.5)
+    assert str(info.value) == str(errors[1, 1]) == (
+        "Lyapunov sum did not settle at rho=1.5, spectral radius 0.500000")
+    # On the default grid only the candidate at rho * r(F) = 1 - 5.9e-14 fails. Its
+    # eigenvalue condition is near 1e2, and in 50 digits rho * r is 1 + 3.2e-14 for
+    # fl(rho F), whose sum diverges, and 1 + 3.0e-14 for the unrounded A - GC: it is
+    # feasible only through rounding. The Kronecker solve gave it beta = 4.9e-14.
     gains = np.stack(np.meshgrid(*default_gain_grid(example_model)), axis=-1).reshape(-1, 2, 1)
     rhos = np.broadcast_to(np.linspace(1.05, 3.0, 40), (len(gains), 40))
-    beta, _, _, errors = _beta_batch(example_model, gains, rhos)
-    assert errors == {} and np.count_nonzero(~np.isnan(beta)) > 200
+    beta, _, radius, errors = _beta_batch(example_model, gains, rhos)
+    assert list(errors) == [(672, 29)] and 1.0 - 2.5 * radius[672] < 1e-13
+    assert str(errors[672, 29]) == (
+        "Lyapunov sum did not settle at rho=2.5, spectral radius 0.400000")
+    assert np.count_nonzero(~np.isnan(beta)) > 200
+
+
+def _jordan_sigma(c, rho, a=0.5):
+    """Sigma = rho^2 F Sigma F^T + I in closed form for F = [[a, c], [0, a]]."""
+    q = (rho * a) ** 2
+    s01 = c * rho**2 * a / (1.0 - q) ** 2
+    return np.array([[1.0 / (1.0 - q) + (c * rho) ** 2 * (1.0 + q) / (1.0 - q) ** 3, s01],
+                     [s01, 1.0 / (1.0 - q)]])
+
+
+def test_an_overflowing_lyapunov_sum_is_a_numerical_error():
+    # tier-1 turns any RuntimeWarning into an error, so none may leak
+    model, G = load_model(OVERFLOW_JSON.format("1e200")), np.zeros((2, 1))
+    for solve in (lambda: observer_bound(model, G, 1.5), lambda: best_rho_for_gain(model, G)):
+        with pytest.raises(NumericalError, match="Lyapunov sum did not settle"):
+            solve()
+
+
+def test_a_lyapunov_sum_near_the_top_of_the_double_range_is_accurate():
+    # Sigma[0, 0] reaches 4.2e201 at rho = 1.5, with no overflow and no warning
+    model, G = load_model(OVERFLOW_JSON.format("1e100")), np.zeros((2, 1))
+    for bound in (observer_bound(model, G, 1.5), best_rho_for_gain(model, G)):
+        ref = _jordan_sigma(1e100, bound.rho)
+        assert np.all(np.abs(bound.Sigma_rho - ref) <= 1e-15 * np.abs(ref))
 
 
 def test_lyapunov_sigma_meets_contract_on_high_gain_loop():
     # A model-scan model (seed 166, n = 2) at its zero-pole gain
-    # G ~ [-4177.26, 3776.48]; the symmetric-basis solve missed the
-    # 1e-10 residual contract here by a residual of 4.5e-3.
+    # G ~ [-4177.26, 3776.48], where the equation's condition number is near
+    # 1e13. A small residual does not bound the error there: the Kronecker
+    # solve met a flat 1e-10 residual contract with a forward error of 9.9e-5,
+    # while the 50-digit Sigma rounded to double has a residual of 1.5e-10.
     model = StateSpaceModel(
         A=np.array([[0.5749175371762055, -0.25237195172096855],
                     [-0.12624856130125428, 0.6636997900303878]]),
@@ -511,14 +561,42 @@ def test_lyapunov_sigma_meets_contract_on_high_gain_loop():
         C=np.array([[0.16772781327154904, 0.18585592478956778]]),
         D=np.eye(2),
     )
+    pytest.importorskip("mpmath")
     G = place_observer_gain(model, [0.0, 0.0])
     assert np.allclose(G.ravel(), [-4177.26, 3776.48], rtol=1e-5)
     Sigma = observer_bound(model, G, 1.05).Sigma_rho
+    ref = mp_sigma(model, G, 1.05)
+    assert np.linalg.norm(Sigma - ref) <= 1e-11 * np.linalg.norm(ref)
     F = model.A - G @ model.C
     residual = np.linalg.norm(
         Sigma - 1.05**2 * (F @ Sigma @ F.T) - model.B @ model.B.T - G @ G.T
     )
-    assert residual <= 1e-10 * max(1.0, np.linalg.norm(Sigma))
+    floor = 256 * np.finfo(float).eps * 1.05**2 * np.linalg.norm(F, 2) ** 2
+    assert residual <= max(1e-10, floor) * max(1.0, np.linalg.norm(Sigma))
+
+
+def test_sigma_2_matches_50_digit_arithmetic(example_model, example_bound):
+    # the Kronecker solve gave Sigma_2[0, 0] = 1462.1795998600996, 9.6e-11 off
+    pytest.importorskip("mpmath")
+    G, Sigma2, _ = example_bound
+    ref = mp_sigma(example_model, G, 2.0)
+    assert np.all(np.abs(Sigma2 - ref) <= 1e-14 * np.abs(ref))
+    assert np.array_equal(Sigma2, Sigma2.T)  # the unfolded sum is 9e-12 apart
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3])
+def test_beta_rho_does_not_depend_on_state_coordinates(example_model, example_bound, cond):
+    # x -> T x maps Sigma_rho to T Sigma_rho T^T and leaves beta_rho alone. The
+    # moved equation is solved to its own rounding floor eps rho^2 ||F_T||_2^2,
+    # F_T = T F T^-1; measured: beta moved by at most 0.26 floors at
+    # cond(T) = 1e2 and 3.1 at 1e3.
+    G, _, beta2 = example_bound
+    for T in transforms(conds=(cond,)):
+        moved = congruent(example_model, T)
+        F_T = moved.A - (T @ G) @ moved.C
+        floor = np.finfo(float).eps * 4.0 * np.linalg.norm(F_T, 2) ** 2
+        beta = observer_bound(moved, T @ G, 2.0).beta_rho
+        assert abs(beta - beta2) <= 16 * floor * beta2
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from helpers import (
     MAP_EXIT_JSON,
     MAP_EXIT_THETA,
+    congruent,
     fixed_point_oracle,
     kalman_gain_oracle,
     loewner_leq,
@@ -12,6 +13,7 @@ from helpers import (
     rs_riccati_observer_form,
     safe_theta,
     sequential_bisection,
+    transforms,
 )
 
 from rsriccati import (
@@ -495,25 +497,6 @@ def test_an_ill_conditioned_start_converges_where_its_whitened_step_fails_the_ga
     assert breakdown_search(model, 0.0, None, P0).found
 
 
-def _congruent(model, T):
-    """The model in the state coordinates x -> T x."""
-    T_inv = np.linalg.inv(T)
-    return StateSpaceModel(A=T @ model.A @ T_inv, B=T @ model.B, C=model.C @ T_inv,
-                           D=model.D @ T_inv)
-
-
-def _transforms(n=2, conds=(1.0, 1e2, 1e3)):
-    """20 seeded n x n T per cond(T) in conds, then 1e-6 I and 1e6 I."""
-    out = []
-    for cond in conds:
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            out.append(Q1 @ np.diag(np.geomspace(cond, 1.0, n)) @ Q2)
-    return out + [1e-6 * np.eye(n), 1e6 * np.eye(n)]
-
-
 # P* in the coordinates x -> T x is within CONGRUENCE_K * eps * cond(P*) of
 # T P* T^T, relative in the Frobenius norm. Measured: at most 51, at
 # cond(T) = 1e3 and theta = 5e-4; at most 12 under T = c I.
@@ -524,9 +507,9 @@ def test_fixed_point_moves_by_congruence_under_a_change_of_coordinates(example_m
     thetas = [0.0, 5e-4]  # 5e-4 is below breakdown, at about 1.307e-3
     P_star = [r.P_star for r in fixed_point_sweep(example_model, thetas, np.eye(2))]
     eps = np.finfo(float).eps
-    for T in _transforms():
+    for T in transforms():
         # from the image of the identity; the floor, not tol, ends 72 of these 124 runs
-        results = fixed_point_sweep(_congruent(example_model, T), thetas, T @ T.T)
+        results = fixed_point_sweep(congruent(example_model, T), thetas, T @ T.T)
         for got, P in zip(results, P_star):
             want = T @ P @ T.T
             cond = got.lambda_P[0] / got.lambda_P[-1]
@@ -544,8 +527,8 @@ def test_contraction_bound_does_not_depend_on_the_state_coordinates(example_mode
     # the bound is read in W-whitened coordinates, so x -> T x moves it only by
     # roundoff: at most 1.3e-10 relative here
     want = _block_bound(example_model, 2, theta)
-    for T in _transforms(conds=(1e2, 1e3)):
-        assert abs(_block_bound(_congruent(example_model, T), 2, theta) - want) <= 1e-9 * want
+    for T in transforms(conds=(1e2, 1e3)):
+        assert abs(_block_bound(congruent(example_model, T), 2, theta) - want) <= 1e-9 * want
 
 
 # Forming a model in coordinates x -> T x rounds it by about eps * cond(T)^2
@@ -565,9 +548,9 @@ def test_contraction_bound_moves_by_roundoff_only_on_random_models(example_model
     eps = np.finfo(float).eps
     for model, N, theta in cases:
         want = _block_bound(model, N, theta)
-        for T in _transforms(model.n, conds=(1e2, 1e3)):
+        for T in transforms(model.n, conds=(1e2, 1e3)):
             s = np.linalg.svd(T, compute_uv=False)
-            got = _block_bound(_congruent(model, T), N, theta)
+            got = _block_bound(congruent(model, T), N, theta)
             assert abs(got - want) <= INVARIANCE_K * eps * (s[0] / s[-1]) ** 2 * want
 
 
