@@ -363,4 +363,3 @@ def first_repeat(records):
     """First t with records[t + 1].P bitwise equal to records[t].P, or None."""
     return next((t for t, (a, b) in enumerate(zip(records, records[1:]))
                  if np.array_equal(a.P, b.P)), None)
-

@@ -167,7 +167,8 @@ def _inflated_solves(monkeypatch):
 
     def inflated(A, Q):
         calls.append(len(A))
-        return smith(A, Q) * (1.0 + 1e-6)
+        S, diverged = smith(A, Q)
+        return S * (1.0 + 1e-6), diverged
 
     monkeypatch.setattr(bounds, "_smith", inflated)
     return calls
@@ -510,17 +511,27 @@ def test_beta_batch_returns_each_failed_solve_as_its_error(example_model):
         observer_bound(model, G[0], 1.5)
     assert str(info.value) == str(errors[1, 1]) == (
         "Lyapunov sum did not settle at rho=1.5, spectral radius 0.500000")
-    # On the default grid only the candidate at rho * r(F) = 1 - 5.9e-14 fails. Its
-    # eigenvalue condition is near 1e2, and in 50 digits rho * r is 1 + 3.2e-14 for
-    # fl(rho F), whose sum diverges, and 1 + 3.0e-14 for the unrounded A - GC: it is
-    # feasible only through rounding. The Kronecker solve gave it beta = 4.9e-14.
     gains = np.stack(np.meshgrid(*default_gain_grid(example_model)), axis=-1).reshape(-1, 2, 1)
     rhos = np.broadcast_to(np.linspace(1.05, 3.0, 40), (len(gains), 40))
-    beta, _, radius, errors = _beta_batch(example_model, gains, rhos)
-    assert list(errors) == [(672, 29)] and 1.0 - 2.5 * radius[672] < 1e-13
-    assert str(errors[672, 29]) == (
-        "Lyapunov sum did not settle at rho=2.5, spectral radius 0.400000")
-    assert np.count_nonzero(~np.isnan(beta)) > 200
+    beta, _, _, errors = _beta_batch(example_model, gains, rhos)
+    assert errors == {} and np.count_nonzero(~np.isnan(beta)) > 200
+
+
+def test_a_rho_feasible_only_through_rounding_is_not_an_error(example_model):
+    # A sum whose powers of A do not shrink diverged; one whose do has a value
+    A = np.array([[[1.0 + 2.0**-52]], [[1.0 - 2.0**-53]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, diverged = bounds._smith(A, np.ones((2, 1, 1)))
+    assert diverged.tolist() == [True, False]
+    assert np.isnan(S[0, 0, 0]) and S[1, 0, 0] > 2.0**51
+    # At this default-grid gain 2.5 r(F) = 1 - 5.9e-14 in double, but in 50 digits
+    # fl(2.5 F) has spectral radius 1 + 3.2e-14: its sum diverges, so rho = 2.5
+    # is infeasible there, not a failed solve that fails the whole rho grid.
+    G = np.array([[-7.860000000000003], [-8.640000000000008]])
+    beta, _, _, errors = _beta_batch(example_model, G[None], np.array([[2.5]]))
+    assert errors == {} and np.isnan(beta[0, 0])
+    bound = best_rho_for_gain(example_model, G)
+    assert bound.rho == 1.3 and bound.beta_rho > 0.0
 
 
 def _jordan_sigma(c, rho, a=0.5):
@@ -561,18 +572,18 @@ def test_lyapunov_sigma_meets_contract_on_high_gain_loop():
         C=np.array([[0.16772781327154904, 0.18585592478956778]]),
         D=np.eye(2),
     )
-    pytest.importorskip("mpmath")
     G = place_observer_gain(model, [0.0, 0.0])
     assert np.allclose(G.ravel(), [-4177.26, 3776.48], rtol=1e-5)
     Sigma = observer_bound(model, G, 1.05).Sigma_rho
-    ref = mp_sigma(model, G, 1.05)
-    assert np.linalg.norm(Sigma - ref) <= 1e-11 * np.linalg.norm(ref)
     F = model.A - G @ model.C
     residual = np.linalg.norm(
         Sigma - 1.05**2 * (F @ Sigma @ F.T) - model.B @ model.B.T - G @ G.T
     )
     floor = 256 * np.finfo(float).eps * 1.05**2 * np.linalg.norm(F, 2) ** 2
     assert residual <= max(1e-10, floor) * max(1.0, np.linalg.norm(Sigma))
+    pytest.importorskip("mpmath")
+    ref = mp_sigma(model, G, 1.05)
+    assert np.linalg.norm(Sigma - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
 def test_sigma_2_matches_50_digit_arithmetic(example_model, example_bound):
