@@ -217,19 +217,23 @@ def _cmd_analyze(args) -> int:
 # trajectory
 
 
-def _write_trajectory_csv(steps, n: int, stream) -> None:
-    cols = (["t", "status"]
-            + [f"lambda_P_{i+1}" for i in range(n)]
-            + [f"lambda_V_{i+1}" for i in range(n)])
-    stream.write(",".join(cols) + "\n")
-    for step in steps:
-        row = [str(step.t), step.status]
-        row += [_fmt(v) for v in step.lambda_P]
-        if step.status == "ok" and step.lambda_V is not None:
-            row += [_fmt(v) for v in step.lambda_V]
-        else:
-            row += [""] * n
+def _write_csv(stream, header: list, rows) -> None:
+    """A header line, then one line per row of strings."""
+    stream.write(",".join(header) + "\n")
+    for row in rows:
         stream.write(",".join(row) + "\n")
+
+
+def _spectra_header(n: int) -> list:
+    return [f"lambda_P_{i+1}" for i in range(n)] + [f"lambda_V_{i+1}" for i in range(n)]
+
+
+def _write_trajectory_csv(steps, n: int, stream) -> None:
+    # lambda_V is None exactly where the status is not "ok"
+    _write_csv(stream, ["t", "status"] + _spectra_header(n), (
+        [str(s.t), s.status] + [_fmt(v) for v in s.lambda_P]
+        + ([_fmt(v) for v in s.lambda_V] if s.lambda_V is not None else [""] * n)
+        for s in steps))
 
 
 def _cmd_trajectory(args) -> int:
@@ -350,16 +354,16 @@ def _cmd_paper_example(args) -> int:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
     except OSError as exc:
         raise UsageError(f"output directory {out_dir} is not writable: {exc}") from exc
 
+    def write(name: str, write_to) -> None:
+        _write_out(str(out_dir / name), write_to, "" if name.endswith(".csv") else None)
+
+    # written before any computation, so an unwritable directory fails fast
+    write("model.json",
+          lambda fh: fh.write(json.dumps(EXAMPLE_MODEL, indent=2, sort_keys=True) + "\n"))
     model = ssp.load_model(json.dumps(EXAMPLE_MODEL))
-    (out_dir / "model.json").write_text(
-        json.dumps(EXAMPLE_MODEL, indent=2, sort_keys=True) + "\n"
-    )
     summary: dict = {}
 
     def record(name: str, value, passed: bool) -> None:
@@ -369,10 +373,9 @@ def _cmd_paper_example(args) -> int:
     # Gramian sweep over theta in [0, 2e-3].
     thetas = np.linspace(0.0, 2e-3, SWEEP_POINTS)
     lam_O, lam_W = (np.linalg.eigvalsh(X)[:, 0] for X in ssp.gramian_sweep(model, 2, thetas))
-    with open(out_dir / "gramian_sweep.csv", "w", newline="") as fh:
-        fh.write("theta,lambda_min_Omega,lambda_min_W\n")
-        for row in zip(thetas, lam_O, lam_W):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    write("gramian_sweep.csv", lambda fh: _write_csv(
+        fh, ["theta", "lambda_min_Omega", "lambda_min_W"],
+        ([_fmt(x) for x in row] for row in zip(thetas, lam_O, lam_W))))
 
     w0, w2 = lam_W[0], lam_W[-1]  # linspace puts both ends exactly
     record("lambda_min_W_at_0", w0, _relerr(w0, 1.002828) < 1e-4)
@@ -411,8 +414,7 @@ def _cmd_paper_example(args) -> int:
 
     # Trajectory from Sigma_2 at theta = beta_2 (12 recorded steps).
     steps = ric.iterate_trajectory(model, beta2, Sigma2, 11)
-    with open(out_dir / "trajectory.csv", "w", newline="") as fh:
-        _write_trajectory_csv(steps, model.n, fh)
+    write("trajectory.csv", lambda fh: _write_trajectory_csv(steps, model.n, fh))
     lam_P = np.array([s.lambda_P for s in steps])
     lam_V = np.array([s.lambda_V for s in steps])
     monotone = (np.all(np.diff(lam_P, axis=0) <= 1e-10)
@@ -434,15 +436,11 @@ def _cmd_paper_example(args) -> int:
 
     # Fixed-point sweep for the breakdown onset (theta in [0, 0.95e-3]).
     fp_sweep = np.linspace(0.0, 0.95e-3, SWEEP_POINTS)
-    with open(out_dir / "fixed_point_sweep.csv", "w", newline="") as fh:
-        cols = (["theta"]
-                + [f"lambda_P_{i+1}" for i in range(model.n)]
-                + [f"lambda_V_{i+1}" for i in range(model.n)])
-        fh.write(",".join(cols) + "\n")
-        # the results are dropped once written, before the searches below
-        for th, res in zip(fp_sweep, ric.fixed_point_sweep(model, fp_sweep, np.eye(model.n))):
-            fh.write(",".join([_fmt(th)] + [_fmt(v) for v in res.lambda_P]
-                              + [_fmt(v) for v in res.lambda_V]) + "\n")
+    # the results are dropped once written, before the searches below
+    write("fixed_point_sweep.csv", lambda fh: _write_csv(
+        fh, ["theta"] + _spectra_header(model.n),
+        ([_fmt(th)] + [_fmt(v) for v in res.lambda_P] + [_fmt(v) for v in res.lambda_V]
+         for th, res in zip(fp_sweep, ric.fixed_point_sweep(model, fp_sweep, np.eye(model.n))))))
 
     bres = ric.breakdown_search(model, theta_lo=beta2, theta_hi=2e-3,
                                 P0=Sigma2, tol=1e-6)
@@ -464,8 +462,7 @@ def _cmd_paper_example(args) -> int:
     summary["all_pass"] = all(
         v for k, v in summary.items() if k.endswith("_pass")
     )
-    with open(out_dir / "summary.json", "w") as fh:
-        _dump_json(summary, fh)
+    write("summary.json", lambda fh: _dump_json(summary, fh))
     print(f"wrote {out_dir}/model.json, gramian_sweep.csv, trajectory.csv, "
           f"fixed_point_sweep.csv, summary.json")
     print(f"all_pass: {summary['all_pass']}")

@@ -16,14 +16,18 @@ for exactly this iteration, measured in the affine-invariant metric, so
 the iteration count carries meaning and no subspace ARE solver is used).
 
 `fixed_point_sweep` runs that iteration for a list of theta as one
-stacked kernel, then finishes every converged theta (validity gate at P*,
-gain, ARE residual, closed-loop spectrum) as one stacked pass;
-`fixed_point` is both at batch size one, and `verify_are` is the finish
-at batch size one. Each theta stops at its own step, so its result and
-its iteration count (the canonical one) are the same at any batch size;
-it carries the spectra of P* and V that the kernel's and the finish's
-factorizations gave. `breakdown_search` solves the midpoints of several
-bisection levels per stacked call and walks them as a plain bisection.
+stacked kernel, `_solve_stack`, from a start gated once per public call
+(`_inverse` hands back P0, its decomposition and P0^-1) to the results:
+a theta that stops keeps its P_t, the P_t^-1 its last inner matrix was
+formed from and P_t's eigenvalues, and one stacked pass finishes every
+converged theta (validity gate at P*, gain, ARE residual, closed-loop
+spectrum) from them. `fixed_point` is the sweep at batch size one, and
+`verify_are` the finish. Each theta stops at its own step, so its result
+and its iteration count (the canonical one) are the same at any batch
+size; it carries the spectra of P* and V that the kernel's and the
+finish's factorizations gave. `breakdown_search` solves the midpoints of
+several bisection levels per stacked call and walks them as a plain
+bisection.
 
 Every inversion goes through the positivity gate `cone.require_spd`, or
 its stacked form: leaving the cone is a semantic event, never papered
@@ -100,10 +104,14 @@ def _caller_matrix(P, n: int, name: str) -> np.ndarray:
     return P
 
 
-def _inverse(P, n: int, name: str) -> np.ndarray:
-    """P^-1 of a caller's n x n matrix through the positivity gate (see `_finite_inverse`)."""
-    P = _caller_matrix(P, n, name)
-    return _finite_inverse(require_spd(P, f"{name} not positive definite"), name)
+def _inverse(P, n: int, name: str, gate: Optional[str] = None):
+    """A caller's n x n P gated once: (P symmetrized, its decomposition, P^-1).
+
+    A wrong shape names `name`; the gate and an overflowing inverse name `gate` (default: name).
+    """
+    P, gate = _caller_matrix(P, n, name), gate or name
+    dec = require_spd(P, f"{gate} not positive definite")
+    return P, dec, _finite_inverse(dec, gate)
 
 
 # c * eps in the roundoff floor of the step distance, c * eps * cond(P), with
@@ -210,7 +218,7 @@ def rs_riccati_map(model: StateSpaceModel, theta: float, P) -> np.ndarray:
     definite (the map leaves the cone).
     """
     check_finite("theta", theta, nonnegative=True)
-    P_inv = _inverse(P, model.n, "riccati map argument P")
+    _, _, P_inv = _inverse(P, model.n, "riccati map argument P")
     P_next, _, _, errors = _map_step(model, np.array([theta], dtype=float), P_inv[None])
     if np.isnan(P_next).all():  # the inner matrix failed its gate
         raise errors[0]
@@ -226,7 +234,7 @@ def rs_gain(
     to exist; otherwise a "validity violated" ConeExitError is raised.
     """
     check_finite("theta", theta, nonnegative=True)
-    V = _validity(model, theta, _inverse(P, model.n, "gain argument P")).inverse()
+    V = _validity(model, theta, _inverse(P, model.n, "gain argument P")[2]).inverse()
     return (*_kalman_form(model, V), V)
 
 
@@ -242,7 +250,7 @@ def block_riccati_map(block: BlockModel, P) -> np.ndarray:
     Coincides with the N-fold composition of the one-step map at the
     same risk parameter.
     """
-    P_inv = _inverse(P, len(block.alpha), "block map argument P")
+    _, _, P_inv = _inverse(P, len(block.alpha), "block map argument P")
     middle = require_spd(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega").inverse()
     return _sym(block.alpha @ middle @ block.alpha.T + block.W)
 
@@ -384,85 +392,84 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
     return np.sqrt(x @ x.swapaxes(1, 2))[:, 0, 0]
 
 
-def _are_stack(model: StateSpaceModel, thetas: np.ndarray, P: np.ndarray,
-               P_inv: np.ndarray) -> list:
-    """Validity gate, gain and ARE report at every point of a stack P (with its P^-1).
+def _are_stack(model: StateSpaceModel, thetas: np.ndarray, P: np.ndarray, P_inv: np.ndarray):
+    """Validity gate, gain and ARE residual at every point of a stack P (with its P^-1).
 
     V^-1 = P^-1 - theta D^T D is gated for the whole stack in one eigensolve;
     K, R_nu, the residual and eig(A - KC) are then formed once over the
-    entries that passed. Returns per entry (K, R_nu, lambda_V, AreReport), or
-    the gate's ConeExitError; an entry's numbers do not depend on the others.
+    entries that passed. Returns (ok, K, R_nu, lambda_V, residual, eigs,
+    errors): the indices that passed, in order, with their stacked results
+    (eigs is a list, each entry as eigvals gives one matrix, by decreasing
+    modulus), and the gate's ConeExitError for each entry that failed,
+    keyed by index. An entry's numbers do not depend on the others.
     """
     V_inv = P_inv - thetas[:, None, None] * (model.D.T @ model.D)
     lam, U, errors = _require_spd_stack(V_inv, _VALIDITY_GATE)
-    out = [errors.get(i) for i in range(len(thetas))]
-    ok = [i for i in range(len(thetas)) if i not in errors]
-    if not ok:
-        return out
+    ok = np.setdiff1d(np.arange(len(P)), list(errors))
     lam, U, P = lam[ok], U[ok], P[ok]
     V = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
     K, R_nu = _kalman_form(model, V)
     residual = _frobenius(P - _gain_form(model, K, V))
-    relative = residual / (1.0 + _frobenius(P))
     eigs = np.linalg.eigvals(model.A - K @ model.C)
     eigs = np.take_along_axis(eigs, np.argsort(-np.abs(eigs), axis=1), axis=1)
-    for j, i in enumerate(ok):
-        e = eigs[j] if eigs[j].imag.any() else eigs[j].real  # as eigvals gives one matrix
-        out[i] = (K[j], R_nu[j], 1.0 / lam[j, ::-1], AreReport(
-            residual=float(residual[j]),
-            relative_residual=float(relative[j]),
-            closed_loop_eigenvalues=e,
-            closed_loop_spectral_radius=float(np.max(np.abs(e))),
-        ))
-    return out
+    eigs = [e if e.imag.any() else e.real for e in eigs]
+    return ok.tolist(), K, R_nu, 1.0 / lam[:, ::-1], residual, eigs, errors
 
 
 def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
-    """Frobenius residual of P = (A-KC) V (A-KC)^T + B B^T + K K^T at P."""
-    P = _caller_matrix(P, model.n, "gain argument P")
+    """Frobenius residual of P = (A-KC) V (A-KC)^T + B B^T + K K^T at P.
+
+    The kernel's finish at batch size one; relative_residual is over 1 + ||P||_F.
+    """
     check_finite("theta", theta, nonnegative=True)
-    P_inv = _inverse(P, model.n, "gain argument P")
-    (report,) = _are_stack(model, np.array([theta], dtype=float), P[None], P_inv[None])
-    if isinstance(report, ConeExitError):
-        raise report
-    return report[3]
+    P, _, P_inv = _inverse(P, model.n, "gain argument P")
+    _, _, _, _, residual, eigs, errors = _are_stack(
+        model, np.array([theta], dtype=float), P[None], P_inv[None])
+    if errors:
+        raise errors[0]
+    return AreReport(
+        residual=float(residual[0]),
+        relative_residual=float(residual[0] / (1.0 + _frobenius(P[None])[0])),
+        closed_loop_eigenvalues=eigs[0],
+        closed_loop_spectral_radius=float(np.max(np.abs(eigs[0]))),
+    )
 
 
-def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
-                   max_iter: int) -> list:
-    """The straight iteration for every theta at once, from one start P0.
+def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: float,
+                 max_iter: int) -> list:
+    """Per theta: its FixedPointResult, or the error `fixed_point` raises for it.
 
-    Raises only when P0 (default: identity) fails the gate or its inverse
-    overflows. The map's constant products are formed once. A step makes the
+    The straight iteration for every theta at once, from one start
+    (P0, its decomposition, P0^-1) gated by the caller through `_inverse`;
+    each later P_t^-1 comes from the decomposition `_map_next` gave.
+    The map's constant products are formed once. A step makes the
     trajectory loop's two stacked eigensolve calls: `_gate_step` gates the
     inner matrix (`_map_inner`) of each P_t together with the whitened step
     from P_{t-1}, whose distance d_t is read first, then `_map_next` forms
     and gates P_{t+1}. A theta stops at P_t once d_t is below tol or has
     stalled at its roundoff floor (`_stalled`); the error of its step-(t+1)
-    inner matrix is then dropped, not reported. Returns, per theta,
-    (iterations, distance, P, decomposition of P) or the error `fixed_point`
-    raises for it; the finish is left to the caller.
+    inner matrix is then dropped, not reported. It keeps P_t, the P_t^-1
+    its inner matrix was formed from and P_t's eigenvalues, and one
+    `_are_stack` call finishes every theta that stopped. One whose V at P*
+    fails the gate gets the breakdown error, carrying the gate's as its
+    cause.
     """
-    b, n = len(thetas), model.n
-    P0 = _caller_matrix(P0, n, "P0") if P0 is not None else np.eye(n)
-    P0_dec = require_spd(P0, "fixed-point start P0 not positive definite")
-    _finite_inverse(P0_dec, "fixed-point start P0")
+    b = len(thetas)
     out = [None] * b
     live = np.arange(b)  # input index of each running entry
-    P_prev, P = None, np.broadcast_to(P0, (b, n, n))
-    lam = np.broadcast_to(P0_dec.eigenvalues, (b, n))
-    U = np.broadcast_to(P0_dec.eigenvectors, (b, n, n))
-    distance = np.full(b, math.nan)
+    P0, P0_dec, P0_inv = start
+    P, lam, U, P_inv = (np.broadcast_to(a, (b, *a.shape)) for a in (P0, *P0_dec, P0_inv))
+    P_prev, distance = None, np.full(b, math.nan)
     CtC, thDtD, BBt = _map_products(model, thetas)
+    stops = []  # per step where thetas stop: index, iterations, distance, P, P^-1, lambda_P
     for it in range(1, max_iter + 2):
-        P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
         lam_in, U_in, errors, step = _gate_step(
             _map_inner(P_inv, CtC, thDtD[live]), P_prev, lam, U, _INNER_GATE)
         previous, distance = distance, step
         done = (distance < tol) | _stalled(distance, previous, lam)
-        for i in np.flatnonzero(done).tolist():
-            out[live[i]] = (it - 1, float(distance[i]), P[i], SpectralDecomposition(lam[i], U[i]))
         if done.any():
+            stops.append((live[done], np.full(done.sum(), it - 1), distance[done], P[done],
+                          P_inv[done], lam[done]))
             errors = {j: errors[i] for j, i in enumerate(np.flatnonzero(~done)) if i in errors}
             live, P, lam_in, U_in, distance = (a[~done] for a in (live, P, lam_in, U_in, distance))
         if it > max_iter or not live.size:
@@ -480,7 +487,7 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
         if errors:
             keep = np.setdiff1d(np.arange(len(live)), list(errors))
             live, P, P_next, lam, U, distance = (a[keep] for a in (live, P, P_next, lam, U, distance))
-        P_prev, P = P, P_next
+        P_prev, P, P_inv = P, P_next, (U / lam[:, None, :]) @ U.swapaxes(1, 2)
     for i, j in enumerate(live.tolist()):
         out[j] = IterationLimitError(
             f"no fixed point within {max_iter} iterations at theta={thetas[j]:.6e}: "
@@ -488,48 +495,30 @@ def _iterate_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
             iterations=max_iter,
             last_distance=float(distance[i]),
         )
-    return out
-
-
-def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, P0, tol: float,
-                 max_iter: int) -> list:
-    """Per theta: its FixedPointResult, or the error `fixed_point` raises for it.
-
-    `_iterate_stack` runs the iteration, then one `_are_stack` call finishes
-    every converged theta, in place in the list the iteration returned. A
-    converged theta whose V at P* fails the gate gets the breakdown error,
-    carrying the gate's as its cause.
-    """
-    out = _iterate_stack(model, thetas, P0, tol, max_iter)
-    done = [i for i, o in enumerate(out) if isinstance(o, tuple)]  # converged, unfinished
-    if not done:
+    if not stops:
         return out
-    P = np.array([out[i][2] for i in done])
-    lam = np.array([out[i][3].eigenvalues for i in done])
-    U = np.array([out[i][3].eigenvectors for i in done])
-    P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
-    for i, report in zip(done, _are_stack(model, thetas[done], P, P_inv)):
-        it, distance, P_i, P_dec = out[i]
-        if isinstance(report, ConeExitError):
-            out[i] = ConeExitError(
-                f"fixed point reached at theta={thetas[i]:.6e} but its "
-                f"validity matrix is not positive definite",
-                lambda_min=report.lambda_min, step=it, last_valid=P_i,
-            )
-            out[i].__cause__ = report
-            continue
-        K, R_nu, lambda_V, are = report
-        out[i] = FixedPointResult(
-            P_star=P_i,
-            iterations=it,
-            final_step_distance=distance,
-            K=K,
-            R_nu=R_nu,
-            closed_loop_eigenvalues=are.closed_loop_eigenvalues,
-            closed_loop_spectral_radius=are.closed_loop_spectral_radius,
-            are_residual=are.residual,
-            lambda_P=P_dec.eigenvalues,
-            lambda_V=lambda_V,
+    index, iterations, distance, P, P_inv, lam = (np.concatenate(a) for a in zip(*stops))
+    ok, K, R_nu, lam_V, residual, eigs, errors = _are_stack(model, thetas[index], P, P_inv)
+    for k, exc in errors.items():
+        i = index[k]
+        out[i] = ConeExitError(
+            f"fixed point reached at theta={thetas[i]:.6e} but its "
+            f"validity matrix is not positive definite",
+            lambda_min=exc.lambda_min, step=int(iterations[k]), last_valid=P[k],
+        )
+        out[i].__cause__ = exc
+    for j, k in enumerate(ok):
+        out[index[k]] = FixedPointResult(
+            P_star=P[k],
+            iterations=int(iterations[k]),
+            final_step_distance=float(distance[k]),
+            K=K[j],
+            R_nu=R_nu[j],
+            closed_loop_eigenvalues=eigs[j],
+            closed_loop_spectral_radius=float(np.max(np.abs(eigs[j]))),
+            are_residual=float(residual[j]),
+            lambda_P=lam[k],
+            lambda_V=lam_V[j],
         )
     return out
 
@@ -552,11 +541,14 @@ def fixed_point_sweep(
     its result, iteration count included, does not depend on the other
     thetas. The finish gates V at every converged P* in one eigensolve and
     forms the gains, ARE residuals and closed-loop spectra once over the
-    stack. A tol that is not >= 0 or a max_iter that is not an integer
-    >= 1 raises UsageError, and a NaN or negative theta anywhere
-    DomainError, before any iteration; otherwise the error of the first
-    theta (in input order) that fails, in the iteration or at P*, is
-    raised, exactly as `fixed_point` raises it.
+    stack, from the arrays the iteration kept at each theta's stop. A tol
+    that is not >= 0 or a max_iter that is not an integer >= 1 raises
+    UsageError, and a NaN or negative theta anywhere DomainError, before
+    any iteration. P0 is gated next, once: one that is not positive
+    definite raises ConeExitError, one whose inverse overflows
+    NumericalError. Otherwise the error of the first theta (in input
+    order) that fails, in the iteration or at P*, is raised, exactly as
+    `fixed_point` raises it.
     """
     if not tol >= 0.0:
         raise UsageError(f"fixed-point tol must be >= 0, got {tol}")
@@ -565,7 +557,8 @@ def fixed_point_sweep(
     thetas = list(thetas)
     for theta in thetas:
         check_finite("theta", theta, nonnegative=True)
-    results = _solve_stack(model, np.array(thetas, dtype=float), P0, tol, max_iter)
+    start = _inverse(np.eye(model.n) if P0 is None else P0, model.n, "P0", "fixed-point start P0")
+    results = _solve_stack(model, np.array(thetas, dtype=float), start, tol, max_iter)
     for outcome in results:
         if isinstance(outcome, Exception):
             raise outcome
@@ -637,7 +630,9 @@ def breakdown_search(
     contraction constant approaches one. P0 is gated once, before any
     probe: one that is not positive definite raises ConeExitError, one
     whose inverse overflows NumericalError, rather than reading as an
-    unsolvable theta_lo. Bisection stops at width tol or adjacent floats.
+    unsolvable theta_lo. Every probe, the default end's solve included,
+    iterates from that gated start without gating it again. Bisection
+    stops at width tol or adjacent floats.
     theta_hi defaults to 1/lam_1(D P*(0) D^T), P*(0) the risk-neutral fixed
     point from P0 (that solve raises its own errors). No theta from there
     on is solvable: the map grows with theta and is monotone in P, so
@@ -645,7 +640,7 @@ def breakdown_search(
     theta * lam_1(D P*(theta) D^T) < 1. So that end counts as a failed
     probe without being solved, and a theta_lo of 0 reads the solve just made.
 
-    The probes are `fixed_point_sweep`'s stacked iteration and finish. The
+    The probes are `fixed_point_sweep`'s kernel, `_solve_stack`. The
     two ends are solved in one call; after that, each call solves the
     midpoints of the next _SPECULATIVE_LEVELS levels below the current
     bracket, each to its own stop (`_stalled` ends those near breakdown),
@@ -657,12 +652,17 @@ def breakdown_search(
     check_finite("theta", theta_lo, nonnegative=True)
     if not tol >= 0.0:
         raise UsageError(f"bisection tol must be >= 0, got {tol}")
-    P0 = _caller_matrix(P0, model.n, "P0") if P0 is not None else np.eye(model.n)
-    _inverse(P0, model.n, "breakdown start P0")
+    start = _inverse(np.eye(model.n) if P0 is None else P0, model.n, "P0", "breakdown start P0")
+
+    def solve(thetas: list) -> list:
+        return _solve_stack(model, np.array(thetas, dtype=float), start, _TOL, _MAX_ITER)
+
     verdicts = {}  # theta -> solvable, or the error to raise when the walk reads it
     if theta_hi is None:
-        P_star = fixed_point(model, 0.0, P0).P_star
-        theta_hi = 1.0 / spectral(_sym(model.D @ P_star @ model.D.T)).eigenvalues[0]
+        (at_zero,) = solve([0.0])
+        if isinstance(at_zero, Exception):
+            raise at_zero
+        theta_hi = 1.0 / spectral(_sym(model.D @ at_zero.P_star @ model.D.T)).eigenvalues[0]
         verdicts = {theta_hi: False, 0.0: True}  # by the argument above; the solve just made
     check_finite("theta", theta_hi, nonnegative=True)
     if not theta_hi > theta_lo:
@@ -692,8 +692,7 @@ def breakdown_search(
         thetas = [t for t in thetas if t not in verdicts]
         if not thetas:
             return
-        for theta, outcome in zip(thetas, _solve_stack(model, np.array(thetas), P0,
-                                                       _TOL, _MAX_ITER)):
+        for theta, outcome in zip(thetas, solve(thetas)):
             if isinstance(outcome, (ConeExitError, IterationLimitError)):
                 verdicts[theta] = False
             else:

@@ -129,6 +129,35 @@ def test_module_layering():
     assert found == LAYERS
 
 
+def test_every_private_name_is_used_in_the_library():
+    # a private helper that only tests call is dead code: fold it away or move it to the tests
+    package = Path(rsriccati.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    defined = set()
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined |= {f"{stem}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {a.name for a in node.names}
+    assert len(defined) > 20
+    assert sorted(d for d in defined if d.split(".", 1)[1] not in used) == []
+
+
 def test_readme_example_runs():
     # the README's library example uses only names that exist and still runs
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -418,6 +418,16 @@ def test_paper_example_out_dir_under_a_regular_file(capsys, tmp_path):
     assert "is not writable" in err
 
 
+@pytest.mark.parametrize("name", ["model.json", "gramian_sweep.csv", "trajectory.csv",
+                                  "fixed_point_sweep.csv", "summary.json"])
+def test_paper_example_output_file_blocked_by_a_directory(capsys, tmp_path, name):
+    # every file goes through the one writer: a directory in its place exits 2, not a traceback
+    (tmp_path / name).mkdir()
+    code, out, err = run_cli(capsys, "paper-example", "--out-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: cannot write output file {str(tmp_path / name)!r}: ")
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 

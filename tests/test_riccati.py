@@ -40,7 +40,7 @@ from rsriccati import (
     verify_are,
 )
 from rsriccati import riccati
-from rsriccati.riccati import _iterate_stack
+from rsriccati.riccati import _inverse, _solve_stack
 
 SCALAR = '{"A": [[%s]], "B": [[1]], "C": [[1]], "D": [[1]]}'
 
@@ -731,13 +731,14 @@ OVERFLOW_JSON = '{"A": [[0.1,1],[0,1.2]], "B": [[1,0],[0,1]], "C": [[1,-1]], "D"
 
 
 def check_only_entry_one_fails(model, thetas, error_type):
-    outcomes = _iterate_stack(model, np.array(thetas), np.eye(2), 1e-12, 10000)
+    outcomes = _solve_stack(model, np.array(thetas), _inverse(np.eye(2), 2, "P0"), 1e-12, 10000)
     assert isinstance(outcomes[1], error_type)
     assert_same_error(outcomes[1], raised(fixed_point, model, thetas[1], np.eye(2)))
-    for theta, (iterations, distance, P, _) in zip(thetas[::2], outcomes[::2]):
+    for theta, got in zip(thetas[::2], outcomes[::2]):
         want = fixed_point(model, theta, np.eye(2))
-        assert (iterations, distance) == (want.iterations, want.final_step_distance)
-        assert np.array_equal(P, want.P_star)
+        assert got.iterations == want.iterations
+        assert got.final_step_distance == want.final_step_distance
+        assert np.array_equal(got.P_star, want.P_star)
     assert_same_error(raised(fixed_point_sweep, model, thetas, np.eye(2)), outcomes[1])
 
 
@@ -846,15 +847,15 @@ def test_breakdown_default_upper_end_is_never_solvable(example_model):
 
 
 def counted_kernel(monkeypatch):
-    """Record each `_iterate_stack` call's thetas and outcomes."""
+    """Record each `_solve_stack` call's thetas and outcomes."""
     calls = []
 
     def counted(model, thetas, *args):
-        out = _iterate_stack(model, thetas, *args)
+        out = _solve_stack(model, thetas, *args)
         calls.append((list(thetas), out))
         return out
 
-    monkeypatch.setattr(riccati, "_iterate_stack", counted)
+    monkeypatch.setattr(riccati, "_solve_stack", counted)
     return calls
 
 
@@ -909,6 +910,28 @@ def test_breakdown_gates_P0_before_any_probe(monkeypatch, P0, error, match):
         raise AssertionError("breakdown_search probed with an ungated P0")
 
     monkeypatch.setattr("rsriccati.riccati.fixed_point", no_probe)
-    monkeypatch.setattr("rsriccati.riccati._iterate_stack", no_probe)
+    monkeypatch.setattr("rsriccati.riccati._solve_stack", no_probe)
     with pytest.raises(error, match=match):
         breakdown_search(load_model(SCALAR % "0.9"), 0.1, 0.9, P0)
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda m, P0: breakdown_search(m, 0.0, 2e-3, P0), id="breakdown_search"),
+    pytest.param(lambda m, P0: breakdown_search(m, 0.0, None, P0), id="breakdown_search-default-end"),
+    pytest.param(lambda m, P0: fixed_point_sweep(m, np.linspace(0.0, 0.9e-3, 9), P0),
+                 id="fixed_point_sweep"),
+    pytest.param(lambda m, P0: fixed_point(m, 0.5e-3, P0), id="fixed_point"),
+])
+def test_a_start_is_gated_once_per_public_call(monkeypatch, example_model, solve):
+    # every stacked call takes the start the public call gated: no probe eigensolves P0 again
+    gated = []
+    require_spd = riccati.require_spd
+
+    def counted(P, what):
+        gated.append(np.array(P))
+        return require_spd(P, what)
+
+    monkeypatch.setattr(riccati, "require_spd", counted)
+    P0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+    solve(example_model, P0)
+    assert len(gated) == 1 and np.array_equal(gated[0], P0)
