@@ -108,7 +108,16 @@ def _cone_exit(what: str, lam_min, lam_max) -> ConeExitError:
 
 
 def require_spd(P, what: str) -> SpectralDecomposition:
-    """P's decomposition, or ConeExitError unless lam_min > SPD_RTOL * |lam_max|."""
+    """P's decomposition, or ConeExitError unless lam_min > SPD_RTOL * |lam_max|.
+
+    A P with a NaN or inf entry fails before the eigensolve, whose LAPACK
+    routine returns NaN for some sizes and fails for others: its smallest
+    and largest eigenvalues read as NaN at every size.
+    """
+    P = np.asarray(P, dtype=float)
+    if not np.isfinite(P).all():
+        symmetrize(P)  # a malformed matrix is a usage error before it is a verdict
+        raise _cone_exit(what, math.nan, math.nan)
     dec = spectral(P)
     lam_min, lam_max = dec.eigenvalues[-1], dec.eigenvalues[0]  # NaN sorts first
     if not _positive(lam_min, lam_max):

@@ -15,19 +15,20 @@ iteration of the map (the convergence theory is a contraction argument
 for exactly this iteration, measured in the affine-invariant metric, so
 the iteration count carries meaning and no subspace ARE solver is used).
 
-`fixed_point_sweep` runs that iteration for a list of theta as one
-stacked kernel, `_solve_stack`, from a start gated once per public call
-(`_inverse` hands back P0, its decomposition and P0^-1) to the results:
-a theta that stops keeps its P_t, the P_t^-1 its last inner matrix was
-formed from and P_t's eigenvalues, and one stacked pass finishes every
-converged theta (validity gate at P*, gain, ARE residual, closed-loop
-spectrum) from them. `fixed_point` is the sweep at batch size one, and
-`verify_are` the finish. Each theta stops at its own step, so its result
-and its iteration count (the canonical one) are the same at any batch
-size; it carries the spectra of P* and V that the kernel's and the
-finish's factorizations gave. `breakdown_search` solves the midpoints of
+Every Riccati iteration in the library steps through one loop,
+`_iterate`, over a stack of theta from one gated start.
+`fixed_point_sweep` is the loop plus one stacked finish (`_solve_stack`),
+from a start gated once per public call (`_inverse` hands back P0, its
+decomposition and P0^-1): a theta that stops keeps its P_t, the P_t^-1
+its last inner matrix was formed from and P_t's eigenvalues, and one
+stacked pass finishes every converged theta (validity gate at P*, gain,
+ARE residual, closed-loop spectrum) from them. `fixed_point` is the sweep
+at batch size one, and `verify_are` the finish. Each theta stops at its
+own step, so its result and its iteration count (the canonical one) are
+the same at any batch size. `breakdown_search` solves the midpoints of
 several bisection levels per stacked call and walks them as a plain
-bisection.
+bisection. `iterate_trajectory` and `sim.run_filter` run the loop at
+batch one with tol = 0 and max_iter = T, tracing each step.
 
 Every inversion goes through the positivity gate `cone.require_spd`, or
 its stacked form: leaving the cone is a semantic event, never papered
@@ -35,26 +36,29 @@ over. A caller's P or P0 whose inverse overflows raises NumericalError
 at entry. The map's formula is written once: `_map_inner` forms the inner
 matrix P^-1 + C^T C - theta D^T D, and `_map_next` forms P_next from the
 inner matrix's gated decomposition and gates it, which hands the next step
-its factorization (`_map_step` is the two in sequence). The kernel,
-`rs_riccati_map` and the loop behind `iterate_trajectory` and
-`sim.run_filter` all step through them, with C^T C, theta D^T D and B B^T
-formed once per loop. Both Riccati loops, the kernel and the trajectory
-loop, make the same two stacked eigensolve calls per step. `_gate_step`
-gates the inner matrix (with V^-1 from the same P^-1, in the trajectory
-loop) together with the whitened P_t^-1/2 P_{t-1} P_t^-1/2 that gives the
-step distance d_t, then P_next is gated. A step distance is a
-measurement, never a verdict: only the inner matrix and P_next decide a
-cone exit, and a whitened entry that fails the gate only means that step
-has no distance (NaN, which neither stops nor stalls a loop).
+its factorization (`_map_step` is the two in sequence). The loop and
+`rs_riccati_map` step through them, with C^T C, theta D^T D and B B^T
+formed once per loop. A step makes two stacked eigensolve calls:
+`_gate_step` gates the inner matrix together with the whitened
+P_t^-1/2 P_{t-1} P_t^-1/2 that gives the step distance d_t, then P_next is
+gated. A step distance is a measurement, never a verdict: only the inner
+matrix and P_next decide a cone exit, and a whitened entry that fails the
+gate only means that step has no distance (NaN, which neither stops nor
+stalls the loop).
 
-Both loops share one stopping rule at the roundoff floor (`_stalled`): a
-step whose distance d_k is at least d_{k-1} and below c * eps * cond(P_k)
-has stopped contracting and only wanders at roundoff. The kernel stops a
-theta there, as at d_k < tol, and drops the error its next inner matrix
-may have had in the same call. The trajectory loop ends at that record, or
-at the one where its state repeats bitwise (P_{t+1}, its eigenvalues and
-eigenvectors equal to P_t's), whichever comes first. The repeat is exact:
-every later step would recompute the same bits. `iterate_trajectory` and
+The loop never gates the validity matrix. Each caller gates
+V^-1 = P^-1 - theta D^T D once, after the loop, over the points it kept,
+in one stacked call (`_validity`): the finish at each P*, the trajectory
+at every traced step (its first failure is the "v_violation" record), and
+`rs_gain` at its one P.
+
+The loop stops a theta at the roundoff floor (`_stalled`): a step whose
+distance d_k is at least d_{k-1} and below c * eps * cond(P_k) has stopped
+contracting and only wanders at roundoff. It stops there as at d_k < tol,
+and drops the error its next inner matrix may have had in the same call.
+A traced run also ends where its state repeats bitwise (P_{t+1}, its
+eigenvalues and eigenvectors equal to P_t's). The repeat is exact: every
+later step would recompute the same bits. `iterate_trajectory` and
 `sim.run_filter` fill the remaining records with copies of the last one,
 within the floor of what a step-by-step iteration gives after a stall.
 """
@@ -160,13 +164,13 @@ def _stalled(distance, previous, lam: np.ndarray):
 _VALIDITY_GATE = "validity violated: P^-1 - theta D^T D"
 
 
-def _validity(model: StateSpaceModel, theta: float, P_inv: np.ndarray):
-    """Factor of V^-1 = P^-1 - theta D^T D, gated."""
-    V_inv = P_inv - theta * (model.D.T @ model.D)
-    lam, U, errors = _require_spd_stack(V_inv[None], _VALIDITY_GATE)
-    if errors:
-        raise errors[0]
-    return SpectralDecomposition(lam[0], U[0])
+def _validity(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
+    """V^-1 = P^-1 - theta D^T D gated over a stack P^-1, as `_require_spd_stack` gives it.
+
+    thetas holds one theta per entry, or one for the whole stack.
+    """
+    return _require_spd_stack(P_inv - thetas[:, None, None] * (model.D.T @ model.D),
+                              _VALIDITY_GATE)
 
 
 def _map_products(model: StateSpaceModel, thetas: np.ndarray):
@@ -234,7 +238,11 @@ def rs_gain(
     to exist; otherwise a "validity violated" ConeExitError is raised.
     """
     check_finite("theta", theta, nonnegative=True)
-    V = _validity(model, theta, _inverse(P, model.n, "gain argument P")[2]).inverse()
+    P_inv = _inverse(P, model.n, "gain argument P")[2]
+    lam, U, errors = _validity(model, np.array([theta], dtype=float), P_inv[None])
+    if errors:
+        raise errors[0]
+    V = SpectralDecomposition(lam[0], U[0]).inverse()
     return (*_kalman_form(model, V), V)
 
 
@@ -276,54 +284,41 @@ class RiccatiStep:
 
 
 def _trajectory(model: StateSpaceModel, theta: float, P0, T: int):
-    """The one trajectory loop: yields (record, V's decomposition or None) for t = 0, 1, ...
+    """(records, lam, U): the one loop at batch one to its last record, and V's decompositions.
 
-    Each step gates V^-1 = P_t^-1 - theta D^T D and the map's inner matrix
-    (`_map_inner`) with the whitened step from P_{t-1} in one eigensolve
-    call (`_gate_step`), reading V's verdict first, then forms and gates
-    P_{t+1} (`_map_next`), whose decomposition the next step uses. It ends
-    after the first record that is not "ok", after record T, or after the
-    record t at which it settles: when P_{t+1}, its eigenvalues and its
-    eigenvectors equal P_t's bitwise (the state has repeated, so every later
-    step would recompute the same bits; only period 1 is checked), or when
-    step t has stalled at its roundoff floor (`_stalled`) and P_{t+1} passed
-    its gate. P_{t+1} is formed first, so the exact repeat keeps precedence.
-    So a last record that is "ok" with t < T marks a settled loop, and
-    records t + 1..T would each repeat it.
+    P0 is gated in-band (a start that fails is the "cone_exit" record at
+    t = 0). The loop (`_iterate`) then runs from it with tol = 0, which no
+    distance is below, and max_iter = T, tracing each P_t; it ends where it
+    settles (a stall or an exact repeat), where the map leaves the cone, or
+    at T. V^-1 = P_t^-1 - theta D^T D is gated at every traced step in one
+    stacked call (`_validity`): the first V that fails gives the
+    "v_violation" record at its step, and the records end there. Otherwise
+    a map exit gives the "cone_exit" record at t + 1 (P NaN where the map
+    could not form it), from one `_map_step` on the last P_t^-1, which
+    reproduces the loop's bits. So a last record that is "ok" with t < T
+    marks a settled loop, and records t + 1..T would each repeat it. lam and
+    U are the eigenvalues and eigenvectors of V^-1 at each "ok" record.
     """
     P = _caller_matrix(P0, model.n, "P0")
     lam, U, errors = _require_spd_stack(P[None], "trajectory iterate not positive definite")
-    if not errors:
-        _finite_inverse(SpectralDecomposition(lam[0], U[0]), "trajectory start P0")
-    CtC, thDtD, BBt = _map_products(model, np.array([theta], dtype=float))
-    # the loop reads only which entry failed, so one message serves both
-    what = f"{_VALIDITY_GATE}, or {_INNER_GATE}"
-    P_prev, distance = None, math.nan  # NaN: no distance, so no stall
-    for t in range(T + 1):
-        if errors:
-            yield RiccatiStep(t, P, "cone_exit", lam[0], None), None
-            return
-        P_inv = (U[0] / lam[0]) @ U[0].T
-        lam_g, U_g, failed, step = _gate_step(
-            np.array([P_inv - thDtD[0], _map_inner(P_inv, CtC, thDtD[0])]), P_prev, lam, U, what)
-        if 0 in failed:
-            if not isinstance(failed[0], ConeExitError):
-                raise failed[0]
-            yield RiccatiStep(t, P, "v_violation", lam[0], None), None
-            return
-        V_dec = SpectralDecomposition(lam_g[0], U_g[0])
-        yield RiccatiStep(t, P, "ok", lam[0], 1.0 / lam_g[0, ::-1]), V_dec
-        if t == T:
-            return
-        previous, distance = distance, float(step[0])
-        P_next, lam_next, U_next, errors = _map_next(
-            model, BBt, lam_g[1:2], U_g[1:2], {0: failed[1]} if 1 in failed else {})
-        repeated = (np.array_equal(P_next[0], P) and np.array_equal(lam_next, lam)
-                    and np.array_equal(U_next, U))
-        if repeated or (not errors and _stalled(distance, previous, lam[0])):
-            return
-        # a view of P_next would keep one more array alive per record
-        P_prev, P, lam, U = P, P_next[0].copy(), lam_next, U_next
+    if errors:
+        return [RiccatiStep(0, P, "cone_exit", lam[0], None)], lam[:0], U[:0]
+    dec, thetas, trace = SpectralDecomposition(lam[0], U[0]), np.array([theta], dtype=float), []
+    start = (P, dec, _finite_inverse(dec, "trajectory start P0"))
+    (end,), _ = _iterate(model, thetas, start, 0.0, T, trace)  # end: the run's error or None
+    P, lam_P, P_inv = (np.array(a) for a in zip(*trace))
+    lam, U, failed = _validity(model, thetas, P_inv)
+    k = min(failed, default=len(trace))  # the records before k are "ok"
+    steps = [RiccatiStep(t, P[t], "ok", lam_P[t], lam_V)
+             for t, lam_V in enumerate(1.0 / lam[:k, ::-1])]
+    if failed:
+        if not isinstance(failed[k], ConeExitError):
+            raise failed[k]
+        steps.append(RiccatiStep(k, P[k], "v_violation", lam_P[k], None))
+    elif end is not None and not isinstance(end, IterationLimitError):  # the map left the cone
+        P_next, lam_next, _, _ = _map_step(model, thetas, P_inv[-1:])
+        steps.append(RiccatiStep(k, P_next[0], "cone_exit", lam_next[0], None))
+    return steps, lam[:k], U[:k]
 
 
 def iterate_trajectory(
@@ -332,7 +327,10 @@ def iterate_trajectory(
     """Iterate the risk-sensitive update for T steps, recording each iterate.
 
     Violations are data, not exceptions: the trajectory stops early
-    after recording a step whose status flags the event. A map that
+    after recording a step whose status flags the event. V is gated after
+    the iteration, at every step in one stacked call, so a run whose V
+    fails iterates on until it settles, leaves the cone or reaches T, and
+    its records end at the first failing step. A map that
     leaves the cone ends it with a "cone_exit" record whose P and
     lambda_P are NaN, because that iterate was never formed. Once the
     iterate repeats bitwise, or its step distance stalls at the roundoff
@@ -345,7 +343,7 @@ def iterate_trajectory(
     check_finite("theta", theta, nonnegative=True)
     if T < 0:
         raise DomainError(f"horizon T must be >= 0, got {T}")
-    steps = [step for step, _ in _trajectory(model, theta, P0, T)]
+    steps = _trajectory(model, theta, P0, T)[0]
     last = steps[-1]
     if last.status == "ok":  # settled at last.t, or ran to T (no copies)
         steps += [RiccatiStep(s, last.P.copy(), "ok", last.lambda_P.copy(), last.lambda_V.copy())
@@ -395,16 +393,15 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
 def _are_stack(model: StateSpaceModel, thetas: np.ndarray, P: np.ndarray, P_inv: np.ndarray):
     """Validity gate, gain and ARE residual at every point of a stack P (with its P^-1).
 
-    V^-1 = P^-1 - theta D^T D is gated for the whole stack in one eigensolve;
-    K, R_nu, the residual and eig(A - KC) are then formed once over the
-    entries that passed. Returns (ok, K, R_nu, lambda_V, residual, eigs,
-    errors): the indices that passed, in order, with their stacked results
+    V^-1 = P^-1 - theta D^T D is gated for the whole stack in one eigensolve
+    (`_validity`); K, R_nu, the residual and eig(A - KC) are then formed
+    once over the entries that passed. Returns (ok, K, R_nu, lambda_V,
+    residual, eigs, errors): the indices that passed, in order, with their stacked results
     (eigs is a list, each entry as eigvals gives one matrix, by decreasing
     modulus), and the gate's ConeExitError for each entry that failed,
     keyed by index. An entry's numbers do not depend on the others.
     """
-    V_inv = P_inv - thetas[:, None, None] * (model.D.T @ model.D)
-    lam, U, errors = _require_spd_stack(V_inv, _VALIDITY_GATE)
+    lam, U, errors = _validity(model, thetas, P_inv)
     ok = np.setdiff1d(np.arange(len(P)), list(errors))
     lam, U, P = lam[ok], U[ok], P[ok]
     V = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
@@ -435,24 +432,27 @@ def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
     )
 
 
-def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: float,
-                 max_iter: int) -> list:
-    """Per theta: its FixedPointResult, or the error `fixed_point` raises for it.
+def _iterate(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: float,
+             max_iter: int, trace: Optional[list] = None):
+    """The one Riccati loop: the straight iteration for every theta at once.
 
-    The straight iteration for every theta at once, from one start
-    (P0, its decomposition, P0^-1) gated by the caller through `_inverse`;
-    each later P_t^-1 comes from the decomposition `_map_next` gave.
-    The map's constant products are formed once. A step makes the
-    trajectory loop's two stacked eigensolve calls: `_gate_step` gates the
-    inner matrix (`_map_inner`) of each P_t together with the whitened step
-    from P_{t-1}, whose distance d_t is read first, then `_map_next` forms
-    and gates P_{t+1}. A theta stops at P_t once d_t is below tol or has
-    stalled at its roundoff floor (`_stalled`); the error of its step-(t+1)
-    inner matrix is then dropped, not reported. It keeps P_t, the P_t^-1
-    its inner matrix was formed from and P_t's eigenvalues, and one
-    `_are_stack` call finishes every theta that stopped. One whose V at P*
-    fails the gate gets the breakdown error, carrying the gate's as its
-    cause.
+    It starts from one start (P0, its decomposition, P0^-1) that its caller
+    gated; each later P_t^-1 comes from the decomposition `_map_next` gave.
+    The map's constant products are formed once. A step makes two stacked
+    eigensolve calls: `_gate_step` gates the inner matrix (`_map_inner`) of
+    each P_t together with the whitened step from P_{t-1}, whose distance
+    d_t is read first, then `_map_next` forms and gates P_{t+1}. V is never
+    gated here. A theta stops at P_t once d_t is below tol or has stalled
+    at its roundoff floor (`_stalled`); the error of its step-(t+1) inner
+    matrix is then dropped, not reported.
+
+    Returns (out, stops): per theta None or its error, which is the map's
+    exit at step t + 1 (a cone exit is wrapped as the breakdown at that
+    step) or the iteration limit; and per step where thetas stopped, the
+    arrays (index, iterations, distance, P_t, P_t^-1, lambda_P). A `trace`
+    list (batch one) receives (P_t, lambda_P, P_t^-1) at each step, and a
+    traced run also ends, with no stop and no error, where P_{t+1}, its
+    eigenvalues and its eigenvectors repeat P_t's bitwise.
     """
     b = len(thetas)
     out = [None] * b
@@ -463,6 +463,8 @@ def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: 
     CtC, thDtD, BBt = _map_products(model, thetas)
     stops = []  # per step where thetas stop: index, iterations, distance, P, P^-1, lambda_P
     for it in range(1, max_iter + 2):
+        if trace is not None and live.size:
+            trace.append((P[0], lam[0], P_inv[0]))
         lam_in, U_in, errors, step = _gate_step(
             _map_inner(P_inv, CtC, thDtD[live]), P_prev, lam, U, _INNER_GATE)
         previous, distance = distance, step
@@ -474,20 +476,23 @@ def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: 
             live, P, lam_in, U_in, distance = (a[~done] for a in (live, P, lam_in, U_in, distance))
         if it > max_iter or not live.size:
             break
-        P_next, lam, U, errors = _map_next(model, BBt, lam_in, U_in, errors)
+        P_next, lam_next, U_next, errors = _map_next(model, BBt, lam_in, U_in, errors)
+        if trace is not None and all(map(np.array_equal, (P_next, lam_next, U_next), (P, lam, U))):
+            return out, stops
+        P_prev, P, lam, U = P, P_next, lam_next, U_next
         for i, exc in errors.items():
             if isinstance(exc, ConeExitError):
                 err = ConeExitError(
                     f"risk-sensitive iteration broke down at step {it} "
                     f"(theta={thetas[live[i]]:.6e}): {exc}",
-                    lambda_min=exc.lambda_min, step=it, last_valid=P[i],
+                    lambda_min=exc.lambda_min, step=it, last_valid=P_prev[i],
                 )
                 err.__cause__, exc = exc, err
             out[live[i]] = exc
         if errors:
             keep = np.setdiff1d(np.arange(len(live)), list(errors))
-            live, P, P_next, lam, U, distance = (a[keep] for a in (live, P, P_next, lam, U, distance))
-        P_prev, P, P_inv = P, P_next, (U / lam[:, None, :]) @ U.swapaxes(1, 2)
+            live, P_prev, P, lam, U, distance = (a[keep] for a in (live, P_prev, P, lam, U, distance))
+        P_inv = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
     for i, j in enumerate(live.tolist()):
         out[j] = IterationLimitError(
             f"no fixed point within {max_iter} iterations at theta={thetas[j]:.6e}: "
@@ -495,6 +500,20 @@ def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: 
             iterations=max_iter,
             last_distance=float(distance[i]),
         )
+    return out, stops
+
+
+def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: float,
+                 max_iter: int) -> list:
+    """Per theta: its FixedPointResult, or the error `fixed_point` raises for it.
+
+    The one loop (`_iterate`) from a start gated by the caller through
+    `_inverse`, then one `_are_stack` call that finishes every theta that
+    stopped, from the P_t, P_t^-1 and eigenvalues the loop kept. One whose
+    V at P* fails the gate gets the breakdown error, carrying the gate's as
+    its cause.
+    """
+    out, stops = _iterate(model, thetas, start, tol, max_iter)
     if not stops:
         return out
     index, iterations, distance, P, P_inv, lam = (np.concatenate(a) for a in zip(*stops))

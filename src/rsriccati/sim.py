@@ -198,37 +198,30 @@ def run_filter(
     theta = 0 is the Kalman filter. observations has shape (T, p) and
     must be finite; x0_hat has n entries. P_sequence and violation_step
     are the iterates and the final status of `iterate_trajectory` over T
-    steps, computed by the same loop. On a violation the run aborts
-    in-band: estimates computed so far are returned with violation_step
-    set. The gains do not depend on the observations, so the loop only
-    keeps the V decomposition of each step it yields before T (one per
-    step until its state repeats bitwise or its step distance stalls at
-    the roundoff floor, where it ends, see `riccati._trajectory`). Without
-    a violation, the rest of P_sequence is filled with copies of the last
-    P and the rest of the gain index with its row. Every gain is formed in
-    one stacked call after it; the estimate recursion then runs. Every
-    output is the same bits as a per-step gain would give until the stall
-    rule fires, and within the floor c * eps * cond(P) after.
+    steps, from the same records. On a violation the run aborts in-band:
+    estimates computed so far are returned with violation_step set. The
+    gains do not depend on the observations, so they come from the stacked
+    V decomposition `riccati._trajectory` hands back with its records, one
+    per "ok" step before T: the loop ends where its state repeats bitwise
+    or its step distance stalls at the roundoff floor. Without a violation,
+    the rest of P_sequence is filled with copies of the last P and the rest
+    of the gain index with its row. Every gain is formed in one stacked
+    call; the estimate recursion then runs. Every output is the same bits
+    as a per-step gain would give until the stall rule fires, and within
+    the floor c * eps * cond(P) after.
     """
     check_finite("theta", theta, nonnegative=True)
     observations = _observation_record(model, observations)
     x0_hat = _state_vector("x0_hat", x0_hat, model.n)
-    T, n = len(observations), model.n
-    lams, Us = [], []  # the V decomposition of each step before T
-    P_sequence = []
-    violation = None
-    for step, V_dec in _trajectory(model, theta, P0, T):
-        P_sequence.append(step.P)
-        if V_dec is None:
-            violation = step.t
-        elif step.t < T:
-            lams.append(V_dec.eigenvalues)
-            Us.append(V_dec.eigenvectors)
-    index = list(range(len(lams)))  # step -> its decomposition's row
+    T = len(observations)
+    steps, lam, U = _trajectory(model, theta, P0, T)
+    P_sequence = [step.P for step in steps]
+    violation = None if steps[-1].status == "ok" else steps[-1].t
+    lam, U = lam[:T], U[:T]  # the V decomposition of each step before T
+    index = list(range(len(lam)))  # step -> its decomposition's row
     if violation is None:  # settled or at T: every later step repeats the last
         P_sequence += [P_sequence[-1].copy() for _ in range(len(P_sequence), T + 1)]
         index += [index[-1]] * (T - len(index))
-    lam, U = np.reshape(lams, (-1, n)), np.reshape(Us, (-1, n, n))
     K, _ = _kalman_form(model, (U / lam[:, None, :]) @ U.swapaxes(1, 2))
     estimates, innovations = _estimate(model, list(K), index, x0_hat, observations)
     return FilterRun(

@@ -229,6 +229,22 @@ def _finite(N: int, name: str, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _factor(N: int, name: str, factor, X: np.ndarray) -> np.ndarray:
+    """factor(X) of the Gram X = name, I + H H^T or I + H^T H; NumericalError if it fails.
+
+    Both Grams are at least I, so a failed inverse or Cholesky factor can
+    only mean that rounding lost the identity in them: the entries of H
+    grow like r(A)^N on an unstable model.
+    """
+    try:
+        return factor(X)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"block matrix {name} cannot be factored at block length N={N}: "
+            f"its identity is lost to rounding in double precision ({exc})"
+        ) from exc
+
+
 def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
     """The theta-free block matrices.
 
@@ -244,16 +260,16 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
         H, L = _toeplitz(pw, model.C, model.B), _toeplitz(pw, model.D, model.B)
         phi = _finite(N, "I + H H^T", np.eye(N * model.p) + H @ H.T)
         psi = _finite(N, "I + H^T H", np.eye(N * model.m) + H.T @ H)
-        phi_inv = _sym(np.linalg.inv(phi))
+        phi_inv = _sym(_factor(N, "I + H H^T", np.linalg.inv, phi))
         X = L @ H.T @ phi_inv           # lower LDU coupling block
         J = O_R - X @ O
         A_N = pw[-1] @ model.A
     return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, J, A_N)
 
 
-def _penalty_root(free: _ThetaFree) -> np.ndarray:
+def _penalty_root(N: int, free: _ThetaFree) -> np.ndarray:
     """F = L chol(psi)^-T, Nq x Nm, so that F F^T = M = L psi^-1 L^T; psi = I + H^T H >= I."""
-    return np.linalg.solve(np.linalg.cholesky(free.psi), free.L.T).T
+    return np.linalg.solve(_factor(N, "I + H^T H", np.linalg.cholesky, free.psi), free.L.T).T
 
 
 def _threshold(N: int, name: str, X: np.ndarray) -> float:
@@ -272,7 +288,7 @@ def theta_N(model: StateSpaceModel, N: int) -> float:
     (size min(Nq, Nm)); +inf when that eigenvalue vanishes (no
     feedthrough from the process noise to the penalty output).
     """
-    return _threshold(N, "L (I + H^T H)^-1 L^T", _penalty_root(_theta_free(model, N)))
+    return _threshold(N, "L (I + H^T H)^-1 L^T", _penalty_root(N, _theta_free(model, N)))
 
 
 def _theta_half(N: int, free: _ThetaFree, thetas: np.ndarray):
@@ -366,7 +382,7 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     be observable.
     """
     free = _theta_free(model, N)
-    F = _penalty_root(free)
+    F = _penalty_root(N, free)
     th_N = _threshold(N, "L (I + H^T H)^-1 L^T", F)
     with np.errstate(over="ignore", invalid="ignore"):
         omega0 = _finite(N, "Omega_N(0)", _sym(free.O.T @ free.phi_inv @ free.O))
@@ -375,7 +391,8 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     # Y Y^T = J Omega_N(0)^{-1} J^T with Y = J R^{-1}, where Z = QR and
     # Omega_N(0) = Z^T Z for Z = phi^{-1/2} O, phi = I + H H^T. Working on Z
     # loses eps * sqrt(cond(Omega_N(0))), not eps * cond(Omega_N(0)).
-    R = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(free.phi), free.O), mode="r")
+    root = _factor(N, "I + H H^T", np.linalg.cholesky, free.phi)
+    R = np.linalg.qr(np.linalg.solve(root, free.O), mode="r")
     Y = np.linalg.solve(R.T, free.J.T).T
     tau = _threshold(N, "M + J Omega_N(0)^-1 J^T", np.hstack([F, Y]))
     return Thresholds(N=N, theta_N=th_N, tau_N=min(tau, th_N), tau_is_capped=bool(tau >= th_N))

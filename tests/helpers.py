@@ -9,6 +9,7 @@ from rsriccati import (
     DomainError,
     IterationLimitError,
     RiccatiStep,
+    SpectralDecomposition,
     StateSpaceModel,
     UsageError,
     build_block_model,
@@ -327,8 +328,8 @@ def translation_coefficient(P, Q, S):
 def reference_filter(model, theta, P0, x0_hat, observations):
     """`run_filter` and `iterate_trajectory` without the repeat shortcut.
 
-    Every step calls `_validity` and `_map_step` and forms its gain from its
-    own V, however often the state repeats. Returns (records, estimates,
+    Every step gates its own V^-1 through `_validity` and calls `_map_step`,
+    and forms its gain from its own V, however often the state repeats. Returns (records, estimates,
     innovations, violation_step) shaped as `iterate_trajectory` over
     len(observations) steps and `run_filter` return them.
     """
@@ -344,11 +345,13 @@ def reference_filter(model, theta, P0, x0_hat, observations):
             records.append(RiccatiStep(t, P, "cone_exit", lam[0], None))
             return records, estimates[: t + 1], innovations[:t], t
         P_inv = (U[0] / lam[0]) @ U[0].T
-        try:
-            V_dec = _validity(model, theta, P_inv)
-        except ConeExitError:
+        lam_V, U_V, failed = _validity(model, np.array([theta], dtype=float), P_inv[None])
+        if failed:
+            if not isinstance(failed[0], ConeExitError):
+                raise failed[0]
             records.append(RiccatiStep(t, P, "v_violation", lam[0], None))
             return records, estimates[: t + 1], innovations[:t], t
+        V_dec = SpectralDecomposition(lam_V[0], U_V[0])
         records.append(RiccatiStep(t, P, "ok", lam[0], 1.0 / V_dec.eigenvalues[::-1]))
         if t < T:
             K, _ = _kalman_form(model, V_dec.inverse())

@@ -68,6 +68,15 @@ def test_analyze_exits_numerical_on_overflow(capsys, tmp_path, N):
     assert "numerical error" in err and "not finite" in err
 
 
+@pytest.mark.parametrize("N", ["112", "128"])
+def test_analyze_past_double_precision_exits_numerical(capsys, model_file, N):
+    # the worked example's unstable A loses I + H^T H to rounding at these N
+    code, _, err = run_cli(capsys, "analyze", model_file, "--block-n", N)
+    assert code == 4
+    assert "numerical error" in err and f"block length N={N}" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_rejects_block_length_zero(capsys, model_file):
     code, _, err = run_cli(capsys, "analyze", model_file, "--block-n", "0")
     assert code == 2
@@ -305,6 +314,18 @@ def test_breakdown_bad_p0_file(capsys, model_file, tmp_path, matrix, code, messa
                           "--hi", "2e-3", "--p0", str(p0))
     assert got == code
     assert message in err
+
+
+def test_fixed_point_nan_p0_exits_cone_exit_on_a_three_state_model(capsys, tmp_path):
+    # LAPACK fails on a 3 x 3 NaN matrix; the gate still reads it as a cone exit
+    model = tmp_path / "three.json"
+    model.write_text('{"A": [[0.5,0,0],[0,0.5,0],[0,0,0.5]], "B": [[1,0,0],[0,1,0],[0,0,1]], '
+                     '"C": [[1,0,0]]}')
+    p0 = tmp_path / "p0.json"
+    p0.write_text(json.dumps([["NaN"] * 3] * 3).replace('"', ""))
+    code, _, err = run_cli(capsys, "fixed-point", str(model), "--p0", str(p0))
+    assert code == 3
+    assert "fixed-point start P0 not positive definite" in err
 
 
 def test_breakdown_missing_p0_file(capsys, model_file, tmp_path):

@@ -13,6 +13,7 @@ from rsriccati import (
     ConeExitError,
     DomainError,
     NumericalError,
+    StateSpaceModel,
     UsageError,
     contraction_bound,
     fixed_point,
@@ -142,6 +143,26 @@ def test_an_infinite_entry_is_rejected_as_nan_is(entry, value, where):
     M[where], N[where] = value, np.nan
     np.testing.assert_equal(_verdict(entry, M), _verdict(entry, N))
     assert _verdict(is_spd, M) is False
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_matrix_gets_one_verdict_at_every_size(n, value):
+    # LAPACK's eigh returns NaN for such a matrix at n <= 2 and fails at n >= 3;
+    # the gate decides before the eigensolve, with the NaN spectrum n <= 2 reads
+    model = StateSpaceModel(A=0.5 * np.eye(n), B=np.eye(n), C=np.eye(1, n), D=np.eye(n))
+    P = np.full((n, n), value)
+    message = "not positive definite: smallest eigenvalue nan <= 1e-12 x largest nan"
+    with pytest.raises(ConeExitError, match=message):
+        fixed_point(model, 0.0, P)
+    with pytest.raises(ConeExitError, match=message):
+        rs_gain(model, 0.0, P)
+    assert is_spd(P) is False
+
+
+def test_a_malformed_non_finite_matrix_is_a_usage_error():
+    with pytest.raises(UsageError, match="expected a square matrix"):
+        is_spd(np.full((2, 3), np.nan))
 
 
 def test_distances_are_scale_free():

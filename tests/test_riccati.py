@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from helpers import (
@@ -935,3 +937,30 @@ def test_a_start_is_gated_once_per_public_call(monkeypatch, example_model, solve
     P0 = np.array([[2.0, 0.5], [0.5, 1.0]])
     solve(example_model, P0)
     assert len(gated) == 1 and np.array_equal(gated[0], P0)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda m: fixed_point(m, 1e-4), id="fixed_point"),
+    pytest.param(lambda m: fixed_point_sweep(m, [0.0, 1e-4]), id="fixed_point_sweep"),
+    pytest.param(lambda m: breakdown_search(m, 0.0), id="breakdown_search"),
+    pytest.param(lambda m: iterate_trajectory(m, 1e-4, np.eye(2), 20), id="iterate_trajectory"),
+    pytest.param(lambda m: run_filter(m, 1e-4, np.eye(2), np.zeros(2), np.zeros((20, 1))),
+                 id="run_filter"),
+])
+def test_every_riccati_iteration_steps_through_the_one_loop(monkeypatch, example_model, entry):
+    # each public iteration reaches `_iterate`, and only `_iterate` gates a step
+    loops, steps = [], []
+    iterate, gate_step = riccati._iterate, riccati._gate_step
+
+    def counted_loop(*args, **kwargs):
+        loops.append(len(args[1]))
+        return iterate(*args, **kwargs)
+
+    def counted_step(*args):
+        steps.append(sys._getframe(1).f_code.co_name)
+        return gate_step(*args)
+
+    monkeypatch.setattr(riccati, "_iterate", counted_loop)
+    monkeypatch.setattr(riccati, "_gate_step", counted_step)
+    entry(example_model)
+    assert loops and steps and set(steps) == {"_iterate"}

@@ -295,6 +295,10 @@ def shortcut_cases(example_model):
         "n=4 theta>0 T=2000": (n4, n4_theta, np.eye(4), 2000, "stall"),
         "v_violation": (example_model, 2e-3, np.eye(2), 60, None),
         "cone_exit": (load_model(MAP_EXIT_JSON), MAP_EXIT_THETA, np.eye(2), 5, None),
+        # V fails at step 18 while the iteration itself goes on and settles
+        "v_violation then settles": (example_model, 1.2e-3, np.eye(2), 300, None),
+        "cone_exit at t=0": (example_model, 0.0, -np.eye(2), 20, None),
+        "v_violation at t=0": (example_model, 10.0, np.eye(2), 20, None),
     }
 
 
@@ -307,7 +311,8 @@ def assert_close(got, want, scale, k=STALL_K):
 @pytest.mark.parametrize("case", [
     "two-state theta=0", "two-state theta>0", "two-state theta=0 from P*",
     "worked example theta=0", "n=4 theta=0", "n=4 theta>0", "n=4 theta=0 T=2000",
-    "n=4 theta>0 T=2000", "v_violation", "cone_exit",
+    "n=4 theta>0 T=2000", "v_violation", "cone_exit", "v_violation then settles",
+    "cone_exit at t=0", "v_violation at t=0",
 ])
 def test_filter_and_trajectory_match_the_always_factorizing_loop(shortcut_cases, case):
     model, theta, P0, T, first = shortcut_cases[case]
@@ -375,13 +380,17 @@ def test_no_factorization_after_the_state_repeats(monkeypatch, theta):
     assert r is not None and r < 100
     calls = _count_factorizations(monkeypatch)
     steps = iterate_trajectory(TWO_STATE, theta, np.eye(2), T)
-    # the start, then one stacked gate (V^-1 and the map's inner matrix) and
-    # the gate of P_next on steps 0..r; none after
-    assert calls == ["eigh"] * (1 + 2 * (r + 1))
+    # the start, then the gate of the map's inner matrix (with the whitened
+    # step) and the gate of P_next on steps 0..r, then one stacked V gate over
+    # steps 0..r; none after. At theta = 0.02 the stall rule ends step r
+    # before its P_next is formed; at theta = 0 the loop forms P_{r+1} and
+    # ends at the exact repeat.
+    want = 1 + 2 * (r + 1) + {0.0: 1, 0.02: 0}[theta]
+    assert calls == ["eigh"] * want
     calls.clear()
     run_filter(TWO_STATE, theta, np.eye(2), np.zeros(2), observations)
     # and every gain from one inverse of the stacked R_nu
-    assert calls.count("eigh") == 1 + 2 * (r + 1) and calls.count("inv") == 1
+    assert calls.count("eigh") == want and calls.count("inv") == 1
     # the repeated records are still distinct arrays
     last, before = steps[-1], steps[-2]
     for a, b in ((last.P, before.P), (last.lambda_P, before.lambda_P),
@@ -396,8 +405,10 @@ def test_two_eigensolve_calls_per_step_without_a_repeat(monkeypatch, shortcut_ca
     steps = iterate_trajectory(model, theta, P0, T)
     s = first_repeat(steps)  # the records from step s on are copies of record s
     assert s is not None and s < T
-    # the start, then two calls on each of steps 0..s (the step distance is a
-    # third entry of the first call's stack); none after
+    # the start, then two calls on each of steps 0..s - 1 (the step distance
+    # is a second entry of the first call's stack), one on step s, where the
+    # stall rule ends the loop before P_{s+1} is formed, and one stacked V
+    # gate over steps 0..s; none after
     assert calls == ["eigh"] * (1 + 2 * (s + 1))
     calls.clear()
     run_filter(model, theta, P0, np.zeros(model.n), observations)

@@ -493,6 +493,25 @@ def test_thresholds_report_overflow_as_numerical_failure(N):
             theta_N(model, N)
 
 
+@pytest.mark.parametrize("N", [112, 128])
+def test_thresholds_past_double_precision_are_a_numerical_failure(example_model, N):
+    # A has an eigenvalue 1.2, so H holds entries near 1.2^N and rounding
+    # loses the identity in I + H^T H: its Cholesky factor fails
+    for threshold in (tau_N, theta_N):
+        with pytest.raises(NumericalError,
+                           match=rf"I \+ H\^T H cannot be factored at block length N={N}"):
+            threshold(example_model, N)
+
+
+def test_a_singular_measurement_gram_is_a_numerical_failure():
+    # at A = 2 and N = 32 rounding leaves I + H H^T exactly singular
+    model = StateSpaceModel(A=np.array([[2.0]]), B=np.eye(1), C=np.eye(1), D=np.eye(1))
+    for build in (tau_N, build_block_model, lambda m, N: gramian_sweep(m, N, [0.0])):
+        with pytest.raises(NumericalError,
+                           match=r"I \+ H H\^T cannot be factored at block length N=32"):
+            build(model, 32)
+
+
 def test_block_model_reports_penalty_overflow_as_numerical_failure():
     # C sees only the stable mode, so H and its Grams stay finite, but the
     # penalty map L holds D A^2 B = 1e400: the Q gate must not read it
