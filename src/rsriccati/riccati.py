@@ -165,10 +165,7 @@ _VALIDITY_GATE = "validity violated: P^-1 - theta D^T D"
 
 
 def _validity(model: StateSpaceModel, thetas: np.ndarray, P_inv: np.ndarray):
-    """V^-1 = P^-1 - theta D^T D gated over a stack P^-1, as `_require_spd_stack` gives it.
-
-    thetas holds one theta per entry, or one for the whole stack.
-    """
+    """V^-1 = P^-1 - theta D^T D gated over a stack P^-1 (thetas: one per entry, or one)."""
     return _require_spd_stack(P_inv - thetas[:, None, None] * (model.D.T @ model.D),
                               _VALIDITY_GATE)
 
@@ -434,25 +431,21 @@ def verify_are(model: StateSpaceModel, theta: float, P) -> AreReport:
 
 def _iterate(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: float,
              max_iter: int, trace: Optional[list] = None):
-    """The one Riccati loop: the straight iteration for every theta at once.
+    """The one Riccati loop: the straight iteration for every theta at once, never gating V.
 
-    It starts from one start (P0, its decomposition, P0^-1) that its caller
-    gated; each later P_t^-1 comes from the decomposition `_map_next` gave.
-    The map's constant products are formed once. A step makes two stacked
-    eigensolve calls: `_gate_step` gates the inner matrix (`_map_inner`) of
-    each P_t together with the whitened step from P_{t-1}, whose distance
-    d_t is read first, then `_map_next` forms and gates P_{t+1}. V is never
-    gated here. A theta stops at P_t once d_t is below tol or has stalled
-    at its roundoff floor (`_stalled`); the error of its step-(t+1) inner
-    matrix is then dropped, not reported.
-
-    Returns (out, stops): per theta None or its error, which is the map's
-    exit at step t + 1 (a cone exit is wrapped as the breakdown at that
-    step) or the iteration limit; and per step where thetas stopped, the
-    arrays (index, iterations, distance, P_t, P_t^-1, lambda_P). A `trace`
-    list (batch one) receives (P_t, lambda_P, P_t^-1) at each step, and a
-    traced run also ends, with no stop and no error, where P_{t+1}, its
-    eigenvalues and its eigenvectors repeat P_t's bitwise.
+    start is (P0, its decomposition, P0^-1), gated by the caller; each later
+    P_t^-1 comes from the decomposition `_map_next` gave. Per step,
+    `_gate_step` gates the inner matrix of each P_t with the whitened step
+    from P_{t-1}, whose distance d_t is read first, then `_map_next` forms
+    and gates P_{t+1}. A theta stops at P_t once d_t < tol or d_t has
+    stalled (`_stalled`); its step-(t+1) inner matrix's error is dropped.
+    Returns (out, stops): per theta None or its error (the map's exit at
+    step t + 1, a cone exit wrapped as the breakdown there, or the
+    iteration limit), and per step where thetas stopped the arrays (index,
+    iterations, distance, P_t, P_t^-1, lambda_P). A `trace` list (batch
+    one) receives (P_t, lambda_P, P_t^-1) at each step; a traced run also
+    ends, with no stop and no error, where P_{t+1}, its eigenvalues and its
+    eigenvectors repeat P_t's bitwise.
     """
     b = len(thetas)
     out = [None] * b
@@ -463,7 +456,9 @@ def _iterate(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: floa
     CtC, thDtD, BBt = _map_products(model, thetas)
     stops = []  # per step where thetas stop: index, iterations, distance, P, P^-1, lambda_P
     for it in range(1, max_iter + 2):
-        if trace is not None and live.size:
+        if not live.size:  # no theta left to step: the last ones left the cone
+            break
+        if trace is not None:
             trace.append((P[0], lam[0], P_inv[0]))
         lam_in, U_in, errors, step = _gate_step(
             _map_inner(P_inv, CtC, thDtD[live]), P_prev, lam, U, _INNER_GATE)
@@ -507,11 +502,9 @@ def _solve_stack(model: StateSpaceModel, thetas: np.ndarray, start: tuple, tol: 
                  max_iter: int) -> list:
     """Per theta: its FixedPointResult, or the error `fixed_point` raises for it.
 
-    The one loop (`_iterate`) from a start gated by the caller through
-    `_inverse`, then one `_are_stack` call that finishes every theta that
-    stopped, from the P_t, P_t^-1 and eigenvalues the loop kept. One whose
-    V at P* fails the gate gets the breakdown error, carrying the gate's as
-    its cause.
+    `_iterate` from a start `_inverse` gated, then one `_are_stack` call on
+    the points where thetas stopped. One whose V at P* fails the gate gets
+    the breakdown error, carrying the gate's as its cause.
     """
     out, stops = _iterate(model, thetas, start, tol, max_iter)
     if not stops:
