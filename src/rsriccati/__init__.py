@@ -67,7 +67,6 @@ from .statespace import (
     is_reachable,
     load_model,
     tau_N,
-    theta_N,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "spectral",
     "symmetrize",
     "tau_N",
-    "theta_N",
     "thompson_distance",
     "verify_are",
 ]

@@ -25,9 +25,11 @@ stacked pass finishes every converged theta (validity gate at P*, gain,
 ARE residual, closed-loop spectrum) from them. `fixed_point` is the sweep
 at batch size one, and `verify_are` the finish. Each theta stops at its
 own step, so its result and its iteration count (the canonical one) are
-the same at any batch size. `breakdown_search` solves the midpoints of
-several bisection levels per stacked call and walks them as a plain
-bisection. `iterate_trajectory` and `sim.run_filter` run the loop at
+the same at any batch size. `breakdown_search` solves its ends and the
+bisection path the closed form of P*(theta) predicts (`_closed_form`) in
+one stacked call, then walks the real verdicts as a plain bisection. The
+closed form only groups the probes; the iteration decides every verdict.
+`iterate_trajectory` and `sim.run_filter` run the loop at
 batch one with tol = 0 and max_iter = T, tracing each step.
 
 Every inversion goes through the positivity gate `cone.require_spd`, or
@@ -603,8 +605,42 @@ def fixed_point(
     return fixed_point_sweep(model, [theta], P0, tol, max_iter)[0]
 
 
-# Bisection levels whose midpoints `breakdown_search` solves in one stacked call.
+# Bisection levels whose midpoints `breakdown_search` solves in one stacked call
+# once the closed form has no verdict for the walk's next midpoint.
 _SPECULATIVE_LEVELS = 3
+
+
+def _closed_form(model: StateSpaceModel, theta: float):
+    """(P*(theta), solvable) from the map's 2n x 2n matrix, or None when A is singular.
+
+    With S = C^T C - theta D^T D and P = U V^-1 the map is [U; V] -> M [U; V],
+    M = [[A + B B^T A^-T S, B B^T A^-T], [A^-T S, A^-T]] (Anderson & Moore,
+    *Optimal Filtering*, 1979), so the straight iteration is subspace
+    iteration on M and P* = U V^-1 comes from its n eigenvectors of largest
+    modulus. solvable predicts the fixed-point verdict at theta: P* is real
+    and positive definite, the gap |lambda_n| > |lambda_n+1| is open and
+    V at P* is valid, theta lambda_1(D P* D^T) < 1. It never sees the
+    iterates of a given start. numpy has no QZ, so a singular A gets None.
+    """
+    try:
+        Ait = np.linalg.inv(model.A).T
+    except np.linalg.LinAlgError:
+        return None
+    CtC, thDtD, BBt = _map_products(model, np.array([theta], dtype=float))
+    n, S, G = model.n, CtC - thDtD[0], BBt @ Ait
+    with np.errstate(all="ignore"):
+        try:
+            lam, X = np.linalg.eig(np.block([[model.A + G @ S, G], [Ait @ S, Ait]]))
+            order = np.argsort(-np.abs(lam))
+            P = np.linalg.solve(X[n:, order[:n]].T, X[:n, order[:n]].T).T  # U V^-1
+            P_real = _sym(P.real)
+            return P_real, bool(
+                np.abs(P.imag).max() <= 1e-8 * np.abs(P_real).max()
+                and abs(lam[order[n - 1]]) > abs(lam[order[n]])
+                and np.linalg.eigvalsh(P_real)[0] > 0.0
+                and theta * np.linalg.eigvalsh(model.D @ P_real @ model.D.T)[-1] < 1.0)
+        except np.linalg.LinAlgError:
+            return None, False
 
 
 @dataclass(frozen=True)
@@ -652,14 +688,20 @@ def breakdown_search(
     theta * lam_1(D P*(theta) D^T) < 1. So that end counts as a failed
     probe without being solved, and a theta_lo of 0 reads the solve just made.
 
-    The probes are `fixed_point_sweep`'s kernel, `_solve_stack`. The
-    two ends are solved in one call; after that, each call solves the
-    midpoints of the next _SPECULATIVE_LEVELS levels below the current
-    bracket, each to its own stop (`_stalled` ends those near breakdown),
-    and the bisection walks them with the usual test, so every midpoint,
-    the bracket and `evaluations` are those of a one-probe-at-a-time
-    bisection. An error other than breakdown or the iteration limit is
-    raised when the walk reaches its theta.
+    The probes are `fixed_point_sweep`'s kernel, `_solve_stack`, each run
+    to its own stop (`_stalled` ends those near breakdown). The closed
+    form of P*(theta) (`_closed_form`) predicts each verdict, and the
+    midpoints a bisection walks on those predictions are solved with the
+    two ends in one call (after the theta = 0 solve of the default end).
+    The bisection then walks the real verdicts with the usual test. Where
+    its next midpoint has none, after a misprediction or at once for a
+    singular A, each further call solves the midpoints of the next
+    _SPECULATIVE_LEVELS levels below the current bracket. A theta's
+    outcome does not depend on its batch, so every midpoint, the bracket
+    and `evaluations` are those of a one-probe-at-a-time bisection. A
+    start whose iterates leave the cone below the closed form's breakdown
+    only costs a misprediction. An error other than breakdown or the
+    iteration limit is raised when the walk reaches its theta.
     """
     check_finite("theta", theta_lo, nonnegative=True)
     if not tol >= 0.0:
@@ -687,16 +729,31 @@ def breakdown_search(
             raise verdicts[theta]
         return verdicts[theta]
 
+    def midpoint(lo: float, hi: float) -> Optional[float]:
+        """The bisection's next theta in (lo, hi); None at width tol or adjacent floats."""
+        mid = 0.5 * (lo + hi)
+        return mid if hi - lo > tol and lo < mid < hi else None
+
     def levels(lo: float, hi: float) -> list:
         """The midpoints of the next _SPECULATIVE_LEVELS levels below (lo, hi), as the walk forms them."""
         mids, brackets = [], [(lo, hi)]
         for _ in range(_SPECULATIVE_LEVELS):
             below = []
             for a, b in brackets:
-                if b - a > tol and a < (m := 0.5 * (a + b)) < b:
+                if (m := midpoint(a, b)) is not None:
                     mids.append(m)
                     below += [(a, m), (m, b)]
             brackets = below
+        return mids
+
+    def predicted_path(lo: float, hi: float) -> list:
+        """The walk's midpoints if the closed form's verdicts hold; none unless it predicts a breakdown."""
+        at_hi, mids = _closed_form(model, hi), []
+        if at_hi is None or at_hi[1]:  # a singular A, or no breakdown predicted in range
+            return mids
+        while (mid := midpoint(lo, hi)) is not None:
+            mids.append(mid)
+            lo, hi = (mid, hi) if _closed_form(model, mid)[1] else (lo, mid)
         return mids
 
     def probe(thetas: list) -> None:
@@ -710,7 +767,7 @@ def breakdown_search(
             else:
                 verdicts[theta] = outcome if isinstance(outcome, Exception) else True
 
-    probe([theta_lo, theta_hi])
+    probe([theta_lo, theta_hi, *predicted_path(theta_lo, theta_hi)])
     evaluations = 2
     if not solvable(theta_lo):
         raise UsageError(
@@ -725,7 +782,7 @@ def breakdown_search(
             evaluations=evaluations,
         )
     lo, hi = theta_lo, theta_hi
-    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while (mid := midpoint(lo, hi)) is not None:
         if mid not in verdicts:
             probe(levels(lo, hi))
         evaluations += 1

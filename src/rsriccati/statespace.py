@@ -6,7 +6,7 @@ risk-sensitive estimation problem. Downsampling by a block length N
 yields stacked reachability/observability matrices, block Toeplitz
 impulse-response maps, and the risk-dependent Gramians Omega_N(theta)
 and W_N(theta) whose positivity controls contraction of the N-fold
-Riccati map. The thresholds computed here:
+Riccati map. The thresholds `tau_N` returns:
 
   theta_N  -- largest risk parameter keeping the whitened block input
               covariance positive definite,
@@ -19,7 +19,7 @@ F = L chol(I + H^T H)^-T or [F, Y]; neither forms an Nq x Nq matrix.
 
 The theta-free block matrices (R, O, O_R, H, L, J and the Grams
 I + H H^T, I + H^T H) come from one private builder, shared by
-`build_block_model`, `gramian_sweep`, `tau_N` and `theta_N`. The theta
+`build_block_model`, `gramian_sweep` and `tau_N`. The theta
 half reads only Q = (I + H^T H - theta L^T L)^-1, whose gate is the one
 test of theta < theta_N, through products of size Nm or smaller. A block
 matrix that overflows double precision raises NumericalError before any
@@ -280,17 +280,6 @@ def _threshold(N: int, name: str, X: np.ndarray) -> float:
     return 1.0 / lam_1 if lam_1 > 0.0 else math.inf
 
 
-def theta_N(model: StateSpaceModel, N: int) -> float:
-    """Positivity threshold of the whitened block input covariance.
-
-    The reciprocal of the largest eigenvalue of
-    M = L (I + H^T H)^{-1} L^T = F F^T, read from the smaller Gram of F
-    (size min(Nq, Nm)); +inf when that eigenvalue vanishes (no
-    feedthrough from the process noise to the penalty output).
-    """
-    return _threshold(N, "L (I + H^T H)^-1 L^T", _penalty_root(N, _theta_free(model, N)))
-
-
 def _theta_half(N: int, free: _ThetaFree, thetas: np.ndarray):
     """Stacks Q, Omega and W over a 1-D array of theta, from one stacked gate.
 
@@ -373,7 +362,7 @@ def tau_N(model: StateSpaceModel, N: int) -> Thresholds:
     For theta < theta_N, Omega_N(theta) = Omega_N(0) - J^T (I/theta - M)^{-1} J
     with M = L (I + H^T H)^{-1} L^T, so by a Schur complement it is
     positive definite exactly when 1/theta > lam_1(M + J Omega_N(0)^{-1} J^T).
-    That matrix is X X^T, X = [F, Y] with M = F F^T as in theta_N and
+    That matrix is X X^T, X = [F, Y] with M = F F^T (theta_N = 1/lam_1(M)) and
     Y Y^T = J Omega_N(0)^{-1} J^T, so lam_1 comes from the smaller Gram of
     X, of size min(Nq, Nm + n). tau_N is its reciprocal (+inf when it
     vanishes), taken no larger than theta_N, which it can pass only by

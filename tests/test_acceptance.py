@@ -36,7 +36,6 @@ from rsriccati import (
     rs_riccati_map,
     spectral,
     tau_N,
-    theta_N,
 )
 
 
@@ -300,7 +299,10 @@ def test_criterion_09d_block_map_is_composition():
         for _ in range(8):
             model = random_model(rng)
             P = random_spd(rng, 2, 0.3, 3.0)
-            theta = min(safe_theta(model, P), 0.5 * theta_N(model, N))
+            # at N = 1 no noise reaches the penalty within the block (L = 0), so
+            # theta_N is infinite; tau_N, which reports it, needs N p >= n
+            theta_cap = np.inf if N == 1 else tau_N(model, N).theta_N
+            theta = min(safe_theta(model, P), 0.5 * theta_cap)
             block = build_block_model(model, N, theta)
             composed = P
             for _ in range(N):
@@ -314,7 +316,7 @@ def test_criterion_09d_block_map_is_composition():
 
 def test_criterion_09e_gramian_monotonicity(example_model):
     """Loewner monotonicity of the two Gramians on a 20-point grid."""
-    grid = np.linspace(0.0, 0.95 * theta_N(example_model, 2), 20)
+    grid = np.linspace(0.0, 0.95 * tau_N(example_model, 2).theta_N, 20)
     blocks = [build_block_model(example_model, 2, t) for t in grid]
     ok = True
     for b1, b2 in zip(blocks, blocks[1:]):
@@ -402,7 +404,7 @@ def test_criterion_10_threshold_cross_check(example_model):
     H, L = block.H, block.L
     core = L @ np.linalg.inv(np.eye(4) + H.T @ H) @ L.T
     lam1 = float(np.max(np.linalg.eigvalsh(core)))
-    th2 = theta_N(example_model, 2)
+    th2 = tau_N(example_model, 2).theta_N
     ok = abs(lam1 - 1.0) < 1e-10 and abs(th2 - 1.0 / lam1) < 1e-12
     report("criterion 10 (threshold cross-check)",
            ok, f"core eigenvalue {lam1:.12f}, threshold {th2:.12f} "

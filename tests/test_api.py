@@ -54,14 +54,13 @@ PUBLIC_API = [
     "spectral",
     "symmetrize",
     "tau_N",
-    "theta_N",
     "thompson_distance",
     "verify_are",
 ]
 
 
 def test_public_api_is_the_listed_names():
-    assert len(PUBLIC_API) == 49
+    assert len(PUBLIC_API) == 48
     assert sorted(rsriccati.__all__) == PUBLIC_API
 
 

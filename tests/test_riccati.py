@@ -19,6 +19,7 @@ from helpers import (
 )
 
 from rsriccati import (
+    BreakdownResult,
     ConeExitError,
     DomainError,
     IterationLimitError,
@@ -42,9 +43,12 @@ from rsriccati import (
     verify_are,
 )
 from rsriccati import riccati
-from rsriccati.riccati import _inverse, _solve_stack
+from rsriccati.cli import main
+from rsriccati.riccati import _closed_form, _inverse, _solve_stack
 
 SCALAR = '{"A": [[%s]], "B": [[1]], "C": [[1]], "D": [[1]]}'
+# A nilpotent, so singular: the closed form of the map has no P* for it
+NILPOTENT = '{"A": [[0,1],[0,0]], "B": [[1,0],[0,1]], "C": [[1,0]], "D": [[1,0],[0,1]]}'
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +681,46 @@ def test_fixed_point_sweep_mixes_real_and_complex_closed_loop_spectra():
     assert {r.closed_loop_eigenvalues.dtype.kind for r in results} == {"f", "c"}
 
 
+def test_fixed_point_sweep_matches_the_closed_form_on_the_paper_grid(example_model):
+    # P* = U V^-1 from the map's 2n x 2n matrix shares no code with the iteration
+    thetas = np.linspace(0.0, 0.95e-3, 200)
+    for theta, res in zip(thetas, fixed_point_sweep(example_model, thetas, np.eye(2))):
+        P_star, solvable = _closed_form(example_model, theta)
+        assert solvable and riemann_distance(res.P_star, P_star) < 1e-10
+
+
+def test_fixed_point_matches_the_closed_form_on_random_models():
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 8
+        model = random_model(rng, n=n, m=n, p=1 + seed % 2, radius=(0.5, 0.9, 1.1, 1.3)[seed % 4])
+        P_star, solvable = _closed_form(model, 0.0)
+        assert solvable and riemann_distance(fixed_point(model, 0.0).P_star, P_star) < 1e-10
+
+
+def singular_models():
+    """The nilpotent model, and seeded random models whose A has a zero column."""
+    models = [load_model(NILPOTENT)]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        A = rng.standard_normal((n, n))
+        A[:, 0] = 0.0
+        models.append(StateSpaceModel(A=A, B=rng.standard_normal((n, n)),
+                                      C=rng.standard_normal((1, n)), D=np.eye(n)))
+    return models
+
+
+def test_fixed_point_on_a_singular_A_matches_the_discrete_are():
+    # numpy has no QZ, so the closed form has no P* here; scipy's solver has
+    linalg = pytest.importorskip("scipy.linalg")
+    for model in singular_models():
+        assert _closed_form(model, 0.0) is None
+        P_star = linalg.solve_discrete_are(model.A.T, model.C.T, model.B @ model.B.T,
+                                           np.eye(model.p))
+        assert riemann_distance(fixed_point(model, 0.0).P_star, P_star) < 1e-10
+
+
 def test_fixed_point_sweep_raises_the_first_breakdown(example_model):
     thetas = np.linspace(0.0, 1.5e-3, 40)
     want = None
@@ -876,29 +920,82 @@ def test_breakdown_matches_sequential_bisection_in_fewer_calls(
     calls = counted_kernel(monkeypatch)
     got = breakdown_search(model, lo, hi, P0, tol)
     assert got.found and got.bracket == bracket and got.evaluations == evaluations
-    # the ends in one call, then one call per _SPECULATIVE_LEVELS levels
-    levels = evaluations - 2
-    assert len(calls) == 1 + -(-levels // riccati._SPECULATIVE_LEVELS) <= max_calls
+    # the ends and the closed form's predicted path in one call. Whittle at
+    # tol = 0 mispredicts near breakdown; from there each call solves the
+    # next _SPECULATIVE_LEVELS levels, as every call after the ends did
+    # without the prediction (max_calls in all)
+    assert len(calls) == {"sigma": 1, "identity": 1, "whittle": 4}[case] < max_calls
+
+
+def default_end(model, P0):
+    """breakdown_search's default upper end from P0, 1/lam_1(D P*(0) D^T)."""
+    P_star = fixed_point(model, 0.0, P0).P_star
+    return 1.0 / spectral(model.D @ P_star @ model.D.T).eigenvalues[0]
 
 
 def test_breakdown_probes_near_the_top_end_as_a_validity_breakdown(monkeypatch, example_model):
-    # From the identity with the default end, the second round solves
-    # theta = 1.30695e-3, above the breakdown the walk goes on to bracket. The
-    # stall rule ends it as the validity breakdown at P* (at step 101), so every
-    # probe runs to its own stop and none to the iteration limit.
-    P_star = fixed_point(example_model, 0.0).P_star
-    end = 1.0 / spectral(example_model.D @ P_star @ example_model.D.T).eigenvalues[0]
+    # From the identity with the default end, the probes above the breakdown
+    # the walk brackets converge to a P* whose V fails, the nearest one at
+    # the bracket's top end. Each ends as the validity breakdown at P* (near
+    # step 105), so every probe runs to its own stop and none to the
+    # iteration limit.
+    end = default_end(example_model, np.eye(2))
     bracket, evaluations = sequential_bisection(example_model, 0.0, end, np.eye(2), 1e-6)
     calls = counted_kernel(monkeypatch)
     got = breakdown_search(example_model, 0.0)
     assert got.bracket == bracket and got.evaluations == evaluations
-    thetas, out = calls[2]  # the theta = 0 solve for the end, then one call per round
-    (i,) = [i for i, t in enumerate(thetas) if 1.3e-3 < t < 1.31e-3]
-    assert isinstance(out[i], ConeExitError) and out[i].step < 1000
-    assert "validity matrix is not positive definite" in str(out[i])
-    outcomes = [o for _, call in calls for o in call]
-    assert None not in outcomes
-    assert not any(isinstance(o, IterationLimitError) for o in outcomes)
+    probes = {t: o for thetas, out in calls for t, o in zip(thetas, out)}
+    validity = {t: o for t, o in probes.items() if t >= bracket[1] and isinstance(o, ConeExitError)
+                and "validity matrix is not positive definite" in str(o)}
+    assert bracket[1] in validity and all(o.step < 1000 for o in validity.values())
+    assert None not in probes.values()
+    assert not any(isinstance(o, IterationLimitError) for o in probes.values())
+
+
+@pytest.mark.parametrize("case", [*range(8), "singular"])
+def test_breakdown_is_the_sequential_bisection_bitwise(monkeypatch, case):
+    # the closed form only decides which thetas share a stacked call. On
+    # seeded models (from seed 0's start the map leaves the cone at step 1
+    # far below the closed form's breakdown, a misprediction; seed 1 has a
+    # probe at the iteration limit)
+    # and on a singular A (no prediction: each call after the ends solves
+    # the next _SPECULATIVE_LEVELS levels) the result is a
+    # one-probe-at-a-time bisection's, to the bit
+    if case == "singular":
+        model, P0 = load_model(NILPOTENT), np.eye(2)
+    else:
+        rng = np.random.default_rng(case)
+        n = 1 + case % 4
+        model = random_model(rng, n=n, m=n, p=1, radius=(0.5, 0.9, 1.1, 1.3)[case // 2])
+        P0 = random_spd(rng, n)
+    end = default_end(model, P0)
+    bracket, evaluations = sequential_bisection(model, 0.0, end, P0, 1e-6 * end)
+    calls = counted_kernel(monkeypatch)
+    got = breakdown_search(model, 0.0, end, P0, 1e-6 * end)
+    assert got == BreakdownResult(0.5 * (bracket[0] + bracket[1]), bracket, True, evaluations)
+    if case == "singular":
+        assert len(calls) == 1 + -(-(evaluations - 2) // riccati._SPECULATIVE_LEVELS)
+    if case == 0:  # the walk left the predicted path
+        assert len(calls) > 1
+
+
+def test_the_paper_search_is_one_stacked_call(monkeypatch, tmp_path, example_model, example_bound):
+    # paper-example's search solves its ends and the closed form's predicted
+    # path in one call; a default end needs P*(0) first, so there it is two
+    calls, searches = counted_kernel(monkeypatch), []
+    search = riccati.breakdown_search
+
+    def counted_search(*args, **kwargs):
+        first = len(calls)
+        result = search(*args, **kwargs)
+        searches.append(len(calls) - first)
+        return result
+
+    monkeypatch.setattr(riccati, "breakdown_search", counted_search)
+    assert main(["paper-example", "--out-dir", str(tmp_path)]) == 0
+    for P0 in (np.eye(2), example_bound[1]):
+        counted_search(example_model, 0.0, None, P0)
+    assert searches == [1, 2, 2]
 
 
 @pytest.mark.parametrize("P0, error, match", [

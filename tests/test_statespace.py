@@ -25,7 +25,6 @@ from rsriccati import (
     load_model,
     spectral,
     tau_N,
-    theta_N,
 )
 from rsriccati import statespace
 
@@ -157,7 +156,7 @@ def test_impulse_toeplitz_block_layout():
 
 
 def test_block_length_below_one_is_a_usage_error(example_model):
-    for build in (build_block_model, tau_N, theta_N):
+    for build in (build_block_model, tau_N):
         with pytest.raises(UsageError, match="block length N must be >= 1, got 0"):
             build(example_model, 0)
 
@@ -209,14 +208,14 @@ def test_theta_infinite_when_no_penalty_feedthrough():
         A=np.diag([0.5, 0.3]), B=np.array([[0.0], [1.0]]),
         C=np.eye(2), D=np.array([[1.0, 0.0]]),
     )
-    assert math.isinf(theta_N(model, 3))
+    assert math.isinf(tau_N(model, 3).theta_N)
 
 
 def test_theta_scalar_hand_value():
     # single entries H_1 = L_1 = 1; bottom entry of (I + H^T H)^-1 is
     # 1/2, so the largest eigenvalue is 1/2 and the threshold is 2
     model = load_model('{"A": [[0]], "B": [[1]], "C": [[1]], "D": [[1]]}')
-    assert abs(theta_N(model, 2) - 2.0) < 1e-12
+    assert abs(tau_N(model, 2).theta_N - 2.0) < 1e-12
 
 
 def test_theta_example_follows_defining_formula(example_model):
@@ -230,7 +229,7 @@ def test_theta_example_follows_defining_formula(example_model):
     core = L @ np.linalg.inv(np.eye(4) + H.T @ H) @ L.T
     lam_1 = np.max(np.linalg.eigvalsh(core))
     assert abs(lam_1 - 1.0) < 1e-12
-    assert abs(theta_N(example_model, 2) - 1.0 / lam_1) < 1e-12
+    assert abs(tau_N(example_model, 2).theta_N - 1.0 / lam_1) < 1e-12
 
 
 @pytest.mark.parametrize("c", [1e-8, 1e-7, 1e-6, 1.0, 1e3])
@@ -239,8 +238,8 @@ def test_theta_scales_with_the_penalty_output(example_model, c):
     # only an exactly vanishing eigenvalue reads as infinite
     m = example_model
     scaled = StateSpaceModel(A=m.A, B=m.B, C=m.C, D=c * np.eye(2))
-    assert abs(theta_N(scaled, 2) * c**2 - 1.0) < 1e-14
-    assert all(math.isinf(theta_N(_strong_output_model(), N)) for N in (1, 2, 3, 5))
+    assert abs(tau_N(scaled, 2).theta_N * c**2 - 1.0) < 1e-14
+    assert all(math.isinf(tau_N(_strong_output_model(), N).theta_N) for N in (1, 2, 3, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +303,13 @@ def test_block_model_ldu_reconstruction(example_model):
 
 
 def test_block_model_rejects_theta_at_threshold(example_model):
-    th = theta_N(example_model, 2)
+    th = tau_N(example_model, 2).theta_N
     with pytest.raises(DomainError, match="not positive definite"):
         build_block_model(example_model, 2, th * 1.01)
 
 
 def test_schur_complement_sign_tracks_threshold(example_model):
-    th = theta_N(example_model, 2)
+    th = tau_N(example_model, 2).theta_N
     block = build_block_model(example_model, 2)
     H, L = block.H, block.L
     psi_inv = np.linalg.inv(np.eye(4) + H.T @ H)
@@ -332,7 +331,7 @@ def test_block_model_schur_matches_direct(example_model):
 
 def test_gramian_monotonicity_in_theta(example_model):
     # observability Gramian decreases, reachability Gramian does not
-    thetas = np.linspace(0.0, 0.9 * theta_N(example_model, 2), 8)
+    thetas = np.linspace(0.0, 0.9 * tau_N(example_model, 2).theta_N, 8)
     blocks = [build_block_model(example_model, 2, t) for t in thetas]
     for b1, b2 in zip(blocks, blocks[1:]):
         assert loewner_leq(b2.Omega, b1.Omega, tol=1e-10)
@@ -382,7 +381,7 @@ def test_gramian_sweep_matches_the_dense_route_and_the_builder(example_model, ca
 
 @pytest.mark.parametrize("where", [0, 3, 7])
 def test_gramian_sweep_raises_the_builders_error_at_the_first_bad_theta(example_model, where):
-    th = theta_N(example_model, 2)
+    th = tau_N(example_model, 2).theta_N
     thetas = np.linspace(0.0, 0.5 * th, 8)
     thetas[where] = 1.01 * th
     thetas[where + 1:] = 1.02 * th  # a later failing theta does not win
@@ -486,21 +485,15 @@ def test_thresholds_report_overflow_as_numerical_failure(N):
         tau_N(model, N)
     with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
         build_block_model(model, N, 0.0)
-    if N == 2:  # L and I + H^T H stay finite, so theta_N has its exact value
-        assert theta_N(model, N) == 1.0
-    else:
-        with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
-            theta_N(model, N)
 
 
 @pytest.mark.parametrize("N", [112, 128])
 def test_thresholds_past_double_precision_are_a_numerical_failure(example_model, N):
     # A has an eigenvalue 1.2, so H holds entries near 1.2^N and rounding
     # loses the identity in I + H^T H: its Cholesky factor fails
-    for threshold in (tau_N, theta_N):
-        with pytest.raises(NumericalError,
-                           match=rf"I \+ H\^T H cannot be factored at block length N={N}"):
-            threshold(example_model, N)
+    with pytest.raises(NumericalError,
+                       match=rf"I \+ H\^T H cannot be factored at block length N={N}"):
+        tau_N(example_model, N)
 
 
 def test_a_singular_measurement_gram_is_a_numerical_failure():
@@ -521,19 +514,6 @@ def test_block_model_reports_penalty_overflow_as_numerical_failure():
         build_block_model(model, 3, 0.0)
 
 
-def test_tau_reports_theta_N_from_the_same_core(example_model):
-    # tau_N and theta_N read one square-root factor F of the penalty core
-    # M = F F^T, so they agree exactly;
-    # N * p >= n keeps Omega_N(0) positive definite, as tau_N requires
-    rng = np.random.default_rng(41)
-    models = [example_model] + [random_model(rng, n, p=p) for n in (2, 3, 4, 6, 8) for p in (1, n)]
-    for model in models:
-        n = model.n
-        for N in sorted({1, 2, n, 3 * n}):
-            if N * model.p >= n:
-                assert tau_N(model, N).theta_N == theta_N(model, N)
-
-
 def _penalty_models(rng):
     """Random observable models with q > m, q = m and q < m, and one with L = 0."""
     models = []
@@ -551,7 +531,7 @@ def test_thresholds_match_the_dense_route():
     # theta_N and tau_N read the smaller Gram of a square-root factor; the
     # dense route takes lam_1 of the Nq x Nq matrices M and M + Y Y^T
     models = _penalty_models(np.random.default_rng(23))
-    assert len(models) == 37 and math.isinf(theta_N(models[-1], 3))
+    assert len(models) == 37 and math.isinf(tau_N(models[-1], 3).theta_N)
     for model in models:
         for N in (model.n, 2 * model.n):
             thr = tau_N(model, N)
