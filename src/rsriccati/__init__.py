@@ -58,9 +58,11 @@ from .riccati import (
 )
 from .sim import FilterRun, SimulationRun, run_filter, run_observer, simulate
 from .statespace import (
+    BlockMap,
     BlockModel,
     StateSpaceModel,
     Thresholds,
+    block_map,
     build_block_model,
     gramian_sweep,
     is_observable,
@@ -74,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport",
     "AreReport",
+    "BlockMap",
     "BlockModel",
     "BreakdownResult",
     "ConeExitError",
@@ -90,6 +93,7 @@ __all__ = [
     "Thresholds",
     "UsageError",
     "best_rho_for_gain",
+    "block_map",
     "block_riccati_map",
     "bound_search",
     "breakdown_search",

@@ -156,10 +156,7 @@ def _analysis_payload(model: ssp.StateSpaceModel, N: int, theta: float) -> dict:
     payload["contraction_coefficient"] = None
     if theta < thresholds.tau_N:  # exactly where Omega_N(theta) is positive definite
         try:
-            block = ssp.build_block_model(model, N, theta)
-            payload["contraction_coefficient"] = contraction_bound(
-                block.alpha, block.Omega, block.W
-            )
+            payload["contraction_coefficient"] = contraction_bound(*ssp.block_map(model, N, theta))
         except DomainError:
             pass
     try:

@@ -255,7 +255,8 @@ def block_riccati_map(block: BlockModel, P) -> np.ndarray:
     """Block update alpha [P^-1 + Omega]^-1 alpha^T + W.
 
     Coincides with the N-fold composition of the one-step map at the
-    same risk parameter.
+    same risk parameter. It reads only block.alpha, block.Omega and
+    block.W, so `block_map`'s triple serves as well as a BlockModel.
     """
     _, _, P_inv = _inverse(P, len(block.alpha), "block map argument P")
     middle = require_spd(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega").inverse()
@@ -689,7 +690,10 @@ def breakdown_search(
     probe without being solved, and a theta_lo of 0 reads the solve just made.
 
     The probes are `fixed_point_sweep`'s kernel, `_solve_stack`, each run
-    to its own stop (`_stalled` ends those near breakdown). The closed
+    to its own stop. `_stalled` ends most of those near breakdown, but near
+    a closing eigenvalue gap of the map, where P* exists and the rate nears
+    1, a probe can run all max_iter steps (21 did in one measured search at
+    tol = 1e-9). The closed
     form of P*(theta) (`_closed_form`) predicts each verdict, and the
     midpoints a bisection walks on those predictions are solved with the
     two ends in one call (after the theta = 0 solve of the default end).

@@ -25,6 +25,11 @@ test of theta < theta_N, through products of size Nm or smaller. A block
 matrix that overflows double precision raises NumericalError before any
 positivity gate reads it.
 
+`block_map` gives the N-fold map's (alpha, Omega, W) alone, by doubling
+the one-step map from n x n products. It forms no block matrix, so it
+keeps its accuracy where r(A)^N makes the Nq-sized ones lose theirs;
+`analyze` reads its contraction coefficient from it.
+
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
 row down to C at the bottom. Every stack and Toeplitz map of one build
@@ -37,10 +42,11 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cone import _cone_exit, _require_spd_stack, _sym, require_spd, spectral
+from .cone import _cone_exit, _positive, _require_spd_stack, _sym, require_spd, spectral
 from .errors import ConeExitError, NumericalError, UsageError, check_finite
 
 # Relative singular-value threshold for rank decisions.
@@ -230,11 +236,12 @@ def _finite(N: int, name: str, X: np.ndarray) -> np.ndarray:
 
 
 def _factor(N: int, name: str, factor, X: np.ndarray) -> np.ndarray:
-    """factor(X) of the Gram X = name, I + H H^T or I + H^T H; NumericalError if it fails.
+    """factor(X) of X = name, I + H H^T, I + H^T H or I + W Omega; NumericalError if it fails.
 
     Both Grams are at least I, so a failed inverse or Cholesky factor can
     only mean that rounding lost the identity in them: the entries of H
-    grow like r(A)^N on an unstable model.
+    grow like r(A)^N on an unstable model. `block_map` inverts its finite
+    I + W Omega only once its eigenvalues passed the positivity rule.
     """
     try:
         return factor(X)
@@ -339,6 +346,63 @@ def gramian_sweep(model: StateSpaceModel, N: int, thetas) -> tuple[np.ndarray, n
     for theta in thetas.tolist():
         check_finite("theta", theta, nonnegative=True)
     return _theta_half(N, _theta_free(model, N), thetas)[1:]
+
+
+class BlockMap(NamedTuple):
+    """The N-fold map P -> alpha (P^-1 + Omega)^-1 alpha^T + W as its triple."""
+
+    alpha: np.ndarray
+    Omega: np.ndarray
+    W: np.ndarray
+
+
+def _compose(N: int, first: BlockMap, then: BlockMap) -> BlockMap:
+    """The map `then` after `first`, through X = I + W_1 Omega_2 and its gate.
+
+    X has the eigenvalues of I + W_1^1/2 Omega_2 W_1^1/2, so they are
+    real; one that fails the positivity rule means theta has
+    reached theta_k of the composed length k: the composed Omega has passed
+    a pole and is no certificate, even where it is positive definite again.
+    """
+    (a1, O1, W1), (a2, O2, W2) = first, then
+    X = _finite(N, "I + W Omega", np.eye(len(a1)) + W1 @ O2)
+    lam = _factor(N, "I + W Omega", np.linalg.eigvals, X).real
+    if not _positive(lam.min(), lam.max()):
+        raise _cone_exit(f"block map I + W Omega not positive at block length N={N} "
+                         f"(requires theta < theta_N)", lam.min(), lam.max())
+    X_inv = _factor(N, "I + W Omega", np.linalg.inv, X)
+    Y = X_inv @ a1
+    return BlockMap(a2 @ Y, O1 + a1.T @ O2 @ Y, W2 + a2 @ X_inv @ W1 @ a2.T)
+
+
+def block_map(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockMap:
+    """The N-fold map's (alpha, Omega, W) by doubling, from n x n products only.
+
+    The one-step map (A, C^T C - theta D^T D, B B^T) is squared and
+    composed on the binary digits of N, about 2 log2(N) compositions, each
+    gated as in `_compose`: a theta at or past theta_N raises
+    ConeExitError. The triple equals `build_block_model`'s (alpha, Omega, W)
+    without forming an Nq-sized matrix, and it keeps its accuracy where
+    r(A)^N makes those matrices lose it. A triple that overflows double
+    precision raises NumericalError.
+    """
+    check_finite("theta", theta, nonnegative=True)
+    if N < 1:
+        raise UsageError(f"block length N must be >= 1, got {N}")
+    step = BlockMap(model.A, model.C.T @ model.C - theta * (model.D.T @ model.D),
+                    model.B @ model.B.T)
+    out, k = None, N
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if k & 1:
+                out = step if out is None else _compose(N, out, step)
+            k >>= 1
+            if not k:
+                break
+            step = _compose(N, step, step)
+        return BlockMap(_finite(N, "alpha_N(theta)", out.alpha),
+                        _finite(N, "Omega_N(theta)", _sym(out.Omega)),
+                        _finite(N, "W_N(theta)", _sym(out.W)))
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,31 @@ def mp_block_gains(model, N, theta):
         return G_R.astype(float), alpha.astype(float)
 
 
+def mp_block_map(model, N, theta, dps=60):
+    """(alpha, Omega, W, coefficient) of the N-fold map in `dps`-digit arithmetic.
+
+    The one-step triple (A, C^T C - theta D^T D, B B^T) composed with itself
+    one step at a time, N - 1 times, with X = I + W Omega_1 inverted at each
+    step; the coefficient is b/(1 + b) with b = lam_1(K^-1 alpha Omega^-1
+    alpha^T K^-T) for W = K K^T. Needs mpmath; theta < theta_N.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        A, B, C, D = (mpmath.matrix(X.tolist()) for X in (model.A, model.B, model.C, model.D))
+        Omega_1, W_1 = C.T * C - mpmath.mpf(theta) * (D.T * D), B * B.T
+        alpha, Omega, W = A, Omega_1, W_1
+        for _ in range(N - 1):
+            X_inv = mpmath.inverse(mpmath.eye(model.n) + W * Omega_1)
+            alpha, Omega, W = (A * X_inv * alpha, Omega + alpha.T * Omega_1 * X_inv * alpha,
+                               W_1 + A * X_inv * W * A.T)
+        K_inv = mpmath.inverse(mpmath.cholesky((W + W.T) / 2))
+        M = K_inv * alpha * mpmath.inverse((Omega + Omega.T) / 2) * alpha.T * K_inv.T
+        b = max(mpmath.eigsy((M + M.T) / 2, eigvals_only=True))
+        return (*(np.array(X.tolist(), dtype=float) for X in (alpha, Omega, W)),
+                float(b / (1 + b)))
+
+
 def dense_thresholds(model, N):
     """(theta_N, tau_N, tau_is_capped) by the dense route, through Nq x Nq matrices.
 

@@ -10,6 +10,7 @@ from rsriccati import cli
 PUBLIC_API = [
     "AdmissibilityReport",
     "AreReport",
+    "BlockMap",
     "BlockModel",
     "BreakdownResult",
     "ConeExitError",
@@ -26,6 +27,7 @@ PUBLIC_API = [
     "Thresholds",
     "UsageError",
     "best_rho_for_gain",
+    "block_map",
     "block_riccati_map",
     "bound_search",
     "breakdown_search",
@@ -60,7 +62,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_the_listed_names():
-    assert len(PUBLIC_API) == 48
+    assert len(PUBLIC_API) == 50
     assert sorted(rsriccati.__all__) == PUBLIC_API
 
 

@@ -109,6 +109,17 @@ def test_analyze_contraction_report_switches_at_tau(capsys, model_file, example_
         assert coefficient is None
 
 
+@pytest.mark.parametrize("N, want", [("64", 1.4368733594199233e-07),
+                                     ("80", 9.114600991008919e-10)])
+def test_analyze_coefficient_at_a_long_block(capsys, model_file, N, want):
+    # 60-digit straight composition of the one-step map; the Nq-sized build
+    # read 1.746e-7 at N = 64 and 0.252 at N = 80
+    code, out, _ = run_cli(capsys, "analyze", model_file, "--block-n", N, "--theta", "1e-4",
+                           "--json")
+    assert code == 0
+    assert abs(json.loads(out)["contraction_coefficient"] - want) <= 1e-12 * want
+
+
 def test_analyze_reports_no_coefficient_beyond_capped_tau(capsys, tmp_path):
     # at N = 1 theta_N is infinite and Omega_1(theta) = (1e4 - theta) I, so
     # tau_1 = 1e4 in closed form: the coefficient is reported below it only

@@ -9,16 +9,20 @@ from helpers import (
     ldu_factors,
     loewner_leq,
     mp_block_gains,
+    mp_block_map,
     random_model,
     stacked_noise_gram,
 )
 
 from rsriccati import (
+    ConeExitError,
     DomainError,
     NumericalError,
     StateSpaceModel,
     UsageError,
+    block_map,
     build_block_model,
+    contraction_bound,
     gramian_sweep,
     is_observable,
     is_reachable,
@@ -424,6 +428,104 @@ def test_block_gains_match_50_digit_arithmetic(example_model, case):
     G_R, alpha = mp_block_gains(model, N, theta)
     assert np.linalg.norm(block.G_R - G_R) <= 1e-12 * np.linalg.norm(G_R)
     assert np.linalg.norm(block.alpha - alpha) <= 1e-9 * np.linalg.norm(alpha)
+
+
+# ---------------------------------------------------------------------------
+# block_map: the N-fold map's triple by doubling
+
+
+def _relative(X, ref):
+    return np.linalg.norm(X - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("N", [2, 8, 32, 64, 80])
+def test_block_map_matches_60_digit_composition_on_the_example(example_model, N):
+    # at N = 64 and 80 the Nq-sized build reads the coefficient as 1.7e-7
+    # and 0.252, where 60 digits give 1.44e-7 and 9.11e-10
+    pytest.importorskip("mpmath")
+    *triple, want = mp_block_map(example_model, N, 1e-4)
+    got = block_map(example_model, N, 1e-4)
+    for X, ref in zip(got, triple):
+        assert _relative(X, ref) <= 1e-12
+    assert abs(contraction_bound(*got) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_block_map_matches_60_digit_composition_on_random_models(n):
+    # models like the model-scan benchmark's: one output, two inputs, r(A) in
+    # [0.5, 1.2], N in {n, 4n}, theta at 0 and tau_N / 2. Only the triple is
+    # held here: Omega_N reaches condition 1e6-1e10 on such models, and
+    # contraction_bound on the correctly rounded 60-digit triple is itself
+    # up to 1.6e-7 off the 60-digit coefficient.
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3000 + n)
+    model = random_model(rng, n, m=2, p=1, radius=rng.uniform(0.5, 1.2))
+    for N in (n, 4 * n):
+        for theta in (0.0, 0.5 * tau_N(model, N).tau_N):
+            *triple, _ = mp_block_map(model, N, theta)
+            for X, ref in zip(block_map(model, N, theta), triple):
+                assert _relative(X, ref) <= 1e-12
+
+
+def test_block_map_matches_the_block_build():
+    # Omega and W agree to 1.6e-14 relative on these models. The build's
+    # alpha = A^N - R (...) cancels terms of size |R| |O| + |A|^N down to a
+    # decaying alpha and keeps only their absolute accuracy (1.3e-7 relative
+    # at |alpha| = 7e-11, where the doubled alpha is 1.2e-15 off 60 digits),
+    # so alpha is held to the larger of the two sizes: 3.6e-15 measured.
+    rng = np.random.default_rng(3100)
+    for n, p in [(1, 1), (2, 1), (2, 2), (3, 1), (4, 1), (4, 2)]:
+        for _ in range(2):
+            model = random_model(rng, n, m=2, p=p, radius=rng.uniform(0.3, 0.95))
+            theta_16 = tau_N(model, 16).theta_N  # theta_N falls with N
+            for N in range(1, 17):
+                for theta in (0.0, 0.5 * theta_16):
+                    block, got = build_block_model(model, N, theta), block_map(model, N, theta)
+                    assert _relative(got.Omega, block.Omega) <= 1e-13
+                    assert _relative(got.W, block.W) <= 1e-13
+                    scale = max(np.linalg.norm(block.alpha), np.linalg.norm(model.A) ** N
+                                + np.linalg.norm(block.R) * np.linalg.norm(block.O))
+                    assert np.linalg.norm(got.alpha - block.alpha) <= 1e-13 * scale
+
+
+def test_block_map_gates_the_pole_past_theta_N(example_model):
+    # theta_32 = 1.339e-3: past it the doubled Omega_32 has passed a pole and
+    # is positive definite again (eigenvalues 0.26 and 2.32), but the last
+    # composition's I + W Omega has the eigenvalue -12.5
+    assert tau_N(example_model, 32).theta_N < 1.4e-3
+    with pytest.raises(ConeExitError, match="block map I \\+ W Omega not positive at "
+                                            "block length N=32"):
+        block_map(example_model, 32, 1.4e-3)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 12])
+def test_block_map_gate_switches_at_theta_N(N):
+    # theta_N from the Nq-sized path, which needs N p >= n
+    rng = np.random.default_rng(3300 + N)
+    for _ in range(6):
+        model = random_model(rng, 3, m=2, p=1, radius=rng.uniform(0.5, 1.2))
+        theta_N = tau_N(model, N).theta_N
+        block_map(model, N, (1.0 - 1e-3) * theta_N)
+        with pytest.raises(ConeExitError, match=f"block length N={N}"):
+            block_map(model, N, (1.0 + 1e-3) * theta_N)
+
+
+def test_block_map_rejects_what_the_build_rejects(example_model):
+    with pytest.raises(UsageError, match="block length N must be >= 1, got 0"):
+        block_map(example_model, 0)
+    for theta in (math.nan, -1e-4):
+        with pytest.raises(DomainError, match="theta must be finite and >= 0"):
+            block_map(example_model, 2, theta)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 8])
+def test_block_map_reports_overflow_as_numerical_failure(N):
+    # A^2 = 1e400: alpha overflows at N = 2, and from N = 3 on the next
+    # composition reads it through I + W Omega
+    model = StateSpaceModel(A=1e200 * np.eye(2), B=np.eye(2),
+                            C=np.array([[1.0, 1.0]]), D=np.eye(2))
+    with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
+        block_map(model, N)
 
 
 # ---------------------------------------------------------------------------
