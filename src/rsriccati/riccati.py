@@ -693,14 +693,13 @@ def breakdown_search(
     to its own stop. `_stalled` ends most of those near breakdown, but near
     a closing eigenvalue gap of the map, where P* exists and the rate nears
     1, a probe can run all max_iter steps (21 did in one measured search at
-    tol = 1e-9). The closed
-    form of P*(theta) (`_closed_form`) predicts each verdict, and the
-    midpoints a bisection walks on those predictions are solved with the
-    two ends in one call (after the theta = 0 solve of the default end).
-    The bisection then walks the real verdicts with the usual test. Where
-    its next midpoint has none, after a misprediction or at once for a
-    singular A, each further call solves the midpoints of the next
-    _SPECULATIVE_LEVELS levels below the current bracket. A theta's
+    tol = 1e-9). The closed form of P*(theta) (`_closed_form`) predicts
+    each verdict, and the midpoints a bisection walks on those predictions
+    are solved with the two ends in one call (after the theta = 0 solve of
+    the default end). The bisection then walks the real verdicts with the
+    usual test. Where its next midpoint has none, after a misprediction or
+    at once for a singular A, each further call solves the midpoints of the
+    next _SPECULATIVE_LEVELS levels below the current bracket. A theta's
     outcome does not depend on its batch, so every midpoint, the bracket
     and `evaluations` are those of a one-probe-at-a-time bisection. A
     start whose iterates leave the cone below the closed form's breakdown

@@ -360,9 +360,9 @@ def _compose(N: int, first: BlockMap, then: BlockMap) -> BlockMap:
     """The map `then` after `first`, through X = I + W_1 Omega_2 and its gate.
 
     X has the eigenvalues of I + W_1^1/2 Omega_2 W_1^1/2, so they are
-    real; one that fails the positivity rule means theta has
-    reached theta_k of the composed length k: the composed Omega has passed
-    a pole and is no certificate, even where it is positive definite again.
+    real. One that fails the positivity rule means that theta has reached
+    theta_k of the composed length k: the composed Omega has passed a pole
+    and is no certificate, even where it is positive definite again.
     """
     (a1, O1, W1), (a2, O2, W2) = first, then
     X = _finite(N, "I + W Omega", np.eye(len(a1)) + W1 @ O2)
