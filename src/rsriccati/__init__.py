@@ -59,12 +59,9 @@ from .riccati import (
 from .sim import FilterRun, SimulationRun, run_filter, run_observer, simulate
 from .statespace import (
     BlockMap,
-    BlockModel,
     StateSpaceModel,
     Thresholds,
     block_map,
-    build_block_model,
-    gramian_sweep,
     is_observable,
     is_reachable,
     load_model,
@@ -77,7 +74,6 @@ __all__ = [
     "AdmissibilityReport",
     "AreReport",
     "BlockMap",
-    "BlockModel",
     "BreakdownResult",
     "ConeExitError",
     "DomainError",
@@ -97,14 +93,12 @@ __all__ = [
     "block_riccati_map",
     "bound_search",
     "breakdown_search",
-    "build_block_model",
     "check_initial_condition",
     "contraction_bound",
     "default_gain_grid",
     "default_rho_grid",
     "fixed_point",
     "fixed_point_sweep",
-    "gramian_sweep",
     "is_observable",
     "is_reachable",
     "is_spd",

@@ -369,7 +369,7 @@ def _cmd_paper_example(args) -> int:
 
     # Gramian sweep over theta in [0, 2e-3].
     thetas = np.linspace(0.0, 2e-3, SWEEP_POINTS)
-    lam_O, lam_W = (np.linalg.eigvalsh(X)[:, 0] for X in ssp.gramian_sweep(model, 2, thetas))
+    lam_O, lam_W = (np.linalg.eigvalsh(X)[:, 0] for X in ssp.block_map(model, 2, thetas)[1:])
     write("gramian_sweep.csv", lambda fh: _write_csv(
         fh, ["theta", "lambda_min_Omega", "lambda_min_W"],
         ([_fmt(x) for x in row] for row in zip(thetas, lam_O, lam_W))))

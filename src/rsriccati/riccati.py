@@ -83,7 +83,7 @@ from .errors import (
     UsageError,
     check_finite,
 )
-from .statespace import BlockModel, StateSpaceModel
+from .statespace import BlockMap, StateSpaceModel
 
 
 def _finite_inverse(dec: SpectralDecomposition, name: str) -> np.ndarray:
@@ -251,12 +251,12 @@ def _gain_form(model: StateSpaceModel, K: np.ndarray, V: np.ndarray) -> np.ndarr
     return _sym(F @ V @ F.swapaxes(-1, -2) + model.B @ model.B.T + K @ K.swapaxes(-1, -2))
 
 
-def block_riccati_map(block: BlockModel, P) -> np.ndarray:
-    """Block update alpha [P^-1 + Omega]^-1 alpha^T + W.
+def block_riccati_map(block: BlockMap, P) -> np.ndarray:
+    """Block update alpha [P^-1 + Omega]^-1 alpha^T + W of `block_map`'s triple.
 
     Coincides with the N-fold composition of the one-step map at the
     same risk parameter. It reads only block.alpha, block.Omega and
-    block.W, so `block_map`'s triple serves as well as a BlockModel.
+    block.W, at one theta.
     """
     _, _, P_inv = _inverse(P, len(block.alpha), "block map argument P")
     middle = require_spd(P_inv + block.Omega, "block map leaves the cone: P^-1 + Omega").inverse()

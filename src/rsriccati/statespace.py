@@ -3,10 +3,15 @@
 A model x_{t+1} = A x_t + B u_t, y_t = C x_t + v_t (unit noise
 covariances) carries an extra penalty output D used by the
 risk-sensitive estimation problem. Downsampling by a block length N
-yields stacked reachability/observability matrices, block Toeplitz
-impulse-response maps, and the risk-dependent Gramians Omega_N(theta)
-and W_N(theta) whose positivity controls contraction of the N-fold
-Riccati map. The thresholds `tau_N` returns:
+yields the N-fold Riccati map P -> alpha (P^-1 + Omega)^-1 alpha^T + W,
+whose risk-dependent Gramians Omega_N(theta) and W_N(theta) control its
+contraction.
+
+`block_map` gives that triple (alpha, Omega, W) at one theta or stacked
+over an array of theta, by doubling the one-step map from n x n
+products. It forms no block matrix, so it keeps its accuracy where
+r(A)^N grows; `analyze` reads its contraction coefficient from it and
+`paper-example` its Gramian sweep. The thresholds `tau_N` returns:
 
   theta_N  -- largest risk parameter keeping the whitened block input
               covariance positive definite,
@@ -16,19 +21,11 @@ Riccati map. The thresholds `tau_N` returns:
 
 Both read lam_1 from the smaller Gram of an Nq-row square-root factor,
 F = L chol(I + H^T H)^-T or [F, Y]; neither forms an Nq x Nq matrix.
-
-The theta-free block matrices (R, O, O_R, H, L, J and the Grams
-I + H H^T, I + H^T H) come from one private builder, shared by
-`build_block_model`, `gramian_sweep` and `tau_N`. The theta
-half reads only Q = (I + H^T H - theta L^T L)^-1, whose gate is the one
-test of theta < theta_N, through products of size Nm or smaller. A block
-matrix that overflows double precision raises NumericalError before any
-positivity gate reads it.
-
-`block_map` gives the N-fold map's (alpha, Omega, W) alone, by doubling
-the one-step map from n x n products. It forms no block matrix, so it
-keeps its accuracy where r(A)^N makes the Nq-sized ones lose theirs;
-`analyze` reads its contraction coefficient from it.
+The theta-free block matrices they read (the observability stacks O,
+O_R of C and D, the impulse Toeplitz maps H, L, the penalty innovation
+map J and the Grams I + H H^T, I + H^T H) come from one private
+builder. A block matrix that overflows double precision raises
+NumericalError before any positivity gate reads it.
 
 Stacking convention: block vectors put the NEWEST sample on top, and
 the stacked observability matrix runs from C A^{N-1} on its top block
@@ -46,8 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone import _cone_exit, _positive, _require_spd_stack, _sym, require_spd, spectral
-from .errors import ConeExitError, NumericalError, UsageError, check_finite
+from .cone import _cone_exit, _positive, _sym, require_spd, spectral
+from .errors import NumericalError, UsageError, check_finite
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-10
@@ -187,38 +184,9 @@ def is_observable(model: StateSpaceModel) -> bool:
     return _rank(np.vstack([model.C @ P for P in _powers(model.A, model.n)])) == model.n
 
 
-@dataclass(frozen=True)
-class BlockModel:
-    """All N-block, theta-dependent derived matrices of a model.
-
-    R, O, O_R are the block reachability and observability stacks (of C
-    and D), H and L the impulse Toeplitz maps to C and D, with block (i, j)
-    out A^{j-i-1} B for j > i; J the penalty innovation map. These do not
-    depend on theta, and this is their one public source. Q is the
-    whitened block input covariance (I + H^T H - theta L^T L)^-1, Omega / W
-    the theta-dependent observability and reachability Gramians, alpha the
-    closed-loop block transition matrix and G_R = -theta Q L^T the block
-    gain on the penalty output, which vanishes at theta = 0.
-    """
-
-    N: int
-    theta: float
-    R: np.ndarray
-    O: np.ndarray
-    O_R: np.ndarray
-    H: np.ndarray
-    L: np.ndarray
-    Q: np.ndarray
-    J: np.ndarray
-    Omega: np.ndarray
-    W: np.ndarray
-    alpha: np.ndarray
-    G_R: np.ndarray
-
-
 # The theta-free N-block matrices; phi = I + H H^T is the
-# measurement-block Gram, psi = I + H^T H and A_N = A^N.
-_ThetaFree = namedtuple("_ThetaFree", "R O O_R H L phi psi phi_inv J A_N")
+# measurement-block Gram and psi = I + H^T H.
+_ThetaFree = namedtuple("_ThetaFree", "O O_R H L phi psi phi_inv J")
 
 
 def _finite(N: int, name: str, X: np.ndarray) -> np.ndarray:
@@ -261,7 +229,6 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         pw = _powers(model.A, N)
-        R = np.hstack([P @ model.B for P in pw])
         O = np.vstack([model.C @ P for P in reversed(pw)])
         O_R = np.vstack([model.D @ P for P in reversed(pw)])
         H, L = _toeplitz(pw, model.C, model.B), _toeplitz(pw, model.D, model.B)
@@ -270,8 +237,7 @@ def _theta_free(model: StateSpaceModel, N: int) -> _ThetaFree:
         phi_inv = _sym(_factor(N, "I + H H^T", np.linalg.inv, phi))
         X = L @ H.T @ phi_inv           # lower LDU coupling block
         J = O_R - X @ O
-        A_N = pw[-1] @ model.A
-    return _ThetaFree(R, O, O_R, H, L, phi, psi, phi_inv, J, A_N)
+    return _ThetaFree(O, O_R, H, L, phi, psi, phi_inv, J)
 
 
 def _penalty_root(N: int, free: _ThetaFree) -> np.ndarray:
@@ -287,67 +253,6 @@ def _threshold(N: int, name: str, X: np.ndarray) -> float:
     return 1.0 / lam_1 if lam_1 > 0.0 else math.inf
 
 
-def _theta_half(N: int, free: _ThetaFree, thetas: np.ndarray):
-    """Stacks Q, Omega and W over a 1-D array of theta, from one stacked gate.
-
-    The first theta, in input order, whose psi - theta L^T L fails raises
-    `require_spd`'s error. By push-through the inverse Schur complement of
-    the stacked-noise Gram is S^-1 = -theta (I + theta L Q L^T), so
-    Omega = O^T phi^-1 O - theta J^T J - theta^2 (L^T J)^T Q (L^T J).
-    """
-    k = thetas[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        LtL = _finite(N, "L^T L", free.L.T @ free.L)
-        lam, U, errors = _require_spd_stack(free.psi - k * LtL, "Q_N^theta")
-        if errors:
-            i = min(errors)
-            if isinstance(errors[i], ConeExitError):
-                raise _cone_exit(f"Q_N^theta not positive definite at theta={thetas[i]:.6e} "
-                                 f"(requires theta < theta_N)", lam[i].min(), lam[i].max())
-            raise errors[i]
-        Q = (U / lam[:, None, :]) @ U.swapaxes(1, 2)
-        LtJ = free.L.T @ free.J
-        Omega = _finite(N, "Omega_N(theta)", _sym(
-            free.O.T @ free.phi_inv @ free.O - k * (free.J.T @ free.J) - k**2 * (LtJ.T @ Q @ LtJ)))
-        W = _finite(N, "W_N(theta)", _sym(free.R @ Q @ free.R.T))
-    return Q, Omega, W
-
-
-def build_block_model(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockModel:
-    """Assemble every N-block matrix at risk parameter theta.
-
-    The theta half reads only Q = (I + H^T H - theta L^T L)^-1, whose
-    positivity gate is exactly theta < theta_N; no Schur complement of the
-    stacked-noise Gram is formed. The gain on the penalty output is
-    G_R = -theta Q L^T, and alpha = A^N - R (H^T phi^-1 O + G_R J).
-    """
-    check_finite("theta", theta, nonnegative=True)
-    free = _theta_free(model, N)
-    R, O, O_R, H, L, _, _, phi_inv, J, A_N = free
-    Q, Omega, W = (X[0] for X in _theta_half(N, free, np.array([theta])))
-    with np.errstate(over="ignore", invalid="ignore"):
-        G_R = -theta * Q @ L.T
-        alpha = _finite(N, "alpha_N(theta)", A_N - R @ (H.T @ phi_inv @ O + G_R @ J))
-    return BlockModel(N=N, theta=theta, R=R, O=O, O_R=O_R, H=H, L=L, Q=Q, J=J,
-                      Omega=Omega, W=W, alpha=alpha, G_R=G_R)
-
-
-def gramian_sweep(model: StateSpaceModel, N: int, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """(Omega, W): Omega_N(theta) and W_N(theta) stacked over a 1-D array of theta.
-
-    Both have shape (len(thetas), n, n) and equal `build_block_model`'s
-    Gramians at each theta, from one theta-free build and one stacked
-    positivity gate. Each theta must be finite and >= 0; the first theta,
-    in input order, at or above theta_N raises the builder's DomainError.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1:
-        raise UsageError(f"thetas must be a 1-D array, got shape {thetas.shape}")
-    for theta in thetas.tolist():
-        check_finite("theta", theta, nonnegative=True)
-    return _theta_half(N, _theta_free(model, N), thetas)[1:]
-
-
 class BlockMap(NamedTuple):
     """The N-fold map P -> alpha (P^-1 + Omega)^-1 alpha^T + W as its triple."""
 
@@ -356,53 +261,68 @@ class BlockMap(NamedTuple):
     W: np.ndarray
 
 
-def _compose(N: int, first: BlockMap, then: BlockMap) -> BlockMap:
-    """The map `then` after `first`, through X = I + W_1 Omega_2 and its gate.
+def _compose(N: int, thetas: np.ndarray, first: BlockMap, then: BlockMap) -> BlockMap:
+    """The map `then` after `first`, stacked over thetas, through X = I + W_1 Omega_2.
 
     X has the eigenvalues of I + W_1^1/2 Omega_2 W_1^1/2, so they are
     real. One that fails the positivity rule means that theta has reached
     theta_k of the composed length k: the composed Omega has passed a pole
-    and is no certificate, even where it is positive definite again.
+    and is no certificate, even where it is positive definite again. The
+    error names the first such theta in input order.
     """
     (a1, O1, W1), (a2, O2, W2) = first, then
-    X = _finite(N, "I + W Omega", np.eye(len(a1)) + W1 @ O2)
+    X = _finite(N, "I + W Omega", np.eye(a1.shape[-1]) + W1 @ O2)
     lam = _factor(N, "I + W Omega", np.linalg.eigvals, X).real
-    if not _positive(lam.min(), lam.max()):
-        raise _cone_exit(f"block map I + W Omega not positive at block length N={N} "
-                         f"(requires theta < theta_N)", lam.min(), lam.max())
+    lo, hi = lam.min(axis=-1), lam.max(axis=-1)
+    failed = np.flatnonzero(~_positive(lo, hi))
+    if failed.size:
+        i = failed[0]
+        raise _cone_exit(f"block map I + W Omega not positive at block length N={N}, "
+                         f"theta={thetas[i]:.6e} (requires theta < theta_N)", lo[i], hi[i])
     X_inv = _factor(N, "I + W Omega", np.linalg.inv, X)
     Y = X_inv @ a1
-    return BlockMap(a2 @ Y, O1 + a1.T @ O2 @ Y, W2 + a2 @ X_inv @ W1 @ a2.T)
+    return BlockMap(a2 @ Y, O1 + a1.swapaxes(-1, -2) @ O2 @ Y,
+                    W2 + a2 @ X_inv @ W1 @ a2.swapaxes(-1, -2))
 
 
-def block_map(model: StateSpaceModel, N: int, theta: float = 0.0) -> BlockMap:
+def block_map(model: StateSpaceModel, N: int, theta=0.0) -> BlockMap:
     """The N-fold map's (alpha, Omega, W) by doubling, from n x n products only.
 
-    The one-step map (A, C^T C - theta D^T D, B B^T) is squared and
-    composed on the binary digits of N, about 2 log2(N) compositions, each
-    gated as in `_compose`: a theta at or past theta_N raises
-    ConeExitError. The triple equals `build_block_model`'s (alpha, Omega, W)
-    without forming an Nq-sized matrix, and it keeps its accuracy where
-    r(A)^N makes those matrices lose it. A triple that overflows double
-    precision raises NumericalError.
+    theta is a number or a 1-D array; with an array each of alpha, Omega
+    and W is stacked over it, with shape (len(theta), n, n). Every theta
+    must be finite and >= 0, checked before any composition. The one-step
+    map (A, C^T C - theta D^T D, B B^T) is squared and composed on the
+    binary digits of N, about 2 log2(N) compositions, each gated as in
+    `_compose`: a theta at or past theta_N raises ConeExitError naming
+    it. No Nq-sized matrix is formed, so the triple keeps its accuracy
+    where r(A)^N grows. A triple that overflows double precision raises
+    NumericalError.
     """
-    check_finite("theta", theta, nonnegative=True)
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim > 1:
+        raise UsageError(f"theta must be a number or a 1-D array, got shape {thetas.shape}")
+    for value in thetas.ravel().tolist():
+        check_finite("theta", value, nonnegative=True)
     if N < 1:
         raise UsageError(f"block length N must be >= 1, got {N}")
-    step = BlockMap(model.A, model.C.T @ model.C - theta * (model.D.T @ model.D),
-                    model.B @ model.B.T)
-    out, k = None, N
+    stack = np.atleast_1d(thetas)
+    n, k = model.n, len(stack)
+    step = BlockMap(np.broadcast_to(model.A, (k, n, n)),
+                    model.C.T @ model.C - stack[:, None, None] * (model.D.T @ model.D),
+                    np.broadcast_to(model.B @ model.B.T, (k, n, n)))
+    out, bits = None, N
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if k & 1:
-                out = step if out is None else _compose(N, out, step)
-            k >>= 1
-            if not k:
+            if bits & 1:
+                out = step if out is None else _compose(N, stack, out, step)
+            bits >>= 1
+            if not bits:
                 break
-            step = _compose(N, step, step)
-        return BlockMap(_finite(N, "alpha_N(theta)", out.alpha),
-                        _finite(N, "Omega_N(theta)", _sym(out.Omega)),
-                        _finite(N, "W_N(theta)", _sym(out.W)))
+            step = _compose(N, stack, step, step)
+        out = BlockMap(_finite(N, "alpha_N(theta)", out.alpha),
+                       _finite(N, "Omega_N(theta)", _sym(out.Omega)),
+                       _finite(N, "W_N(theta)", _sym(out.W)))
+    return out if thetas.ndim else BlockMap(*(X[0] for X in out))
 
 
 @dataclass(frozen=True)

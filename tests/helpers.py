@@ -1,6 +1,7 @@
 """Shared models, random-instance generators and plain-numpy oracles for the tests."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,7 +13,6 @@ from rsriccati import (
     SpectralDecomposition,
     StateSpaceModel,
     UsageError,
-    build_block_model,
     fixed_point,
     is_observable,
     is_reachable,
@@ -21,6 +21,7 @@ from rsriccati import (
 )
 from rsriccati.cone import _require_spd_stack, require_spd, symmetrize
 from rsriccati.riccati import _gain_form, _kalman_form, _map_step, _validity
+from rsriccati.statespace import _theta_free
 
 # From P0 = I at theta = 1 - 1e-6, V^-1 = P0^-1 - theta I = 1e-6 I passes the
 # gate, but the map's inner matrix diag(1e14, 1e-6) fails it: P_1 is never formed.
@@ -179,6 +180,61 @@ def kalman_gain_oracle(model, P):
     """(K, R_nu) = (A P C^T R_nu^-1, C P C^T + I) by plain numpy."""
     R_nu = model.C @ P @ model.C.T + np.eye(model.p)
     return model.A @ P @ model.C.T @ np.linalg.inv(R_nu), R_nu
+
+
+class BlockModel(NamedTuple):
+    """Every N-block matrix of a model at one theta, by the Nq-sized route.
+
+    R, O, O_R are the block reachability and observability stacks (of C
+    and D), H and L the impulse Toeplitz maps to C and D, with block (i, j)
+    out A^{j-i-1} B for j > i, and J the penalty innovation map. Q is the
+    whitened block input covariance (I + H^T H - theta L^T L)^-1, Omega and
+    W the theta-dependent observability and reachability Gramians, alpha
+    the closed-loop block transition matrix and G_R = -theta Q L^T the block
+    gain on the penalty output, which vanishes at theta = 0.
+    """
+
+    N: int
+    theta: float
+    R: np.ndarray
+    O: np.ndarray
+    O_R: np.ndarray
+    H: np.ndarray
+    L: np.ndarray
+    Q: np.ndarray
+    J: np.ndarray
+    Omega: np.ndarray
+    W: np.ndarray
+    alpha: np.ndarray
+    G_R: np.ndarray
+
+
+def build_block_model(model, N, theta=0.0):
+    """The dense oracle: every N-block matrix through Nq-sized products.
+
+    The theta-free blocks come from the library's `_theta_free`, which
+    `tau_N` reads. R, A^N and the theta half are plain numpy: Q's gate is
+    theta < theta_N, Omega = O^T phi^-1 O - theta J^T J
+    - theta^2 (L^T J)^T Q (L^T J) with phi = I + H H^T, W = R Q R^T, and
+    alpha = A^N - R (H^T phi^-1 O + G_R J). It loses relative accuracy as
+    r(A)^N grows; `block_map` does not.
+    """
+    free = _theta_free(model, N)
+    pw = [np.eye(model.n)]
+    for _ in range(N):
+        pw.append(pw[-1] @ model.A)
+    R = np.hstack([P @ model.B for P in pw[:N]])
+    lam, U = require_spd(free.psi - theta * (free.L.T @ free.L),
+                         f"Q_N^theta not positive definite at theta={theta:.6e} "
+                         f"(requires theta < theta_N)")
+    Q = (U / lam) @ U.T
+    LtJ = free.L.T @ free.J
+    Omega = free.O.T @ free.phi_inv @ free.O - theta * (free.J.T @ free.J) - theta**2 * (LtJ.T @ Q @ LtJ)
+    W = R @ Q @ R.T
+    G_R = -theta * Q @ free.L.T
+    alpha = pw[N] - R @ (free.H.T @ free.phi_inv @ free.O + G_R @ free.J)
+    return BlockModel(N, theta, R, free.O, free.O_R, free.H, free.L, Q, free.J,
+                      0.5 * (Omega + Omega.T), 0.5 * (W + W.T), alpha, G_R)
 
 
 def stacked_noise_gram(block):

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 from helpers import (
+    build_block_model,
     loewner_leq,
     random_model,
     random_spd,
@@ -23,10 +24,10 @@ from helpers import (
 )
 
 from rsriccati import (
+    block_map,
     block_riccati_map,
     bound_search,
     breakdown_search,
-    build_block_model,
     contraction_bound,
     fixed_point,
     iterate_trajectory,
@@ -76,7 +77,7 @@ def test_criterion_03a_tau_and_risk_neutral_w(example_model):
     """tau_2 = 0.715e-3 within 2%; lam_min(W) at theta=0 within 0.01%."""
     thr = tau_N(example_model, 2)
     tau_err = relerr(thr.tau_N, 0.715e-3)
-    w0 = spectral(build_block_model(example_model, 2, 0.0).W).eigenvalues[-1]
+    w0 = spectral(block_map(example_model, 2, 0.0).W).eigenvalues[-1]
     w0_err = relerr(w0, 1.002828)
     ok = tau_err < 0.02 and w0_err < 1e-4
     report("criterion 3a (tau_2, W endpoint at 0)",
@@ -99,7 +100,7 @@ def test_criterion_03b_published_w_endpoint(example_model):
     than silently corrected; the true value is asserted in
     tests/test_statespace.py.
     """
-    w2 = spectral(build_block_model(example_model, 2, 2e-3).W).eigenvalues[-1]
+    w2 = spectral(block_map(example_model, 2, 2e-3).W).eigenvalues[-1]
     err = relerr(w2, 1.02831)
     report("criterion 3b (published W endpoint at 2e-3)",
            err < 1e-4, f"computed {w2:.7f}, published 1.02831, error {err:.2e}")
@@ -303,7 +304,7 @@ def test_criterion_09d_block_map_is_composition():
             # theta_N is infinite; tau_N, which reports it, needs N p >= n
             theta_cap = np.inf if N == 1 else tau_N(model, N).theta_N
             theta = min(safe_theta(model, P), 0.5 * theta_cap)
-            block = build_block_model(model, N, theta)
+            block = block_map(model, N, theta)
             composed = P
             for _ in range(N):
                 composed = rs_riccati_map(model, theta, composed)
@@ -317,7 +318,7 @@ def test_criterion_09d_block_map_is_composition():
 def test_criterion_09e_gramian_monotonicity(example_model):
     """Loewner monotonicity of the two Gramians on a 20-point grid."""
     grid = np.linspace(0.0, 0.95 * tau_N(example_model, 2).theta_N, 20)
-    blocks = [build_block_model(example_model, 2, t) for t in grid]
+    blocks = [block_map(example_model, 2, t) for t in grid]
     ok = True
     for b1, b2 in zip(blocks, blocks[1:]):
         ok = ok and loewner_leq(b2.Omega, b1.Omega, tol=1e-10)

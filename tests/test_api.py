@@ -11,7 +11,6 @@ PUBLIC_API = [
     "AdmissibilityReport",
     "AreReport",
     "BlockMap",
-    "BlockModel",
     "BreakdownResult",
     "ConeExitError",
     "DomainError",
@@ -31,14 +30,12 @@ PUBLIC_API = [
     "block_riccati_map",
     "bound_search",
     "breakdown_search",
-    "build_block_model",
     "check_initial_condition",
     "contraction_bound",
     "default_gain_grid",
     "default_rho_grid",
     "fixed_point",
     "fixed_point_sweep",
-    "gramian_sweep",
     "is_observable",
     "is_reachable",
     "is_spd",
@@ -62,7 +59,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_the_listed_names():
-    assert len(PUBLIC_API) == 50
+    assert len(PUBLIC_API) == 47
     assert sorted(rsriccati.__all__) == PUBLIC_API
 
 

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     MAP_EXIT_JSON,
     MAP_EXIT_THETA,
+    build_block_model,
     congruent,
     fixed_point_oracle,
     kalman_gain_oracle,
@@ -29,7 +30,6 @@ from rsriccati import (
     block_map,
     block_riccati_map,
     breakdown_search,
-    build_block_model,
     contraction_bound,
     fixed_point,
     fixed_point_sweep,
@@ -220,7 +220,7 @@ def test_observer_form_equals_map_for_any_gain(example_model):
 def test_block_map_single_step_is_plain_map():
     rng = np.random.default_rng(17)
     model = random_model(rng)
-    block = build_block_model(model, 1, 0.0)
+    block = block_map(model, 1, 0.0)
     P = random_spd(rng, 2)
     assert np.allclose(block_riccati_map(block, P), rs_riccati_map(model, 0.0, P), atol=1e-12)
 
@@ -229,7 +229,7 @@ def test_block_map_is_composition_risk_neutral():
     rng = np.random.default_rng(19)
     for _ in range(5):
         model = random_model(rng)
-        block = build_block_model(model, 3, 0.0)
+        block = block_map(model, 3, 0.0)
         P = random_spd(rng, 2)
         composed = P
         for _ in range(3):
@@ -241,7 +241,7 @@ def test_block_map_is_composition_risk_neutral():
 def test_block_map_is_composition_risk_sensitive(example_model):
     rng = np.random.default_rng(23)
     theta = 3e-4  # below tau_2
-    block = build_block_model(example_model, 2, theta)
+    block = block_map(example_model, 2, theta)
     for _ in range(10):
         P = random_spd(rng, 2, 0.5, 5.0)
         composed = rs_riccati_map(example_model, theta, rs_riccati_map(example_model, theta, P))
@@ -250,7 +250,6 @@ def test_block_map_is_composition_risk_sensitive(example_model):
 
 
 def test_block_map_triple_is_the_n_fold_composition():
-    # block_riccati_map reads the doubled triple as it reads a BlockModel;
     # worst measured deviation 2.5e-13 relative
     rng = np.random.default_rng(3200)
     for n in (1, 2, 3, 4):
@@ -273,8 +272,8 @@ def test_block_map_triple_is_the_n_fold_composition():
 def test_block_contraction_witness(example_model):
     rng = np.random.default_rng(29)
     theta = 3e-4
-    block = build_block_model(example_model, 2, theta)
-    bound = contraction_bound(block.alpha, block.Omega, block.W)
+    block = block_map(example_model, 2, theta)
+    bound = contraction_bound(*block)
     assert 0.0 <= bound < 1.0
     for _ in range(20):
         P = random_spd(rng, 2, 0.2, 5.0)
@@ -591,7 +590,7 @@ def test_contraction_bound_moves_by_roundoff_only_on_random_models(example_model
     lambda m, P: rs_riccati_map(m, 0.0, P),
     lambda m, P: rs_gain(m, 0.0, P),
     lambda m, P: verify_are(m, 0.0, P),
-    lambda m, P: block_riccati_map(build_block_model(m, 2, 0.0), P),
+    lambda m, P: block_riccati_map(block_map(m, 2, 0.0), P),
 ], ids=["iterate_trajectory", "run_filter", "fixed_point", "fixed_point_sweep",
         "breakdown_search", "rs_riccati_map", "rs_gain", "verify_are", "block_riccati_map"])
 def test_a_matrix_of_the_wrong_size_is_a_usage_error(example_model, entry):

@@ -3,6 +3,7 @@ import pytest
 from helpers import (
     MAP_EXIT_JSON,
     MAP_EXIT_THETA,
+    build_block_model,
     first_repeat,
     random_model,
     reference_filter,
@@ -15,7 +16,6 @@ from rsriccati import (
     NumericalError,
     StateSpaceModel,
     UsageError,
-    build_block_model,
     fixed_point,
     iterate_trajectory,
     load_model,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    build_block_model,
     dense_gramians,
     dense_thresholds,
     ldu_factors,
@@ -21,9 +22,7 @@ from rsriccati import (
     StateSpaceModel,
     UsageError,
     block_map,
-    build_block_model,
     contraction_bound,
-    gramian_sweep,
     is_observable,
     is_reachable,
     load_model,
@@ -272,12 +271,12 @@ def test_block_model_w_minimum_eigenvalues(example_model):
     # lam_min(W) at theta = 0, and at theta = 2e-3 against the closed
     # form W = I + A inv([[2-t, -1], [-1, 2-t]]) A^T specific to this
     # model's structure
-    lam0 = spectral(build_block_model(example_model, 2, 0.0).W).eigenvalues[-1]
+    lam0 = spectral(block_map(example_model, 2, 0.0).W).eigenvalues[-1]
     assert abs(lam0 - 1.002828) < 1e-4 * 1.002828
     for t in (0.0, 2e-3):
         Y = np.linalg.inv(np.array([[2.0 - t, -1.0], [-1.0, 2.0 - t]]))
         W_closed = np.eye(2) + example_model.A @ Y @ example_model.A.T
-        lam = spectral(build_block_model(example_model, 2, t).W).eigenvalues[-1]
+        lam = spectral(block_map(example_model, 2, t).W).eigenvalues[-1]
         assert abs(lam - np.min(np.linalg.eigvalsh(W_closed))) < 1e-12
 
 
@@ -368,13 +367,15 @@ SWEEP_CASES = ["paper-grid"] + [(n, N) for n in (2, 3, 4, 6, 8) for N in (n, 4 *
 
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=str)
 def test_gramian_sweep_matches_the_dense_route_and_the_builder(example_model, case):
+    # the sweep is block_map stacked over theta: 3.0e-15 off the dense route
+    # and 1.5e-14 off the Nq-sized builder at most (measured)
     if case == "paper-grid":
         model, N, thetas = example_model, 2, np.linspace(0.0, 2e-3, 200)
     else:
         n, N = case
         model = random_model(np.random.default_rng(100 * n + N), n=n, m=max(1, n // 2), p=1)
         thetas = np.array([0.0, 0.1, 0.5, 0.9]) * tau_N(model, N).tau_N
-    Omega, W = gramian_sweep(model, N, thetas)
+    Omega, W = block_map(model, N, thetas)[1:]
     assert Omega.shape == W.shape == (len(thetas), model.n, model.n)
     for theta, got in zip(thetas.tolist(), zip(Omega, W)):
         block = build_block_model(model, N, theta)
@@ -385,32 +386,35 @@ def test_gramian_sweep_matches_the_dense_route_and_the_builder(example_model, ca
 
 @pytest.mark.parametrize("where", [0, 3, 7])
 def test_gramian_sweep_raises_the_builders_error_at_the_first_bad_theta(example_model, where):
+    # the stacked sweep raises the scalar call's error for the first bad theta
     th = tau_N(example_model, 2).theta_N
     thetas = np.linspace(0.0, 0.5 * th, 8)
     thetas[where] = 1.01 * th
     thetas[where + 1:] = 1.02 * th  # a later failing theta does not win
-    with pytest.raises(DomainError) as built:
-        build_block_model(example_model, 2, 1.01 * th)
-    with pytest.raises(DomainError) as swept:
-        gramian_sweep(example_model, 2, thetas)
-    assert type(swept.value) is type(built.value)
-    assert str(swept.value) == str(built.value)
+    with pytest.raises(ConeExitError) as one:
+        block_map(example_model, 2, 1.01 * th)
+    with pytest.raises(ConeExitError) as swept:
+        block_map(example_model, 2, thetas)
+    assert str(swept.value) == str(one.value)
+    assert swept.value.lambda_min == one.value.lambda_min
     assert str(swept.value).startswith(
-        f"Q_N^theta not positive definite at theta={1.01 * th:.6e} (requires theta < theta_N)")
+        f"block map I + W Omega not positive at block length N=2, theta={1.01 * th:.6e} "
+        f"(requires theta < theta_N)")
 
 
 def test_gramian_sweep_checks_every_theta_and_builds_once(example_model, monkeypatch):
-    builds = []
-    real = statespace._theta_free
-    monkeypatch.setattr(statespace, "_theta_free", lambda *args: builds.append(args) or real(*args))
+    composed = []
+    real = statespace._compose
+    monkeypatch.setattr(statespace, "_compose",
+                        lambda *args: composed.append(args) or real(*args))
     for bad in (math.nan, -1e-4):
         with pytest.raises(DomainError, match="theta must be finite and >= 0"):
-            gramian_sweep(example_model, 2, [0.0, 1e-4, bad])
+            block_map(example_model, 2, [0.0, 1e-4, bad])
     with pytest.raises(UsageError, match="1-D"):
-        gramian_sweep(example_model, 2, [[0.0, 1e-4]])
-    assert builds == []  # no block is built before every theta passed
-    gramian_sweep(example_model, 2, np.linspace(0.0, 2e-3, 200))
-    assert len(builds) == 1
+        block_map(example_model, 2, [[0.0, 1e-4]])
+    assert composed == []  # nothing is composed before every theta passed
+    block_map(example_model, 2, np.linspace(0.0, 2e-3, 200))
+    assert len(composed) == 1  # N = 2 is one stacked squaring
 
 
 # The worked example and seeded random models with n <= 3, at theta = 0.9 tau_N.
@@ -528,6 +532,68 @@ def test_block_map_reports_overflow_as_numerical_failure(N):
         block_map(model, N)
 
 
+@pytest.mark.parametrize("N", [2, 8, 32])
+def test_block_map_stack_is_the_scalar_calls_bitwise(example_model, N):
+    # a scalar theta runs as a stack of one, so the stack changes no bit
+    models = [(example_model, np.linspace(0.0, 1.3e-3, 9))]
+    for seed in (0, 1):
+        model = random_model(np.random.default_rng(3400 + seed), n=3, m=2, p=1)
+        theta_32 = tau_N(model, 32).theta_N  # theta_N falls with N
+        models.append((model, np.array([0.0, 0.3, 0.6, 0.9]) * theta_32))
+    for model, thetas in models:
+        stacked = block_map(model, N, thetas)
+        assert all(X.shape == (len(thetas), model.n, model.n) for X in stacked)
+        for i, theta in enumerate(thetas.tolist()):
+            for X, one in zip(stacked, block_map(model, N, theta)):
+                assert np.array_equal(X[i], one)
+
+
+def test_block_map_on_the_paper_grid_matches_60_digits(example_model):
+    # paper-example's Gramian sweep: 4.3e-16 relative at worst (measured)
+    pytest.importorskip("mpmath")
+    thetas = np.linspace(0.0, 2e-3, 200)
+    stacked = block_map(example_model, 2, thetas)
+    for i, theta in enumerate(thetas.tolist()):
+        *triple, _ = mp_block_map(example_model, 2, theta)
+        for X, ref in zip(stacked, triple):
+            assert _relative(X[i], ref) <= 1e-14
+
+
+def test_block_map_where_the_block_build_gates_wrongly(example_model):
+    # at N = 96 and theta = 1e-4 < theta_96 the Nq-sized build's Q gate fails
+    # although Q is positive definite; the doubled triple is 2.0e-14 off 60
+    # digits and its coefficient 7.4e-15 (measured)
+    pytest.importorskip("mpmath")
+    *triple, want = mp_block_map(example_model, 96, 1e-4)
+    got = block_map(example_model, 96, 1e-4)
+    for X, ref in zip(got, triple):
+        assert _relative(X, ref) <= 1e-12
+    assert abs(contraction_bound(*got) - want) <= 1e-12 * want
+
+
+def test_block_map_where_the_measurement_gram_is_singular():
+    # at A = 2 and N = 32 the Nq route loses I + H H^T to rounding (see
+    # test_a_singular_measurement_gram_is_a_numerical_failure); the doubled
+    # triple is finite, alpha 2.5e-16 off 60 digits and Omega, W exact (measured)
+    pytest.importorskip("mpmath")
+    model = StateSpaceModel(A=np.array([[2.0]]), B=np.eye(1), C=np.eye(1), D=np.eye(1))
+    *triple, _ = mp_block_map(model, 32, 0.0)
+    for X, ref in zip(block_map(model, 32), triple):
+        assert np.isfinite(X).all()
+        assert _relative(X, ref) <= 1e-15
+
+
+@pytest.mark.parametrize("thetas, named", [
+    ([1e-4, 1.4e-3, 5e-4], 1.4e-3),
+    ([1e-4, 1.4e-3, 1.5e-3], 1.4e-3),  # the first in input order
+    ([1e-4, 1.4e-3, 0.5], 0.5),  # 0.5 > theta_4 fails at an earlier composition
+], ids=["one", "two", "earlier_composition"])
+def test_block_map_stack_names_the_theta_past_theta_N(example_model, thetas, named):
+    # theta_32 = 1.339e-3 and theta_4 = 0.131
+    with pytest.raises(ConeExitError, match=f"block length N=32, theta={named:.6e} "):
+        block_map(example_model, 32, thetas)
+
+
 # ---------------------------------------------------------------------------
 # tau_N
 
@@ -580,13 +646,13 @@ def test_thresholds_report_overflow_as_numerical_failure(N):
     # (C, A) is observable, but A = 1e200 I overflows double precision: at
     # N = 2 in Omega_N(0) = O^T (I + H H^T)^-1 O, at N = 3 already in the
     # Grams of H, which holds C A B. A numerical failure, never "not observable",
-    # and never a block model with non-finite Gramians.
+    # and never a block map with non-finite Gramians.
     model = StateSpaceModel(A=1e200 * np.eye(2), B=np.eye(2),
                             C=np.array([[1.0, 1.0]]), D=np.eye(2))
     with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
         tau_N(model, N)
     with pytest.raises(NumericalError, match=f"not finite at block length N={N}"):
-        build_block_model(model, N, 0.0)
+        block_map(model, N, 0.0)
 
 
 @pytest.mark.parametrize("N", [112, 128])
@@ -601,19 +667,18 @@ def test_thresholds_past_double_precision_are_a_numerical_failure(example_model,
 def test_a_singular_measurement_gram_is_a_numerical_failure():
     # at A = 2 and N = 32 rounding leaves I + H H^T exactly singular
     model = StateSpaceModel(A=np.array([[2.0]]), B=np.eye(1), C=np.eye(1), D=np.eye(1))
-    for build in (tau_N, build_block_model, lambda m, N: gramian_sweep(m, N, [0.0])):
-        with pytest.raises(NumericalError,
-                           match=r"I \+ H H\^T cannot be factored at block length N=32"):
-            build(model, 32)
+    with pytest.raises(NumericalError,
+                       match=r"I \+ H H\^T cannot be factored at block length N=32"):
+        tau_N(model, 32)
 
 
 def test_block_model_reports_penalty_overflow_as_numerical_failure():
-    # C sees only the stable mode, so H and its Grams stay finite, but the
-    # penalty map L holds D A^2 B = 1e400: the Q gate must not read it
+    # C sees only the stable mode, but the penalty reaches D A^2 B = 1e400:
+    # the doubled alpha overflows, and no gate may read it
     model = StateSpaceModel(A=np.diag([1e200, 0.5]), B=np.eye(2),
                             C=np.array([[0.0, 1.0]]), D=np.eye(2))
-    with pytest.raises(NumericalError, match=r"L\^T L is not finite at block length N=3"):
-        build_block_model(model, 3, 0.0)
+    with pytest.raises(NumericalError, match=r"not finite at block length N=3"):
+        block_map(model, 3, 0.0)
 
 
 def _penalty_models(rng):
