@@ -254,7 +254,7 @@ def _threshold(N: int, name: str, X: np.ndarray) -> float:
 
 
 class BlockMap(NamedTuple):
-    """The N-fold map P -> alpha (P^-1 + Omega)^-1 alpha^T + W as its triple."""
+    """The N-fold map P -> alpha (P^-1 + Omega)^-1 alpha^T + W as its triple (or stacks of it)."""
 
     alpha: np.ndarray
     Omega: np.ndarray

@@ -229,7 +229,8 @@ def build_block_model(model, N, theta=0.0):
                          f"(requires theta < theta_N)")
     Q = (U / lam) @ U.T
     LtJ = free.L.T @ free.J
-    Omega = free.O.T @ free.phi_inv @ free.O - theta * (free.J.T @ free.J) - theta**2 * (LtJ.T @ Q @ LtJ)
+    Omega = (free.O.T @ free.phi_inv @ free.O - theta * (free.J.T @ free.J)
+             - theta**2 * (LtJ.T @ Q @ LtJ))
     W = R @ Q @ R.T
     G_R = -theta * Q @ free.L.T
     alpha = pw[N] - R @ (free.H.T @ free.phi_inv @ free.O + G_R @ free.J)
