@@ -274,9 +274,9 @@ def _compose(N: int, thetas: np.ndarray, first: BlockMap, then: BlockMap) -> Blo
     X = _finite(N, "I + W Omega", np.eye(a1.shape[-1]) + W1 @ O2)
     lam = _factor(N, "I + W Omega", np.linalg.eigvals, X).real
     lo, hi = lam.min(axis=-1), lam.max(axis=-1)
-    failed = np.flatnonzero(~_positive(lo, hi))
-    if failed.size:
-        i = failed[0]
+    passed = _positive(lo, hi)
+    if not passed.all():
+        i = passed.argmin()
         raise _cone_exit(f"block map I + W Omega not positive at block length N={N}, "
                          f"theta={thetas[i]:.6e} (requires theta < theta_N)", lo[i], hi[i])
     X_inv = _factor(N, "I + W Omega", np.linalg.inv, X)
@@ -301,15 +301,14 @@ def block_map(model: StateSpaceModel, N: int, theta=0.0) -> BlockMap:
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim > 1:
         raise UsageError(f"theta must be a number or a 1-D array, got shape {thetas.shape}")
-    for value in thetas.ravel().tolist():
+    stack = thetas.reshape(-1)
+    for value in stack.tolist():
         check_finite("theta", value, nonnegative=True)
     if N < 1:
         raise UsageError(f"block length N must be >= 1, got {N}")
-    stack = np.atleast_1d(thetas)
-    n, k = model.n, len(stack)
-    step = BlockMap(np.broadcast_to(model.A, (k, n, n)),
+    step = BlockMap(np.repeat(model.A[None], len(stack), axis=0),
                     model.C.T @ model.C - stack[:, None, None] * (model.D.T @ model.D),
-                    np.broadcast_to(model.B @ model.B.T, (k, n, n)))
+                    np.repeat((model.B @ model.B.T)[None], len(stack), axis=0))
     out, bits = None, N
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
