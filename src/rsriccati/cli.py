@@ -29,7 +29,7 @@ from . import bounds as bnd
 from . import riccati as ric
 from . import statespace as ssp
 from .cone import contraction_bound, spectral
-from .errors import DomainError, IterationLimitError, NumericalError, UsageError, check_finite
+from .errors import ConeExitError, DomainError, IterationLimitError, NumericalError, UsageError, check_finite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -431,13 +431,14 @@ def _cmd_paper_example(args) -> int:
     record("closed_loop_eigenvalues", cl,
            _relerr(cl[0], 0.034) < 0.02 and _relerr(cl[1], 0.776) < 0.02)
 
-    # Fixed-point sweep for the breakdown onset (theta in [0, 0.95e-3]).
+    # Fixed-point sweep for the breakdown onset (theta in [0, 0.95e-3]), from the doubled map.
     fp_sweep = np.linspace(0.0, 0.95e-3, SWEEP_POINTS)
-    # the results are dropped once written, before the searches below
+    _, lam_P, lam_V, solvable, _ = ric.doubled_fixed_points(model, fp_sweep)
+    if not solvable.all():
+        raise ConeExitError(f"no valid fixed point at theta={fp_sweep[solvable.argmin()]:.6e}")
     write("fixed_point_sweep.csv", lambda fh: _write_csv(
         fh, ["theta"] + _spectra_header(model.n),
-        ([_fmt(th)] + [_fmt(v) for v in res.lambda_P] + [_fmt(v) for v in res.lambda_V]
-         for th, res in zip(fp_sweep, ric.fixed_point_sweep(model, fp_sweep, np.eye(model.n))))))
+        ([_fmt(x) for x in row] for row in np.column_stack([fp_sweep, lam_P, lam_V]))))
 
     bres = ric.breakdown_search(model, theta_lo=beta2, theta_hi=2e-3,
                                 P0=Sigma2, tol=1e-6)

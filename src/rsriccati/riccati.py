@@ -25,10 +25,13 @@ stacked pass finishes every converged theta (validity gate at P*, gain,
 ARE residual, closed-loop spectrum) from them. `fixed_point` is the sweep
 at batch size one, and `verify_are` the finish. Each theta stops at its
 own step, so its result and its iteration count (the canonical one) are
-the same at any batch size. `breakdown_search` solves its ends and the
-bisection path the closed form of P*(theta) predicts (`_closed_form`) in
-one stacked call, then walks the real verdicts as a plain bisection. The
-closed form only groups the probes; the iteration decides every verdict.
+the same at any batch size. `doubled_fixed_points` reads P*(theta) for a
+whole stack of theta from the doubled one-step map instead, in a few n x n
+compositions and with no invertible A: paper-example's fixed-point sweep
+comes from it. `breakdown_search` solves its ends and the bisection path
+that map's verdicts predict in one stacked call, then walks the real
+verdicts as a plain bisection. The prediction only groups the probes; the
+iteration decides every verdict.
 `iterate_trajectory` and `sim.run_filter` run the loop at
 batch one with tol = 0 and max_iter = T, tracing each step.
 
@@ -83,7 +86,7 @@ from .errors import (
     UsageError,
     check_finite,
 )
-from .statespace import BlockMap, StateSpaceModel
+from .statespace import BlockMap, StateSpaceModel, _compose, block_map
 
 
 def _finite_inverse(dec: SpectralDecomposition, name: str) -> np.ndarray:
@@ -607,41 +610,65 @@ def fixed_point(
 
 
 # Bisection levels whose midpoints `breakdown_search` solves in one stacked call
-# once the closed form has no verdict for the walk's next midpoint.
+# once the prediction has no verdict for the walk's next midpoint.
 _SPECULATIVE_LEVELS = 3
+# Bisection levels whose midpoints `breakdown_search` predicts in one
+# `doubled_fixed_points` call. A call costs about nine doublings whatever its
+# stack size, so fewer, larger calls are cheaper: paper-example's 11 levels take
+# 3 calls at 4 levels each, which measured faster than 3 or 5 levels per call.
+_PREDICTED_LEVELS = 4
+
+# Doublings after which `doubled_fixed_points` gives up on a sum, as `bounds._smith` does.
+_DOUBLINGS = 64
 
 
-def _closed_form(model: StateSpaceModel, theta: float):
-    """(P*(theta), solvable) from the map's 2n x 2n matrix, or None when A is singular.
+def doubled_fixed_points(model: StateSpaceModel, thetas):
+    """P*(theta) for a 1-D stack of theta from the doubled one-step map, with a verdict per theta.
 
-    With S = C^T C - theta D^T D and P = U V^-1 the map is [U; V] -> M [U; V],
-    M = [[A + B B^T A^-T S, B B^T A^-T], [A^-T S, A^-T]] (Anderson & Moore,
-    *Optimal Filtering*, 1979), so the straight iteration is subspace
-    iteration on M and P* = U V^-1 comes from its n eigenvectors of largest
-    modulus. solvable predicts the fixed-point verdict at theta: P* is real
-    and positive definite, the gap |lambda_n| > |lambda_n+1| is open and
-    V at P* is valid, theta lambda_1(D P* D^T) < 1. It never sees the
-    iterates of a given start. numpy has no QZ, so a singular A gets None.
+    W of the 2^k-fold map (`statespace._compose` on the one-step triple
+    (A, C^T C - theta D^T D, B B^T)) is the straight iterate P_{2^k} from
+    P_0 = 0, so squaring the triple k times takes 2^k steps at once
+    (Anderson & Moore, *Optimal Filtering*, 1979; Lin & Xu, SIAM J. Matrix
+    Anal. Appl. 28, 2006). It needs no invertible A. Each theta stops at
+    the first doubling that changes no bit of its W, and leaves the stack
+    where its I + W Omega fails the gate, so its result does not depend on
+    the other thetas; one still changing after _DOUBLINGS doublings has no
+    sum. A theta is solvable when every gate passed, the sum settled, P*
+    passes the stacked positivity gate and V^-1 = P*^-1 - theta D^T D
+    passes `_validity`. A NaN or negative theta raises DomainError, and a
+    one-step triple that overflows NumericalError, as in `block_map`.
+
+    Returns (P, lambda_P, lambda_V, solvable, Omega), stacked over thetas:
+    P* and the spectra of P* and of V at P* (decreasing, as on
+    `FixedPointResult`), NaN where a theta is not solvable, and the settled
+    Omega, NaN where the sum did not settle. P0^-1 + Omega_N is the N-fold
+    map's inner matrix at a start P0, so the settled Omega tells whether
+    the long-run map can be applied at P0; `breakdown_search` reads it.
+    Nothing else here sees the iterates of a given start. The package does
+    not export it; paper-example writes its fixed-point sweep from it.
     """
-    try:
-        Ait = np.linalg.inv(model.A).T
-    except np.linalg.LinAlgError:
-        return None
-    CtC, thDtD, BBt = _map_products(model, np.array([theta], dtype=float))
-    n, S, G = model.n, CtC - thDtD[0], BBt @ Ait
-    with np.errstate(all="ignore"):
-        try:
-            lam, X = np.linalg.eig(np.block([[model.A + G @ S, G], [Ait @ S, Ait]]))
-            order = np.argsort(-np.abs(lam))
-            P = np.linalg.solve(X[n:, order[:n]].T, X[:n, order[:n]].T).T  # U V^-1
-            P_real = _sym(P.real)
-            return P_real, bool(
-                np.abs(P.imag).max() <= 1e-8 * np.abs(P_real).max()
-                and abs(lam[order[n - 1]]) > abs(lam[order[n]])
-                and np.linalg.eigvalsh(P_real)[0] > 0.0
-                and theta * np.linalg.eigvalsh(model.D @ P_real @ model.D.T)[-1] < 1.0)
-        except np.linalg.LinAlgError:
-            return None, False
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    W, Omega = np.full((2, len(thetas), model.n, model.n), np.nan)  # each theta's, once settled
+    live, step = np.arange(len(thetas)), block_map(model, 1, thetas)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, _DOUBLINGS + 1):
+            composed, passed, _, _ = _compose(2**k, step, step)
+            done = passed & (composed.W == step.W).all(axis=(1, 2))
+            if not (keep := passed & ~done).all():  # a theta leaves: settled or past a pole
+                W[live[done]], Omega[live[done]] = composed.W[done], composed.Omega[done]
+                live, composed = live[keep], BlockMap(*(X[keep] for X in composed))
+            if not live.size:
+                break
+            step = composed
+        solvable = ~np.isnan(W[:, 0, 0])  # a settled W is finite
+        index = np.flatnonzero(solvable)
+        lam, U, errors = _require_spd_stack(W[index], "fixed point not positive definite")
+        lam_v, _, invalid = _validity(model, thetas[index], (U / lam[:, None, :]) @ U.swapaxes(1, 2))
+        lam_P, lam_V = np.full((2, *W.shape[:2]), np.nan)
+        lam_P[index], lam_V[index] = lam, 1.0 / lam_v[:, ::-1]
+    solvable[index[list({*errors, *invalid})]] = False
+    lam_P[~solvable], lam_V[~solvable] = np.nan, np.nan
+    return np.where(solvable[:, None, None], _sym(W), np.nan), lam_P, lam_V, solvable, _sym(Omega)
 
 
 @dataclass(frozen=True)
@@ -693,18 +720,23 @@ def breakdown_search(
     to its own stop. `_stalled` ends most of those near breakdown, but near
     a closing eigenvalue gap of the map, where P* exists and the rate nears
     1, a probe can run all max_iter steps (21 did in one measured search at
-    tol = 1e-9). The closed form of P*(theta) (`_closed_form`) predicts
-    each verdict, and the midpoints a bisection walks on those predictions
-    are solved with the two ends in one call (after the theta = 0 solve of
-    the default end). The bisection then walks the real verdicts with the
-    usual test. Where its next midpoint has none, after a misprediction or
-    at once for a singular A, each further call solves the midpoints of the
-    next _SPECULATIVE_LEVELS levels below the current bracket. A theta's
+    tol = 1e-9). `doubled_fixed_points` predicts each verdict, any A
+    included: unsolvable where the doubled map finds no valid P*, or where
+    the start fails one stacked gate, on its first inner matrix
+    P0^-1 + C^T C - theta D^T D or on P0^-1 + Omega with the doubled map's
+    settled Omega (the inner matrix of the long-run map at P0: a start past
+    it leaves the cone within a few steps). The bisection walked on the
+    predictions, _PREDICTED_LEVELS levels per call, gives the midpoints
+    that are solved with the two ends in one call (after the theta = 0
+    solve of the default end). The bisection then walks the real verdicts
+    with the usual test. Where its next midpoint has none, after a
+    misprediction, each further call solves the midpoints of the next
+    _SPECULATIVE_LEVELS levels below the current bracket. A theta's
     outcome does not depend on its batch, so every midpoint, the bracket
     and `evaluations` are those of a one-probe-at-a-time bisection. A
-    start whose iterates leave the cone below the closed form's breakdown
-    only costs a misprediction. An error other than breakdown or the
-    iteration limit is raised when the walk reaches its theta.
+    start whose iterates leave the cone where both gates pass only costs
+    a misprediction. An error other than breakdown or the iteration limit
+    is raised when the walk reaches its theta.
     """
     check_finite("theta", theta_lo, nonnegative=True)
     if not tol >= 0.0:
@@ -723,24 +755,23 @@ def breakdown_search(
         verdicts = {theta_hi: False, 0.0: True}  # by the argument above; the solve just made
     check_finite("theta", theta_hi, nonnegative=True)
     if not theta_hi > theta_lo:
-        raise UsageError(
-            f"need theta_lo < theta_hi, got [{theta_lo}, {theta_hi}]"
-        )
+        raise UsageError(f"need theta_lo < theta_hi, got [{theta_lo}, {theta_hi}]")
 
-    def solvable(theta: float) -> bool:
-        if isinstance(verdicts[theta], Exception):
-            raise verdicts[theta]
-        return verdicts[theta]
+    def solvable(known: dict, theta: float) -> bool:
+        """known[theta], raised where it is an error."""
+        if isinstance(known[theta], Exception):
+            raise known[theta]
+        return known[theta]
 
     def midpoint(lo: float, hi: float) -> Optional[float]:
         """The bisection's next theta in (lo, hi); None at width tol or adjacent floats."""
         mid = 0.5 * (lo + hi)
         return mid if hi - lo > tol and lo < mid < hi else None
 
-    def levels(lo: float, hi: float) -> list:
-        """The midpoints of the next _SPECULATIVE_LEVELS levels below (lo, hi), as the walk forms them."""
+    def levels(lo: float, hi: float, depth: int) -> list:
+        """The midpoints of the next depth levels below (lo, hi), as the walk forms them."""
         mids, brackets = [], [(lo, hi)]
-        for _ in range(_SPECULATIVE_LEVELS):
+        for _ in range(depth):
             below = []
             for a, b in brackets:
                 if (m := midpoint(a, b)) is not None:
@@ -749,53 +780,47 @@ def breakdown_search(
             brackets = below
         return mids
 
-    def predicted_path(lo: float, hi: float) -> list:
-        """The walk's midpoints if the closed form's verdicts hold; none unless it predicts a breakdown."""
-        at_hi, mids = _closed_form(model, hi), []
-        if at_hi is None or at_hi[1]:  # a singular A, or no breakdown predicted in range
-            return mids
+    def walk(known: dict, fill, depth: int) -> tuple:
+        """The bisection on the verdicts in known: its last (lo, hi) and the midpoints it read.
+
+        Where known has no verdict for the next midpoint, fill(levels(lo, hi,
+        depth)) adds those of the next depth levels.
+        """
+        lo, hi, mids = theta_lo, theta_hi, []
         while (mid := midpoint(lo, hi)) is not None:
+            if mid not in known:
+                fill(levels(lo, hi, depth))
             mids.append(mid)
-            lo, hi = (mid, hi) if _closed_form(model, mid)[1] else (lo, mid)
-        return mids
+            lo, hi = (mid, hi) if solvable(known, mid) else (lo, mid)
+        return lo, hi, mids
+
+    predicted = {}  # theta -> the doubled map's verdict
+
+    def predict(thetas: list) -> None:
+        """Predict each theta by the doubled map, unsolvable where its first inner matrix fails."""
+        stack = np.array(thetas, dtype=float)
+        _, _, _, verdict, Omega = doubled_fixed_points(model, stack)
+        CtC, thDtD, _ = _map_products(model, stack)
+        inner = start[2] + np.concatenate([CtC - thDtD, np.where(verdict[:, None, None], Omega, 0.0)])
+        verdict[[i % len(thetas) for i in _require_spd_stack(inner, _INNER_GATE)[2]]] = False
+        predicted.update(zip(thetas, verdict.tolist()))
 
     def probe(thetas: list) -> None:
         """Solve the thetas that have no verdict yet in one stacked call."""
         thetas = [t for t in thetas if t not in verdicts]
-        if not thetas:
-            return
-        for theta, outcome in zip(thetas, solve(thetas)):
+        for theta, outcome in zip(thetas, solve(thetas) if thetas else []):
             if isinstance(outcome, (ConeExitError, IterationLimitError)):
                 verdicts[theta] = False
             else:
                 verdicts[theta] = outcome if isinstance(outcome, Exception) else True
 
-    probe([theta_lo, theta_hi, *predicted_path(theta_lo, theta_hi)])
-    evaluations = 2
-    if not solvable(theta_lo):
-        raise UsageError(
-            f"theta_lo={theta_lo:.6e} is already unsolvable from this P0; "
-            f"pick a smaller lower end"
-        )
-    if solvable(theta_hi):
-        return BreakdownResult(
-            theta=theta_hi,
-            bracket=(theta_lo, theta_hi),
-            found=False,
-            evaluations=evaluations,
-        )
-    lo, hi = theta_lo, theta_hi
-    while (mid := midpoint(lo, hi)) is not None:
-        if mid not in verdicts:
-            probe(levels(lo, hi))
-        evaluations += 1
-        if solvable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return BreakdownResult(
-        theta=0.5 * (lo + hi),
-        bracket=(lo, hi),
-        found=True,
-        evaluations=evaluations,
-    )
+    predict([theta_hi, *levels(theta_lo, theta_hi, _PREDICTED_LEVELS)])
+    path = [] if predicted[theta_hi] else walk(predicted, predict, _PREDICTED_LEVELS)[2]
+    probe([theta_lo, theta_hi, *path])  # no path unless a breakdown is predicted in range
+    if not solvable(verdicts, theta_lo):
+        raise UsageError(f"theta_lo={theta_lo:.6e} is already unsolvable from this P0; "
+                         f"pick a smaller lower end")
+    if solvable(verdicts, theta_hi):
+        return BreakdownResult(theta_hi, (theta_lo, theta_hi), found=False, evaluations=2)
+    lo, hi, mids = walk(verdicts, probe, _SPECULATIVE_LEVELS)
+    return BreakdownResult(0.5 * (lo + hi), (lo, hi), found=True, evaluations=2 + len(mids))

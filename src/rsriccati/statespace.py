@@ -11,7 +11,9 @@ contraction.
 over an array of theta, by doubling the one-step map from n x n
 products. It forms no block matrix, so it keeps its accuracy where
 r(A)^N grows; `analyze` reads its contraction coefficient from it and
-`paper-example` its Gramian sweep. The thresholds `tau_N` returns:
+`paper-example` its Gramian sweep. Its composition (`_compose`) reports
+the gate per stack entry, so `riccati.doubled_fixed_points` squares the
+same triple until it settles. The thresholds `tau_N` returns:
 
   theta_N  -- largest risk parameter keeping the whitened block input
               covariance positive definite,
@@ -261,28 +263,30 @@ class BlockMap(NamedTuple):
     W: np.ndarray
 
 
-def _compose(N: int, thetas: np.ndarray, first: BlockMap, then: BlockMap) -> BlockMap:
-    """The map `then` after `first`, stacked over thetas, through X = I + W_1 Omega_2.
+def _compose(N: int, first: BlockMap, then: BlockMap):
+    """The map `then` after `first`, stacked, through X = I + W_1 Omega_2, and X's gate per entry.
 
     X has the eigenvalues of I + W_1^1/2 Omega_2 W_1^1/2, so they are
-    real. One that fails the positivity rule means that theta has reached
-    theta_k of the composed length k: the composed Omega has passed a pole
-    and is no certificate, even where it is positive definite again. The
-    error names the first such theta in input order.
+    real. Returns the composed triple, whether each entry's X passed the
+    positivity rule, and X's smallest and largest eigenvalues per entry;
+    the smallest is NaN where X is not finite, which fails the rule. An
+    entry whose X fails has reached theta_k of the composed length k: its
+    composed Omega has passed a pole and is no certificate, even where it
+    is positive definite again. Such an entry is composed through X = I,
+    so it never makes the stacked eigensolve or inverse fail for the
+    others, and its caller must drop it or raise (`block_map` raises).
     """
     (a1, O1, W1), (a2, O2, W2) = first, then
-    X = _finite(N, "I + W Omega", np.eye(a1.shape[-1]) + W1 @ O2)
-    lam = _factor(N, "I + W Omega", np.linalg.eigvals, X).real
-    lo, hi = lam.min(axis=-1), lam.max(axis=-1)
+    eye = np.eye(a1.shape[-1])
+    X = eye + W1 @ O2
+    finite = np.isfinite(X).all(axis=(-2, -1))
+    lam = _factor(N, "I + W Omega", np.linalg.eigvals, np.where(finite[:, None, None], X, eye)).real
+    lo, hi = np.where(finite, lam.min(axis=-1), np.nan), lam.max(axis=-1)
     passed = _positive(lo, hi)
-    if not passed.all():
-        i = passed.argmin()
-        raise _cone_exit(f"block map I + W Omega not positive at block length N={N}, "
-                         f"theta={thetas[i]:.6e} (requires theta < theta_N)", lo[i], hi[i])
-    X_inv = _factor(N, "I + W Omega", np.linalg.inv, X)
+    X_inv = _factor(N, "I + W Omega", np.linalg.inv, np.where(passed[:, None, None], X, eye))
     Y = X_inv @ a1
-    return BlockMap(a2 @ Y, O1 + a1.swapaxes(-1, -2) @ O2 @ Y,
-                    W2 + a2 @ X_inv @ W1 @ a2.swapaxes(-1, -2))
+    return (BlockMap(a2 @ Y, O1 + a1.swapaxes(-1, -2) @ O2 @ Y,
+                     W2 + a2 @ X_inv @ W1 @ a2.swapaxes(-1, -2)), passed, lo, hi)
 
 
 def block_map(model: StateSpaceModel, N: int, theta=0.0) -> BlockMap:
@@ -294,9 +298,10 @@ def block_map(model: StateSpaceModel, N: int, theta=0.0) -> BlockMap:
     map (A, C^T C - theta D^T D, B B^T) is squared and composed on the
     binary digits of N, about 2 log2(N) compositions, each gated as in
     `_compose`: a theta at or past theta_N raises ConeExitError naming
-    it. No Nq-sized matrix is formed, so the triple keeps its accuracy
-    where r(A)^N grows. A triple that overflows double precision raises
-    NumericalError.
+    it, the first in input order among the entries of the first
+    composition that fails. No Nq-sized matrix is formed, so the triple
+    keeps its accuracy where r(A)^N grows. A triple that overflows double
+    precision raises NumericalError.
     """
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim > 1:
@@ -306,6 +311,16 @@ def block_map(model: StateSpaceModel, N: int, theta=0.0) -> BlockMap:
         check_finite("theta", value, nonnegative=True)
     if N < 1:
         raise UsageError(f"block length N must be >= 1, got {N}")
+
+    def gated(first: BlockMap, then: BlockMap) -> BlockMap:
+        out, passed, lo, hi = _compose(N, first, then)
+        _finite(N, "I + W Omega", lo)  # NaN exactly where X was not finite
+        if not passed.all():
+            i = passed.argmin()
+            raise _cone_exit(f"block map I + W Omega not positive at block length N={N}, "
+                             f"theta={stack[i]:.6e} (requires theta < theta_N)", lo[i], hi[i])
+        return out
+
     step = BlockMap(np.repeat(model.A[None], len(stack), axis=0),
                     model.C.T @ model.C - stack[:, None, None] * (model.D.T @ model.D),
                     np.repeat((model.B @ model.B.T)[None], len(stack), axis=0))
@@ -313,11 +328,11 @@ def block_map(model: StateSpaceModel, N: int, theta=0.0) -> BlockMap:
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if bits & 1:
-                out = step if out is None else _compose(N, stack, out, step)
+                out = step if out is None else gated(out, step)
             bits >>= 1
             if not bits:
                 break
-            step = _compose(N, stack, step, step)
+            step = gated(step, step)
         out = BlockMap(_finite(N, "alpha_N(theta)", out.alpha),
                        _finite(N, "Omega_N(theta)", _sym(out.Omega)),
                        _finite(N, "W_N(theta)", _sym(out.W)))

@@ -19,8 +19,8 @@ from rsriccati import (
     rs_gain,
     spectral,
 )
-from rsriccati.cone import _require_spd_stack, require_spd, symmetrize
-from rsriccati.riccati import _gain_form, _kalman_form, _map_step, _validity
+from rsriccati.cone import _require_spd_stack, _sym, require_spd, symmetrize
+from rsriccati.riccati import _gain_form, _kalman_form, _map_products, _map_step, _validity
 from rsriccati.statespace import _theta_free
 
 # From P0 = I at theta = 1 - 1e-6, V^-1 = P0^-1 - theta I = 1e-6 I passes the
@@ -140,6 +140,33 @@ def mp_sigma(model, G, rho):
         return np.array([float(v) for v in x]).reshape(n, n)
 
 
+def mp_fixed_point(model, theta, P, dps=40):
+    """P* = A (P*^-1 + S)^-1 A^T + B B^T, S = C^T C - theta D^T D, to `dps` digits.
+
+    Newton's method from P, the double inputs taken exactly: each step
+    solves the Stein equation X - F X F^T = f(P), F = A (I + P S)^-1 the
+    map's derivative at P, as one Kronecker system, until the step is below
+    10^-(dps - 5) of P. It converges to the fixed point near P. Needs mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        A, B, C, D, P = (mpmath.matrix(np.asarray(X, dtype=float).tolist())
+                         for X in (model.A, model.B, model.C, model.D, P))
+        n, S = model.n, C.T * C - mpmath.mpf(float(theta)) * (D.T * D)
+        for _ in range(20):
+            F = A * mpmath.inverse(mpmath.eye(n) + P * S)
+            f = F * P * A.T + B * B.T - P  # A (P^-1 + S)^-1 A^T = A (I + P S)^-1 P A^T
+            M = mpmath.matrix(n * n, n * n)
+            for i, j, k, l in np.ndindex(n, n, n, n):
+                M[i * n + j, k * n + l] = (i == k and j == l) - F[i, k] * F[j, l]
+            x = mpmath.lu_solve(M, mpmath.matrix([f[i, j] for i, j in np.ndindex(n, n)]))
+            P += mpmath.matrix([[x[i * n + j] for j in range(n)] for i in range(n)])
+            if mpmath.mnorm(x, 1) <= mpmath.mpf(10) ** (5 - dps) * mpmath.mnorm(P, 1):
+                return np.array(((P + P.T) / 2).tolist(), dtype=float)
+    raise AssertionError(f"Newton's method did not settle at theta={theta}")
+
+
 def fixed_point_oracle(model, theta, P0, tol=1e-12, max_iter=100_000):
     """P* by plain straight iteration: np.linalg.inv, no positivity gate.
 
@@ -154,6 +181,39 @@ def fixed_point_oracle(model, theta, P0, tol=1e-12, max_iter=100_000):
             return P_next
         P = P_next
     raise AssertionError(f"oracle did not converge within {max_iter} iterations at theta={theta}")
+
+
+def _closed_form(model: StateSpaceModel, theta: float):
+    """(P*(theta), solvable) from the map's 2n x 2n matrix, or None when A is singular.
+
+    With S = C^T C - theta D^T D and P = U V^-1 the map is [U; V] -> M [U; V],
+    M = [[A + B B^T A^-T S, B B^T A^-T], [A^-T S, A^-T]] (Anderson & Moore,
+    *Optimal Filtering*, 1979), so the straight iteration is subspace
+    iteration on M and P* = U V^-1 comes from its n eigenvectors of largest
+    modulus. solvable predicts the fixed-point verdict at theta: P* is real
+    and positive definite, the gap |lambda_n| > |lambda_n+1| is open and
+    V at P* is valid, theta lambda_1(D P* D^T) < 1. It never sees the
+    iterates of a given start. numpy has no QZ, so a singular A gets None.
+    """
+    try:
+        Ait = np.linalg.inv(model.A).T
+    except np.linalg.LinAlgError:
+        return None
+    CtC, thDtD, BBt = _map_products(model, np.array([theta], dtype=float))
+    n, S, G = model.n, CtC - thDtD[0], BBt @ Ait
+    with np.errstate(all="ignore"):
+        try:
+            lam, X = np.linalg.eig(np.block([[model.A + G @ S, G], [Ait @ S, Ait]]))
+            order = np.argsort(-np.abs(lam))
+            P = np.linalg.solve(X[n:, order[:n]].T, X[:n, order[:n]].T).T  # U V^-1
+            P_real = _sym(P.real)
+            return P_real, bool(
+                np.abs(P.imag).max() <= 1e-8 * np.abs(P_real).max()
+                and abs(lam[order[n - 1]]) > abs(lam[order[n]])
+                and np.linalg.eigvalsh(P_real)[0] > 0.0
+                and theta * np.linalg.eigvalsh(model.D @ P_real @ model.D.T)[-1] < 1.0)
+        except np.linalg.LinAlgError:
+            return None, False
 
 
 def sequential_bisection(model, theta_lo, theta_hi, P0, tol):

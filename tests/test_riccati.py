@@ -5,11 +5,13 @@ import pytest
 from helpers import (
     MAP_EXIT_JSON,
     MAP_EXIT_THETA,
+    _closed_form,
     build_block_model,
     congruent,
     fixed_point_oracle,
     kalman_gain_oracle,
     loewner_leq,
+    mp_fixed_point,
     random_model,
     random_spd,
     rs_riccati_gain_form,
@@ -45,10 +47,10 @@ from rsriccati import (
 )
 from rsriccati import riccati
 from rsriccati.cli import main
-from rsriccati.riccati import _closed_form, _inverse, _solve_stack
+from rsriccati.riccati import _inverse, _solve_stack
 
 SCALAR = '{"A": [[%s]], "B": [[1]], "C": [[1]], "D": [[1]]}'
-# A nilpotent, so singular: the closed form of the map has no P* for it
+# A nilpotent, so singular: the closed form of the map has no P* for it, the doubled map has
 NILPOTENT = '{"A": [[0,1],[0,0]], "B": [[1,0],[0,1]], "C": [[1,0]], "D": [[1,0],[0,1]]}'
 
 
@@ -742,6 +744,101 @@ def test_fixed_point_on_a_singular_A_matches_the_discrete_are():
         assert riemann_distance(fixed_point(model, 0.0).P_star, P_star) < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# doubled_fixed_points: P*(theta) from the doubled one-step map
+
+
+def same_bits(X, Y) -> bool:
+    return X.shape == Y.shape and np.array_equal(X, Y, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", ["example", 0, 1, 2])
+def test_doubled_fixed_points_stack_is_the_per_theta_calls_bitwise(example_model, case):
+    # each theta stops at its own doubling and leaves the stack where its gate
+    # fails, so a stack that mixes settled, invalid and pole-crossed thetas
+    # gives every theta the bits of its own call
+    if case == "example":
+        model, thetas = example_model, [0.0, 5e-4, 9.7e-4, 9.8e-4, 1.2e-3, 1.5e-3, 1e300]
+    else:
+        model = random_model(np.random.default_rng(case), n=1 + case, m=2, p=1, radius=1.1)
+        top = safe_theta(model, fixed_point(model, 0.0).P_star, 1.0)
+        thetas = list(np.linspace(0.0, 3.0 * top, 9))
+    stacked = riccati.doubled_fixed_points(model, thetas)
+    assert not stacked[3].all() and stacked[3].any()
+    for i, theta in enumerate(thetas):
+        for X, Y in zip(stacked, riccati.doubled_fixed_points(model, [theta])):
+            assert same_bits(X[i:i + 1], Y)
+
+
+def test_doubled_fixed_points_on_the_paper_grid_match_40_digits(example_model):
+    # Newton's method to 40 digits from the straight iteration's P*, which
+    # stops at tol = 1e-12 and is up to 3.1e-12 off; the doubled P* settles
+    # at its last bit (measured: at most 1.7e-13 off)
+    pytest.importorskip("mpmath")
+    thetas = np.linspace(0.0, 0.95e-3, 200)
+    P, lam_P, lam_V, solvable, _ = riccati.doubled_fixed_points(example_model, thetas)
+    assert solvable.all()
+    for theta, P_k, res in zip(thetas, P, fixed_point_sweep(example_model, thetas, np.eye(2))):
+        ref = mp_fixed_point(example_model, theta, res.P_star)
+        assert np.linalg.norm(P_k - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.allclose(lam_P, np.linalg.eigvalsh(P)[:, ::-1], rtol=1e-14, atol=0.0)
+    V = np.linalg.inv(np.linalg.inv(P) - thetas[:, None, None] * np.eye(2))
+    assert np.allclose(lam_V, np.linalg.eigvalsh(V)[:, ::-1], rtol=1e-12, atol=0.0)
+
+
+def test_doubled_fixed_points_on_a_singular_A_match_the_discrete_are():
+    # the doubling inverts only I + W Omega, so a singular A needs nothing else
+    linalg = pytest.importorskip("scipy.linalg")
+    for model in singular_models():
+        P, _, _, solvable, _ = riccati.doubled_fixed_points(model, [0.0])
+        P_star = linalg.solve_discrete_are(model.A.T, model.C.T, model.B @ model.B.T,
+                                           np.eye(model.p))
+        assert solvable[0] and riemann_distance(P[0], P_star) < 1e-10
+
+
+def unit_circle_model():
+    """The third draw of seeded random models whose map's eigenvalues reach the unit circle.
+
+    From theta = 0.40 on, all four eigenvalues of its 2n x 2n map matrix
+    have modulus 1.0000, and the closed form reads a P* that is no fixed point.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        model = random_model(rng, n=int(rng.integers(1, 4)), m=2, p=1,
+                             radius=float(rng.uniform(0.5, 1.2)))
+    return model
+
+
+def test_doubled_fixed_points_read_the_unit_circle_as_the_iteration_does():
+    model = unit_circle_model()
+    thetas = [0.3, 0.39, 0.40, 0.45]
+    solvable = riccati.doubled_fixed_points(model, thetas)[3]
+    assert solvable.tolist() == [True, True, False, False]
+    for theta, want in zip(thetas, solvable):
+        if want:
+            fixed_point(model, theta)
+        else:
+            with pytest.raises(ConeExitError):
+                fixed_point(model, theta)
+        assert _closed_form(model, theta)[1]  # solvable throughout: wrong from 0.40 on
+
+
+def test_doubled_fixed_points_give_a_verdict_past_theta_inf_without_raising(example_model):
+    # 1.5e-3 is past theta_N for large N (1.3335e-3), where block_map raises;
+    # the unstable state that C cannot see makes W overflow: no sum, no error
+    thetas = [1e-4, 1.5e-3, 5e-4]
+    P, lam_P, lam_V, solvable, _ = riccati.doubled_fixed_points(example_model, thetas)
+    assert solvable.tolist() == [True, False, True]
+    assert np.isnan(P[1]).all() and np.isnan(lam_P[1]).all() and np.isnan(lam_V[1]).all()
+    with pytest.raises(ConeExitError, match="theta=1.500000e-03"):
+        block_map(example_model, 32, thetas)
+    hidden = StateSpaceModel(A=np.diag([2.0, 0.5]), B=np.eye(2), C=np.array([[0.0, 1.0]]),
+                             D=np.eye(2))
+    assert riccati.doubled_fixed_points(hidden, [0.0, 0.1])[3].tolist() == [False, False]
+    with pytest.raises(DomainError, match="theta must be finite and >= 0"):
+        riccati.doubled_fixed_points(example_model, [0.0, np.nan])
+
+
 def test_fixed_point_sweep_raises_the_first_breakdown(example_model):
     thetas = np.linspace(0.0, 1.5e-3, 40)
     want = None
@@ -941,7 +1038,7 @@ def test_breakdown_matches_sequential_bisection_in_fewer_calls(
     calls = counted_kernel(monkeypatch)
     got = breakdown_search(model, lo, hi, P0, tol)
     assert got.found and got.bracket == bracket and got.evaluations == evaluations
-    # the ends and the closed form's predicted path in one call. Whittle at
+    # the ends and the doubled map's predicted path in one call. Whittle at
     # tol = 0 mispredicts near breakdown; from there each call solves the
     # next _SPECULATIVE_LEVELS levels, as every call after the ends did
     # without the prediction (max_calls in all)
@@ -975,13 +1072,12 @@ def test_breakdown_probes_near_the_top_end_as_a_validity_breakdown(monkeypatch, 
 
 @pytest.mark.parametrize("case", [*range(8), "singular"])
 def test_breakdown_is_the_sequential_bisection_bitwise(monkeypatch, case):
-    # the closed form only decides which thetas share a stacked call. On
-    # seeded models (from seed 0's start the map leaves the cone at step 1
-    # far below the closed form's breakdown, a misprediction; seed 1 has a
-    # probe at the iteration limit)
-    # and on a singular A (no prediction: each call after the ends solves
-    # the next _SPECULATIVE_LEVELS levels) the result is a
-    # one-probe-at-a-time bisection's, to the bit
+    # the prediction only decides which thetas share a stacked call. On
+    # seeded models (from seed 0's start the iterates leave the cone far
+    # below the doubled map's breakdown, at steps 1-4, which the start's
+    # gate against Omega predicts; seed 1 has a probe at the iteration
+    # limit) and on a singular A, which the doubled map covers, the result
+    # is a one-probe-at-a-time bisection's, to the bit, in one stacked call
     if case == "singular":
         model, P0 = load_model(NILPOTENT), np.eye(2)
     else:
@@ -994,14 +1090,29 @@ def test_breakdown_is_the_sequential_bisection_bitwise(monkeypatch, case):
     calls = counted_kernel(monkeypatch)
     got = breakdown_search(model, 0.0, end, P0, 1e-6 * end)
     assert got == BreakdownResult(0.5 * (bracket[0] + bracket[1]), bracket, True, evaluations)
-    if case == "singular":
-        assert len(calls) == 1 + -(-(evaluations - 2) // riccati._SPECULATIVE_LEVELS)
-    if case == 0:  # the walk left the predicted path
-        assert len(calls) > 1
+    assert len(calls) == 1  # the walk stayed on the predicted path
+
+
+def test_breakdown_predicts_a_start_whose_first_step_leaves_the_cone(monkeypatch):
+    # from this large start the first inner matrix P0^-1 + C^T C - theta D^T D
+    # fails above theta = 0.0378, where the doubled map still finds a valid
+    # P* and P0^-1 + Omega passes: only the first-step gate predicts those
+    # probes (without it the search took 7 calls)
+    rng = np.random.default_rng(20)
+    model = random_model(rng, n=2, m=2, p=1, radius=float(rng.uniform(0.5, 1.2)))
+    P0 = random_spd(rng, 2, 0.1, 100.0)
+    bracket, evaluations = sequential_bisection(model, 0.0, 3.0, P0, 1e-6)
+    calls = counted_kernel(monkeypatch)
+    got = breakdown_search(model, 0.0, 3.0, P0, 1e-6)
+    assert got.bracket == bracket and got.evaluations == evaluations
+    assert len(calls) == 1
+    with pytest.raises(ConeExitError) as exc:
+        fixed_point(model, bracket[1], P0)
+    assert exc.value.step == 1
 
 
 def test_the_paper_search_is_one_stacked_call(monkeypatch, tmp_path, example_model, example_bound):
-    # paper-example's search solves its ends and the closed form's predicted
+    # paper-example's search solves its ends and the doubled map's predicted
     # path in one call; a default end needs P*(0) first, so there it is two
     calls, searches = counted_kernel(monkeypatch), []
     search = riccati.breakdown_search

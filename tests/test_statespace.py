@@ -594,6 +594,21 @@ def test_block_map_stack_names_the_theta_past_theta_N(example_model, thetas, nam
         block_map(example_model, 32, thetas)
 
 
+def test_compose_reports_each_entry_and_inverts_the_rest():
+    # A = 0.5, B = C = D = 1: the one-step I + W Omega is 2 - theta, exactly 0
+    # at theta = 2. That entry fails the gate without making the stacked
+    # inverse fail for the other, whose composition is the scalar one's bits.
+    model = load_model('{"A": [[0.5]], "B": [[1]], "C": [[1]], "D": [[1]]}')
+    step = block_map(model, 1, [0.1, 2.0])
+    composed, passed, lo, hi = statespace._compose(2, step, step)
+    assert passed.tolist() == [True, False] and lo[1] == hi[1] == 0.0
+    one = block_map(model, 1, [0.1])
+    for X, Y in zip(composed, statespace._compose(2, one, one)[0]):
+        assert np.array_equal(X[:1], Y)
+    with pytest.raises(ConeExitError, match="block length N=2, theta=2.000000e\\+00 "):
+        block_map(model, 2, [0.1, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # tau_N
 
