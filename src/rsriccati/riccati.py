@@ -797,7 +797,11 @@ def breakdown_search(
     predicted = {}  # theta -> the doubled map's verdict
 
     def predict(thetas: list) -> None:
-        """Predict each theta by the doubled map, unsolvable where its first inner matrix fails."""
+        """The doubled map's verdicts, unsolvable also where P0 fails the first or the long-run gate.
+
+        The gate is one stacked call on P0^-1 + C^T C - theta D^T D for every
+        theta, then P0^-1 + Omega for each (Omega is 0 where there is no P*).
+        """
         stack = np.array(thetas, dtype=float)
         _, _, _, verdict, Omega = doubled_fixed_points(model, stack)
         CtC, thDtD, _ = _map_products(model, stack)

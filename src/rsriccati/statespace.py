@@ -277,13 +277,16 @@ def _compose(N: int, first: BlockMap, then: BlockMap):
     others, and its caller must drop it or raise (`block_map` raises).
     """
     (a1, O1, W1), (a2, O2, W2) = first, then
-    eye = np.eye(a1.shape[-1])
-    X = eye + W1 @ O2
+    X = np.eye(a1.shape[-1]) + W1 @ O2
+
+    def only(keep: np.ndarray) -> np.ndarray:  # X where keep holds, I elsewhere
+        return X if keep.all() else np.where(keep[:, None, None], X, np.eye(a1.shape[-1]))
+
     finite = np.isfinite(X).all(axis=(-2, -1))
-    lam = _factor(N, "I + W Omega", np.linalg.eigvals, np.where(finite[:, None, None], X, eye)).real
+    lam = _factor(N, "I + W Omega", np.linalg.eigvals, only(finite)).real
     lo, hi = np.where(finite, lam.min(axis=-1), np.nan), lam.max(axis=-1)
     passed = _positive(lo, hi)
-    X_inv = _factor(N, "I + W Omega", np.linalg.inv, np.where(passed[:, None, None], X, eye))
+    X_inv = _factor(N, "I + W Omega", np.linalg.inv, only(passed))
     Y = X_inv @ a1
     return (BlockMap(a2 @ Y, O1 + a1.swapaxes(-1, -2) @ O2 @ Y,
                      W2 + a2 @ X_inv @ W1 @ a2.swapaxes(-1, -2)), passed, lo, hi)
