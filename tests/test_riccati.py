@@ -735,13 +735,16 @@ def singular_models():
 
 
 def test_fixed_point_on_a_singular_A_matches_the_discrete_are():
-    # numpy has no QZ, so the closed form has no P* here; scipy's solver has
+    # numpy has no QZ, so the closed form has no P* here; scipy's solver has,
+    # and so has the doubled map, which inverts only I + W Omega
     linalg = pytest.importorskip("scipy.linalg")
     for model in singular_models():
         assert _closed_form(model, 0.0) is None
         P_star = linalg.solve_discrete_are(model.A.T, model.C.T, model.B @ model.B.T,
                                            np.eye(model.p))
         assert riemann_distance(fixed_point(model, 0.0).P_star, P_star) < 1e-10
+        P, _, _, solvable, _ = riccati.doubled_fixed_points(model, [0.0])
+        assert solvable[0] and riemann_distance(P[0], P_star) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -784,16 +787,6 @@ def test_doubled_fixed_points_on_the_paper_grid_match_40_digits(example_model):
     assert np.allclose(lam_P, np.linalg.eigvalsh(P)[:, ::-1], rtol=1e-14, atol=0.0)
     V = np.linalg.inv(np.linalg.inv(P) - thetas[:, None, None] * np.eye(2))
     assert np.allclose(lam_V, np.linalg.eigvalsh(V)[:, ::-1], rtol=1e-12, atol=0.0)
-
-
-def test_doubled_fixed_points_on_a_singular_A_match_the_discrete_are():
-    # the doubling inverts only I + W Omega, so a singular A needs nothing else
-    linalg = pytest.importorskip("scipy.linalg")
-    for model in singular_models():
-        P, _, _, solvable, _ = riccati.doubled_fixed_points(model, [0.0])
-        P_star = linalg.solve_discrete_are(model.A.T, model.C.T, model.B @ model.B.T,
-                                           np.eye(model.p))
-        assert solvable[0] and riemann_distance(P[0], P_star) < 1e-10
 
 
 def unit_circle_model():
